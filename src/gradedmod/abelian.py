@@ -96,7 +96,14 @@ def smith_normal_form(matrix) -> list[int]:
 
 
 class FgAbelianGroup:
-    """Product of cyclic groups Z/m_1 x ... x Z/m_k (m_i = 0 meaning Z)."""
+    """Product of cyclic groups Z/m_1 x ... x Z/m_k (m_i = 0 meaning Z).
+
+    Elements are canonical tuples: `canon` reduces a coordinate sequence
+    once, and `add`, `sub` and `neg` return canonical tuples directly, in
+    one pass, still rejecting a wrong coordinate length.  Objects graded by
+    the group store their degrees canonical, so a lookup with a canonical
+    tuple needs no further canonicalization.
+    """
 
     __slots__ = ("moduli",)
 
@@ -129,22 +136,34 @@ class FgAbelianGroup:
         return self.rank == 0
 
     def canon(self, coords) -> tuple[int, ...]:
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(coords)
         if len(coords) != len(self.moduli):
             raise GroupError("coordinate length mismatch")
-        return tuple(c % m if m else c for c, m in zip(coords, self.moduli))
+        return tuple([int(c) % m if m else int(c)
+                      for c, m in zip(coords, self.moduli)])
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.moduli)
 
     def add(self, a, b) -> tuple[int, ...]:
-        return self.canon([x + y for x, y in zip(a, b)])
+        moduli = self.moduli
+        if len(a) != len(moduli) or len(b) != len(moduli):
+            raise GroupError("coordinate length mismatch")
+        return tuple([(x + y) % m if m else x + y
+                      for x, y, m in zip(a, b, moduli)])
 
     def neg(self, a) -> tuple[int, ...]:
-        return self.canon([-x for x in a])
+        moduli = self.moduli
+        if len(a) != len(moduli):
+            raise GroupError("coordinate length mismatch")
+        return tuple([-x % m if m else -x for x, m in zip(a, moduli)])
 
     def sub(self, a, b) -> tuple[int, ...]:
-        return self.canon([x - y for x, y in zip(a, b)])
+        moduli = self.moduli
+        if len(a) != len(moduli) or len(b) != len(moduli):
+            raise GroupError("coordinate length mismatch")
+        return tuple([(x - y) % m if m else x - y
+                      for x, y, m in zip(a, b, moduli)])
 
     def element_order_divides(self, m: int, coords) -> bool:
         return self.canon([m * c for c in coords]) == self.zero()

@@ -147,7 +147,7 @@ def _solve_one_sided_inverse(u: GradedMorphism, side: str):
         rc = ring.components[dc]
         for d in degs:
             tc = tgt.component(d)
-            d2 = grp.canon(grp.add(dc, d))
+            d2 = grp.add(dc, d)
             if d2 not in offsets:
                 continue
             sc2 = src.component(d2)
@@ -264,14 +264,15 @@ def iso_search(m: GradedModule, n_mod: GradedModule,
     """
     if m.ring != n_mod.ring:
         return None
-    if sorted(m.components) != sorted(n_mod.components):
+    degs = _nonzero_support(m)
+    if degs != _nonzero_support(n_mod):
         return None
-    for d, comp in m.components.items():
-        if comp.cardinality() != n_mod.components[d].cardinality():
+    for d in degs:
+        if m.components[d].cardinality() != n_mod.components[d].cardinality():
             return None
     if m == n_mod:
         return GradedMorphism.identity(m)
-    degs = sorted(m.components)
+    # a presented-but-zero component maps by the zero matrix
     per_degree = []
     for d in degs:
         sc, tc = m.components[d], n_mod.components[d]
@@ -299,6 +300,16 @@ def iso_search(m: GradedModule, n_mod: GradedModule,
     return None
 
 
+def _nonzero_support(module: GradedModule):
+    """The sorted degrees whose component is a nonzero module.
+
+    A component can be presented on generators and still be zero, as X^2 is
+    in F_2[X]/(X^2) graded by Z/3; such a degree is not part of the support
+    that two isomorphic modules must share.
+    """
+    return sorted(d for d, c in module.components.items() if not c.is_zero)
+
+
 def is_free(module: GradedModule, budget: int = DEFAULT_ISO_BUDGET):
     """Shift degrees (g_1..g_k) with module ~ (+)_i R(g_i), or None.
 
@@ -309,13 +320,13 @@ def is_free(module: GradedModule, budget: int = DEFAULT_ISO_BUDGET):
     ring = module.ring
     if module.is_zero:
         return []
-    supp = sorted(module.components)
+    supp = _nonzero_support(module)
     max_gens = sum(c.ngens for c in module.components.values())
     for k in range(1, max_gens + 1):
         for gens in itertools.combinations_with_replacement(supp, k):
             shifts = [ring.group.neg(a) for a in gens]
             cand = free_module(ring, shifts)
-            if sorted(cand.components) != supp:
+            if _nonzero_support(cand) != supp:
                 continue
             if any(cand.components[d].cardinality()
                    != module.components[d].cardinality() for d in supp):

@@ -420,7 +420,7 @@ def main(argv=None) -> int:
         env = build_environment(args.input)
         payload, code = _HANDLERS[args.cmd](args, env)
     except (ParseError, ValidationError, CliError, GradedError,
-            analyze.AnalyzeError) as exc:
+            analyze.AnalyzeError, scenarios.ScenarioError) as exc:
         message = f"error: {exc}"
         if args.format == "json":
             sys.stdout.write(json.dumps(

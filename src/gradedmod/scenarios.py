@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import analyze, canonical
-from .graded import GradedError, coarsen_module, ring_as_module, shift
+from .abelian import GroupEpi
+from .graded import (GradedError, GradedModule, GradedRing, GradedRingHom,
+                     coarsen_module, ring_as_module, shift)
 from .functors import coextend, extend, hom_graded, restrict, tensor
 from .textio import ParseError, ValidationError, Workspace, parse_workspace
 
@@ -99,10 +101,23 @@ def build_env(ws: Workspace) -> dict:
     return env
 
 
+# what an operand is looked up as -> the type it must have
+_KINDS = {
+    "ring": GradedRing,
+    "module": GradedModule,
+    "ring morphism": GradedRingHom,
+    "group epimorphism": GroupEpi,
+}
+
+
 def _get(env, name, lineno, what="object"):
     if name not in env:
         raise ScenarioError(f"line {lineno}: unknown {what} {name!r}")
-    return env[name]
+    value = env[name]
+    kind = _KINDS.get(what)
+    if kind is not None and not isinstance(value, kind):
+        raise ScenarioError(f"line {lineno}: {name!r} is not a {what}")
+    return value
 
 
 def _derive(env, args, lineno):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from .abelian import FgAbelianGroup, GroupEpi, GroupError
 from .graded import (GradedError, GradedModule, GradedMorphism, GradedRing,
                      GradedRingHom)
-from .znlinalg import FpZnModule, LinAlgError
+from .znlinalg import FpZnModule, LinAlgError, _check_modulus
 
 
 class ParseError(Exception):
@@ -142,6 +142,10 @@ def parse_workspace(text: str, workspace: Workspace | None = None) -> Workspace:
         if head == "modulus":
             _need(tokens, 2, lineno, "modulus")
             n = _ints(tokens, lineno, 1)[0]
+            try:
+                _check_modulus(n)
+            except LinAlgError as exc:
+                raise ValidationError(str(exc), "modulus")
             if ws.n and ws.n != n:
                 raise ValidationError(
                     f"workspace modulus {ws.n} conflicts with {n}", "modulus")

@@ -14,6 +14,7 @@ at construction.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from math import gcd
 
 MAX_MODULUS = 2**31
@@ -53,11 +54,24 @@ def _unit_scale(x: int, n: int) -> int:
     return pow(c, -1, n)
 
 
-def _pivot_col(row: tuple[int, ...]) -> int:
-    for j, v in enumerate(row):
-        if v:
-            return j
-    return -1
+def _pivots(hrows) -> tuple[int, ...]:
+    """Pivot column of each row of a Howell form (its rows are nonzero)."""
+    return tuple(next(itertools.compress(itertools.count(), row))
+                 for row in hrows)
+
+
+def _reduce_pivoted(v: list, hrows, pivots, n: int) -> list:
+    """Reduce `v` (entries in [0, n)) against Howell rows with known pivots.
+
+    Each row in turn brings the entry at its pivot column d into [0, d), in
+    row order.  This is the one reduction loop of the module.
+    """
+    for row, j in zip(hrows, pivots):
+        x = v[j]
+        if x and x >= row[j]:
+            q = x // row[j]
+            v = [(a - q * b) % n for a, b in zip(v, row)]
+    return v
 
 
 def howell(rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
@@ -68,21 +82,21 @@ def howell(rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
     any span element with leading zeros lies in the span of the later rows.
     The form is unique for a given row span.
     """
-    pool = []
+    pool = []  # nonzero rows only
     for r in rows:
-        rr = tuple(v % n for v in r)
+        rr = [v % n for v in r]
         if len(rr) != ncols:
             raise LinAlgError("row length mismatch")
         if any(rr):
-            pool.append(list(rr))
+            pool.append(rr)
     result: list[list[int]] = []
+    cols: list[int] = []
     for j in range(ncols):
         pivot = None
         rest = []
         for r in pool:
             if r[j] == 0:
-                if any(r):
-                    rest.append(r)
+                rest.append(r)
                 continue
             if pivot is None:
                 pivot = r
@@ -105,44 +119,63 @@ def howell(rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
             if any(ann):
                 rest.append(ann)
             result.append(pivot)
+            cols.append(j)
         pool = rest
-    # reduce entries above each pivot, left to right: later pivot rows are
-    # zero in earlier pivot columns, so these reductions never undo each other
-    for idx in range(len(result)):
-        row = result[idx]
-        j = _pivot_col(tuple(row))
-        d = row[j]
-        for k in range(idx):
-            q = result[k][j] // d
-            if q:
-                result[k] = [(x - q * y) % n for x, y in zip(result[k], row)]
+    # reduce entries above each pivot: each row against the rows below it,
+    # which are zero in its own pivot column and are not yet reduced
+    for k in range(len(result) - 1):
+        result[k] = _reduce_pivoted(result[k], result[k + 1:], cols[k + 1:], n)
     return tuple(tuple(r) for r in result)
 
 
 def reduce_mod_span(vec, hrows, n: int) -> tuple[int, ...]:
     """Canonical representative of `vec` modulo the span of Howell rows."""
-    v = [x % n for x in vec]
-    for row in hrows:
-        j = _pivot_col(row)
-        d = row[j]
-        q = v[j] // d
-        if q:
-            v = [(x - q * y) % n for x, y in zip(v, row)]
-    return tuple(v)
+    return tuple(_reduce_pivoted([x % n for x in vec], hrows, _pivots(hrows),
+                                 n))
 
 
 def span_contains(vec, hrows, n: int) -> bool:
     return not any(reduce_mod_span(vec, hrows, n))
 
 
-def row_kernel(rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Generators of {v in (Z/n)^k : v*A == 0} for A with k rows."""
+def _augmented(rows, ncols: int, n: int):
+    """Howell form of [A | I] for A = `rows`, with its pivot columns.
+
+    The rows pivoting left of `ncols` come first; they record how each
+    vector of A's row span is reached.  The rest, cut to their last k
+    columns, span the row kernel of A.
+    """
     k = len(rows)
-    aug = [tuple(rows[i]) + tuple(1 if j == i else 0 for j in range(k))
+    aug = [tuple(rows[i]) + (0,) * i + (1,) + (0,) * (k - i - 1)
            for i in range(k)]
     h = howell(aug, ncols + k, n)
-    gens = [row[ncols:] for row in h if not any(row[:ncols])]
-    return howell(gens, k, n)
+    return h, _pivots(h)
+
+
+def _kernel_of(h, pivots, ncols: int, k: int, n: int):
+    """Howell form of the row kernel of A, from the augmented form of A."""
+    return howell([row[ncols:] for row, j in zip(h, pivots) if j >= ncols],
+                  k, n)
+
+
+def _solve_augmented(h, pivots, b, ncols: int, k: int, n: int):
+    """Some x with x*A == b, from the augmented form of A; None if none.
+
+    Reducing (b | 0) against the rows pivoting left of `ncols` leaves
+    (0 | -x) exactly when b lies in the row span of A.
+    """
+    split = bisect_left(pivots, ncols)
+    v = _reduce_pivoted([x % n for x in b] + [0] * k, h[:split],
+                        pivots[:split], n)
+    if any(v[:ncols]):
+        return None
+    return [-x % n for x in v[ncols:]]
+
+
+def row_kernel(rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of {v in (Z/n)^k : v*A == 0} for A with k rows."""
+    h, pivots = _augmented(rows, ncols, n)
+    return _kernel_of(h, pivots, ncols, len(rows), n)
 
 
 def preimage_gens(rows, rel_rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
@@ -162,25 +195,11 @@ def solve_row(rows, b, ncols: int, n: int):
     which makes the choice deterministic.
     """
     k = len(rows)
-    aug = [tuple(rows[i]) + tuple(1 if j == i else 0 for j in range(k))
-           for i in range(k)]
-    h = howell(aug, ncols + k, n)
-    r = [x % n for x in b]
-    coeffs = [0] * k
-    for row in h:
-        j = _pivot_col(row)
-        if j >= ncols:
-            break
-        d = row[j]
-        q = r[j] // d
-        if q:
-            r = [(x - q * y) % n for x, y in zip(r, row[:ncols])]
-            for i in range(k):
-                coeffs[i] = (coeffs[i] + q * row[ncols + i]) % n
-    if any(r):
+    h, pivots = _augmented(rows, ncols, n)
+    coeffs = _solve_augmented(h, pivots, b, ncols, k, n)
+    if coeffs is None:
         return None
-    ker = row_kernel(rows, ncols, n)
-    return reduce_mod_span(coeffs, ker, n)
+    return reduce_mod_span(coeffs, _kernel_of(h, pivots, ncols, k, n), n)
 
 
 def solve(matrix, b, n: int):
@@ -230,10 +249,13 @@ class FpZnModule:
 
     The module is (Z/n)^ngens modulo the row span of `rels`.  Presentations
     are recanonicalized eagerly, so structural equality of two instances is
-    equality of the presented modules.
+    equality of the presented modules.  The pivot column of each relation
+    row is stored beside `rels` when the module is built, so reducing a
+    vector never searches a row for its pivot.  Equality and hashing look
+    at `n`, `ngens` and `rels` only.
     """
 
-    __slots__ = ("n", "ngens", "rels")
+    __slots__ = ("n", "ngens", "rels", "pivots")
 
     def __init__(self, n: int, ngens: int, rels=()):
         _check_modulus(n)
@@ -242,6 +264,7 @@ class FpZnModule:
         self.n = n
         self.ngens = ngens
         self.rels = howell(rels, ngens, n)
+        self.pivots = _pivots(self.rels)
 
     def __eq__(self, other):
         return (isinstance(other, FpZnModule) and self.n == other.n
@@ -256,7 +279,11 @@ class FpZnModule:
     def reduce(self, vec) -> tuple[int, ...]:
         if len(vec) != self.ngens:
             raise LinAlgError("vector length mismatch")
-        return reduce_mod_span(vec, self.rels, self.n)
+        n = self.n
+        v = [x % n for x in vec]
+        if self.rels:
+            v = _reduce_pivoted(v, self.rels, self.pivots, n)
+        return tuple(v)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.ngens
@@ -273,11 +300,17 @@ class FpZnModule:
     def contains_zero(self, vec) -> bool:
         return not any(self.reduce(vec))
 
+    def _pivot_sizes(self) -> list[int]:
+        """Per generator, the number of canonical values of its coordinate."""
+        sizes = [self.n] * self.ngens
+        for row, j in zip(self.rels, self.pivots):
+            sizes[j] = row[j]
+        return sizes
+
     def cardinality(self) -> int:
-        pivots = {_pivot_col(r): r[_pivot_col(r)] for r in self.rels}
         card = 1
-        for j in range(self.ngens):
-            card *= pivots.get(j, self.n)
+        for size in self._pivot_sizes():
+            card *= size
         return card
 
     @property
@@ -286,8 +319,7 @@ class FpZnModule:
 
     def elements(self):
         """Iterate over all canonical representatives (finite)."""
-        pivots = {_pivot_col(r): r[_pivot_col(r)] for r in self.rels}
-        ranges = [range(pivots.get(j, self.n)) for j in range(self.ngens)]
+        ranges = [range(size) for size in self._pivot_sizes()]
         return (tuple(t) for t in itertools.product(*ranges))
 
 
@@ -353,7 +385,7 @@ def submodule(ambient: FpZnModule, gens) -> tuple[FpZnModule, ZnModuleMap]:
     """
     n = ambient.n
     basis = [row for row in howell(list(gens) + list(ambient.rels), ambient.ngens, n)
-             if not span_contains(row, ambient.rels, n)]
+             if any(ambient.reduce(row))]
     rels = preimage_gens(basis, ambient.rels, ambient.ngens, n)
     sub = FpZnModule(n, len(basis), rels)
     incl = ZnModuleMap(sub, ambient, tuple(basis))
@@ -390,19 +422,31 @@ class Subquotient:
     Used wherever a module arises as "solutions modulo trivial solutions",
     e.g. hom modules.  Exposes lifts of the presentation generators into the
     ambient space and a coordinate solver for arbitrary ambient vectors.
+
+    The matrix [gens; dgens] is factored once, when the object is built:
+    its augmented Howell form [gens; dgens | I] yields the relations of
+    `module` and is kept, with its pivots, so that `coords` is a single
+    reduction against it followed by `module.reduce`.
     """
 
-    __slots__ = ("n", "dim", "gens", "dgens", "module")
+    __slots__ = ("n", "dim", "gens", "dgens", "module", "_aug", "_aug_pivots")
 
     def __init__(self, n: int, dim: int, wgens, dgens):
         self.n = n
         self.dim = dim
         self.dgens = howell(dgens, dim, n)
+        dpivots = _pivots(self.dgens)
         basis = [row for row in howell(list(wgens) + list(self.dgens), dim, n)
-                 if not span_contains(row, self.dgens, n)]
+                 if any(_reduce_pivoted(list(row), self.dgens, dpivots, n))]
         self.gens = tuple(basis)
-        rels = preimage_gens(self.gens, self.dgens, dim, n)
-        self.module = FpZnModule(n, len(self.gens), rels)
+        k = len(self.gens)
+        stacked = self.gens + self.dgens
+        self._aug, self._aug_pivots = _augmented(stacked, dim, n)
+        # the gens part of the row kernel of [gens; dgens] is the preimage
+        # of span(dgens): the relations among the generators
+        ker = _kernel_of(self._aug, self._aug_pivots, dim, len(stacked), n)
+        rels = howell([row[:k] for row in ker], k, n)
+        self.module = FpZnModule(n, k, rels)
 
     def lift(self, coords) -> tuple[int, ...]:
         """An ambient representative of the element with the given coordinates."""
@@ -411,9 +455,17 @@ class Subquotient:
         return vec_mat(coords, self.gens, self.n)
 
     def coords(self, ambient_vec):
-        """Coordinates of an ambient vector, or None if it is not represented."""
-        stacked = list(self.gens) + list(self.dgens)
-        sol = solve_row(stacked, ambient_vec, self.dim, self.n)
+        """Coordinates of an ambient vector, or None if it is not represented.
+
+        Two solutions of x*[gens; dgens] == v differ by a row-kernel vector,
+        whose gens part is a relation of `module`; reducing the gens part
+        of any solution therefore gives the canonical coordinates.
+        """
+        if len(ambient_vec) != self.dim:
+            raise LinAlgError("vector length mismatch")
+        sol = _solve_augmented(self._aug, self._aug_pivots, ambient_vec,
+                               self.dim, len(self.gens) + len(self.dgens),
+                               self.n)
         if sol is None:
             return None
         return self.module.reduce(sol[:len(self.gens)])

@@ -11,7 +11,7 @@ import pytest
 from gradedmod import analyze as A
 from gradedmod import canonical as C
 from gradedmod.abelian import make_epi, make_group
-from gradedmod.functors import restrict
+from gradedmod.functors import coextend, restrict
 from gradedmod.graded import (GradedMorphism, GradedRing, GradedRingHom,
                               ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
@@ -77,6 +77,23 @@ def test_free_shifts_of_restricted_frobenius(instances):
     hs = restrict(inst["h"], ring_as_module(inst["ring_s"]))
     free = A.is_free(hs)
     assert free is not None and sorted(free) == [(0,), (1,)]
+
+
+def test_free_despite_a_presented_but_zero_component(instances):
+    # d25e_z3: R = F_2[X]/(X^3) ->> S = F_2[X]/(X^2), graded by Z/3 with
+    # deg X = 1.  S keeps X^2 as a degree-2 component killed by a relation.
+    # Hom_R(S, R) is the ideal X R = span{X, X^2}, one F_2 in degrees 1 and
+    # 2, which is S(-1): S_0 moved to degree 1, S_1 to degree 2.
+    inst = instances["d25e_z3"]
+    s_comps = inst["ring_s"].components
+    assert (2,) in s_comps and s_comps[(2,)].is_zero
+    coext = coextend(inst["h"], ring_as_module(inst["ring_r"])).module
+    orders = {d: c.cardinality() for d, c in coext.components.items()
+              if not c.is_zero}
+    assert orders == {(1,): 2, (2,): 2}
+    assert A.is_free(coext) == [(2,)]
+    rep = A.analyze_module(coext)
+    assert rep.flags["is_free"] and rep.flags["is_projective"]
 
 
 def test_battery_epi_instance(quot):

@@ -135,3 +135,27 @@ def test_change_of_ring_commands(capsys, ws_file):
         code, out = _run(capsys, argv)
         assert code == 0, (cmd, out)
         assert "cardinality" in out
+
+
+RING_ONLY = """modulus 2
+group G moduli
+ring R G
+  component 1
+  one 1
+  mult 0 0 1
+end
+"""
+
+
+@pytest.mark.parametrize("text", [
+    RING_ONLY + "derive T tensor R R\n",      # rings where modules belong
+    RING_ONLY + "derive T frobnicate R\n",    # unknown derivation
+    "modulus 1\ngroup G moduli\n",            # below the range, no component
+    "modulus 4294967296\ngroup G moduli\n",   # above 2**31, no component
+])
+def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text):
+    p = tmp_path / "malformed.txt"
+    p.write_text(text)
+    code, out = _run(capsys, ["--input", str(p), "validate"])
+    assert code == 2
+    assert out.startswith("error: ") and out.count("\n") == 1

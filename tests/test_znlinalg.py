@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedmod.znlinalg import (FpZnModule, LinAlgError, howell,
-                                identity_matrix, mat_mul, reduce_mod_span,
-                                row_kernel, solve_row, span_contains,
-                                vec_mat)
+from gradedmod.znlinalg import (MAX_MODULUS, FpZnModule, LinAlgError,
+                                Subquotient, howell, identity_matrix,
+                                mat_mul, reduce_mod_span, row_kernel,
+                                solve_row, span_contains, vec_mat)
 
 MODULI = (2, 3, 4, 6, 8)
 SHAPES = [(r, c) for r in range(1, 5) for c in range(1, 5)]
@@ -184,3 +184,85 @@ def test_mat_mul_associativity():
     c = _random_matrix(rng, 4, 2, n)
     assert mat_mul(mat_mul(a, b, n), c, n) == mat_mul(a, mat_mul(b, c, n), n)
     assert mat_mul(identity_matrix(2), a, n) == a
+
+
+# ---------------------------------------------------------------------------
+# stored pivots and the once-factored subquotient against plain references
+
+# small, prime power, composite, composite with a larger prime, and the
+# largest moduli below and at the bound
+EQUIV_MODULI = (2, 4, 6, 6 * 7, MAX_MODULUS - 1, MAX_MODULUS)
+
+
+def _scan_reduce(vec, hrows, n):
+    """Reference reduction: find each row's pivot by scanning the row."""
+    v = [x % n for x in vec]
+    for row in hrows:
+        j = next(i for i, x in enumerate(row) if x)
+        q = v[j] // row[j]
+        if q:
+            v = [(a - q * b) % n for a, b in zip(v, row)]
+    return tuple(v)
+
+
+@st.composite
+def _entries(draw, n, rows, cols):
+    # small values, values near n and arbitrary ones, so that the large
+    # moduli get zero divisors and wrap-around too
+    value = st.one_of(st.integers(0, 3), st.integers(n - 3, n - 1),
+                      st.integers(0, n - 1))
+    return [tuple(draw(value) for _ in range(cols)) for _ in range(rows)]
+
+
+@st.composite
+def _module_and_vectors(draw):
+    n = draw(st.sampled_from(EQUIV_MODULI))
+    c = draw(st.integers(1, 4))
+    rels = draw(_entries(n, draw(st.integers(0, 4)), c))
+    vecs = draw(_entries(n, 3, c))
+    # out-of-range and negative entries reduce like their residues
+    vecs.append(tuple(x - n * k for x, k in zip(vecs[0], range(c))))
+    return n, c, rels, vecs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_module_and_vectors())
+def test_module_reduce_matches_scan_reference(data):
+    n, c, rels, vecs = data
+    m = FpZnModule(n, c, rels)
+    for v in vecs + list(m.rels):
+        assert m.reduce(v) == _scan_reduce(v, m.rels, n)
+        assert reduce_mod_span(v, m.rels, n) == _scan_reduce(v, m.rels, n)
+
+
+@st.composite
+def _subquotient_and_vectors(draw):
+    n = draw(st.sampled_from(EQUIV_MODULI))
+    dim = draw(st.integers(1, 4))
+    wgens = draw(_entries(n, draw(st.integers(0, 3)), dim))
+    dgens = draw(_entries(n, draw(st.integers(0, 3)), dim))
+    coeffs = draw(_entries(n, 2, len(wgens) + len(dgens)))
+    stacked = wgens + dgens
+    # represented vectors: combinations of the generators, and arbitrary ones
+    vecs = [vec_mat(x, stacked, n) if stacked else (0,) * dim
+            for x in coeffs]
+    vecs += draw(_entries(n, 2, dim))
+    return n, dim, wgens, dgens, vecs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_subquotient_and_vectors())
+def test_subquotient_coords_match_solve_row(data):
+    n, dim, wgens, dgens, vecs = data
+    sq = Subquotient(n, dim, wgens, dgens)
+    k = len(sq.gens)
+    for v in vecs:
+        sol = solve_row(list(sq.gens) + list(sq.dgens), v, dim, n)
+        got = sq.coords(v)
+        if sol is None:
+            assert got is None
+        else:
+            assert got == sq.module.reduce(sol[:k])
+            # and the coordinates name v modulo the trivial vectors
+            assert span_contains([a - b for a, b in zip(sq.lift(got), v)],
+                                 sq.dgens, n)
