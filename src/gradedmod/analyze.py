@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 
 from .abelian import GroupEpi
 from .graded import (GradedError, GradedModule, GradedMorphism, GradedRing,
-                     GradedRingHom, coarsen_ring_hom, free_module,
+                     GradedRingHom, _unit_vec, coarsen_ring_hom, free_module,
                      graded_kernel, ring_as_module, shift)
-from .functors import coextend, restrict
-from .znlinalg import (howell, identity_matrix, solve_row, span_contains,
-                       vec_mat, zero_matrix)
+from .functors import _block_matrices, coextend, hom_degree, restrict
+from .znlinalg import howell, solve_row, span_contains
 from . import canonical
 
 
@@ -53,17 +52,13 @@ class EpiBatteryReport:
     verdicts: dict = field(default_factory=dict)
 
 
-def _unit(k: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(k))
-
-
 def is_mono(u: GradedMorphism):
     """(verdict, witness): witness is a nonzero kernel element if not mono."""
     ker, incl = graded_kernel(u)
     for deg in sorted(ker.components):
         comp = ker.components[deg]
         for i in range(comp.ngens):
-            _, vec = incl.apply((deg, _unit(comp.ngens, i)))
+            _, vec = incl.apply((deg, _unit_vec(comp.ngens, i)))
             if any(vec):
                 return False, (deg, vec)
     return True, None
@@ -76,7 +71,7 @@ def is_epi(u: GradedMorphism):
         rows = list(u.matrix(deg)) + list(tc.rels)
         h = howell(rows, tc.ngens, tc.n)
         for i in range(tc.ngens):
-            e = _unit(tc.ngens, i)
+            e = _unit_vec(tc.ngens, i)
             if any(tc.reduce(e)) and not span_contains(e, h, tc.n):
                 return False, (deg, e)
     return True, None
@@ -154,9 +149,9 @@ def _solve_one_sided_inverse(u: GradedMorphism, side: str):
             if not sc2.ngens:
                 continue
             for p in range(rc.ngens):
-                r = (dc, _unit(rc.ngens, p))
+                r = (dc, _unit_vec(rc.ngens, p))
                 for j in range(tc.ngens):
-                    _, rx = tgt.act(r, (d, _unit(tc.ngens, j)))
+                    _, rx = tgt.act(r, (d, _unit_vec(tc.ngens, j)))
                     sc = src.component(d)
                     # v(rx) - r*v(x_j) == 0:  v(rx) uses unknowns at d2,
                     # r*v(x_j) is the source action applied to row (d, j).
@@ -167,7 +162,7 @@ def _solve_one_sided_inverse(u: GradedMorphism, side: str):
                                 key = vidx(d2, jj, m)
                                 eq[key] = (eq.get(key, 0) + rx[jj])
                         for i in range(sc.ngens):
-                            _, av = src.act(r, (d, _unit(sc.ngens, i)))
+                            _, av = src.act(r, (d, _unit_vec(sc.ngens, i)))
                             if av[m]:
                                 key = vidx(d, j, i)
                                 eq[key] = (eq.get(key, 0) - av[m])
@@ -180,7 +175,7 @@ def _solve_one_sided_inverse(u: GradedMorphism, side: str):
             sc = src.components[d]
             mat = u.matrix(d)
             for i in range(sc.ngens):
-                b = _unit(sc.ngens, i)
+                b = _unit_vec(sc.ngens, i)
                 add_constraint(
                     lambda m, d=d, row=mat[i]: {
                         vidx(d, j, m): row[j]
@@ -192,7 +187,7 @@ def _solve_one_sided_inverse(u: GradedMorphism, side: str):
             sc = src.component(d)
             mat = u.matrix(d)
             for j in range(tc.ngens):
-                b = _unit(tc.ngens, j)
+                b = _unit_vec(tc.ngens, j)
                 # u(v(x_j)) == x_j: coefficient of unknown v[d][j][i] is
                 # column m of u's row i.
                 add_constraint(
@@ -259,8 +254,12 @@ def iso_search(m: GradedModule, n_mod: GradedModule,
                budget: int = DEFAULT_ISO_BUDGET):
     """A degree-respecting isomorphism m -> n_mod, or None if none exists.
 
-    Exhausts generator assignments degree by degree, pruned by component
-    cardinalities; raises IsoSearchExhausted when the budget runs out.
+    The candidates are the elements of Hom_R(m, n_mod)_0, the degree-zero
+    component of the graded Hom module, enumerated from its presentation.
+    Each is a morphism by construction and is accepted when it is
+    bijective.  Modules with different nonzero supports or component
+    cardinalities are rejected first.  The budget counts Hom elements;
+    IsoSearchExhausted is raised when it runs out before a decision.
     """
     if m.ring != n_mod.ring:
         return None
@@ -272,29 +271,17 @@ def iso_search(m: GradedModule, n_mod: GradedModule,
             return None
     if m == n_mod:
         return GradedMorphism.identity(m)
-    # a presented-but-zero component maps by the zero matrix
-    per_degree = []
-    for d in degs:
-        sc, tc = m.components[d], n_mod.components[d]
-        cands = []
-        for rows in itertools.product(tc.elements(), repeat=sc.ngens):
-            mat = tuple(tc.reduce(r) for r in rows)
-            if all(not any(tc.reduce(vec_mat(r, mat, tc.n)))
-                   for r in sc.rels):
-                cands.append(mat)
-        per_degree.append(cands)
-
-    tried = 0
-    for combo in itertools.product(*per_degree):
-        tried += 1
+    if not degs:  # both modules are zero
+        return GradedMorphism.zero(m, n_mod)
+    ring = m.ring
+    blocks, _, sq = hom_degree(GradedRingHom.identity(ring), m, n_mod,
+                               ring.group.zero())
+    for tried, coords in enumerate(sq.module.elements(), 1):
         if tried > budget:
             raise IsoSearchExhausted(
-                f"isomorphism search exceeded budget {budget}")
-        maps = dict(zip(degs, combo))
-        try:
-            u = GradedMorphism(m, n_mod, maps)
-        except GradedError:
-            continue
+                f"undecided within budget {budget}: no isomorphism among "
+                f"the first {budget} elements of Hom(M, N)_0")
+        u = GradedMorphism(m, n_mod, _block_matrices(blocks, sq.lift(coords)))
         if is_iso(u)[0]:
             return u
     return None
@@ -314,8 +301,9 @@ def is_free(module: GradedModule, budget: int = DEFAULT_ISO_BUDGET):
     """Shift degrees (g_1..g_k) with module ~ (+)_i R(g_i), or None.
 
     Candidate generator degrees come from the support; a candidate multiset
-    survives only if every component cardinality matches, after which an
-    isomorphism is searched for explicitly.
+    survives only if every component cardinality matches, after which
+    iso_search looks for an isomorphism among the elements of
+    Hom((+)_i R(g_i), module)_0, at most `budget` of them per candidate.
     """
     ring = module.ring
     if module.is_zero:
@@ -367,8 +355,8 @@ def free_cover(module: GradedModule):
             rc = ring.component(ring.group.add(g, d))
             for p in range(rc.ngens):
                 # ring element of degree g+d acting on generator (dd, i)
-                r = (ring.group.add(g, d), _unit(rc.ngens, p))
-                x = (dd, _unit(module.components[dd].ngens, i))
+                r = (ring.group.add(g, d), _unit_vec(rc.ngens, p))
+                x = (dd, _unit_vec(module.components[dd].ngens, i))
                 rows.append(module.act(r, x)[1])
         maps[d] = tuple(rows)
     return GradedMorphism(cover, module, maps)
@@ -485,7 +473,11 @@ def d80_check(h: GradedRingHom, psi: GroupEpi):
 
 def morita_check(h: GradedRingHom, budget: int = DEFAULT_ISO_BUDGET) -> bool:
     """Extension and coextension agree iff h_*(S) is projective of finite
-    type and coextend(h, R) is isomorphic to S."""
+    type and coextend(h, R) is isomorphic to S.
+
+    The isomorphism is searched for by iso_search among the elements of
+    Hom_S(coextend(h, R), S)_0, at most `budget` of them.
+    """
     hs = restrict(h, ring_as_module(h.target))
     if not is_projective(hs)[0]:
         return False

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 from .abelian import GroupEpi
 from .graded import (GradedModule, GradedMorphism, GradedRing, GradedRingHom,
-                     GradedError, _coarse_components, coarsen_module,
-                     coarsen_ring, coarsen_ring_hom, direct_sum,
-                     ring_as_module)
+                     GradedError, _coarse_components, _unit_vec,
+                     coarsen_module, coarsen_ring, coarsen_ring_hom,
+                     direct_sum, ring_as_module)
 from .functors import (HomWitness, TensorWitness, coextend, extend,
                        hom_graded, mixed_hom, mixed_tensor, restrict, tensor)
 
@@ -33,10 +33,6 @@ class CanonicalMap:
     morphism: GradedMorphism
     inputs: dict = field(default_factory=dict, compare=False)
     inverse: GradedMorphism | None = None
-
-
-def _unit(k: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(k))
 
 
 def _coords_or_fail(witness: HomWitness, g, mats, what: str):
@@ -60,8 +56,8 @@ def hstar_ring_iso(h: GradedRingHom):
     for d, pairs in tw.index.items():
         rows = []
         for (c, p, a, i) in pairs:
-            sp = (c, _unit(h.target.component(c).ngens, p))
-            _, hr = h.apply((a, _unit(h.source.component(a).ngens, i)))
+            sp = (c, _unit_vec(h.target.component(c).ngens, p))
+            _, hr = h.apply((a, _unit_vec(h.source.component(a).ngens, i)))
             _, prod = h.target.multiply(sp, (a, hr))
             rows.append(prod)
         maps[d] = rows
@@ -80,7 +76,7 @@ def rho(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
     one = (h.target.group.zero(), h.target.one)
     maps = {}
     for a, comp in module.components.items():
-        rows = [tw.pure(one, (a, _unit(comp.ngens, i)))[1]
+        rows = [tw.pure(one, (a, _unit_vec(comp.ngens, i)))[1]
                 for i in range(comp.ngens)]
         maps[a] = rows
     return CanonicalMap("rho", GradedMorphism(module, target, maps),
@@ -94,8 +90,8 @@ def sigma(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
     for d, pairs in tw.index.items():
         rows = []
         for (c, p, a, j) in pairs:
-            sp = (c, _unit(h.target.component(c).ngens, p))
-            xj = (a, _unit(module.component(a).ngens, j))
+            sp = (c, _unit_vec(h.target.component(c).ngens, p))
+            xj = (a, _unit_vec(module.component(a).ngens, j))
             rows.append(module.act(sp, xj)[1])
         maps[d] = rows
     return CanonicalMap("sigma", GradedMorphism(tw.module, module, maps),
@@ -111,7 +107,7 @@ def rho_tilde(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
     for a, comp in module.components.items():
         rows = []
         for j in range(comp.ngens):
-            xj = (a, _unit(comp.ngens, j))
+            xj = (a, _unit_vec(comp.ngens, j))
             mats = {}
             for c in sorted(ring_s.components):
                 sc = ring_s.components[c]
@@ -119,7 +115,7 @@ def rho_tilde(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
                 if not out.ngens:
                     continue
                 mats[c] = tuple(
-                    module.act((c, _unit(sc.ngens, p)), xj)[1]
+                    module.act((c, _unit_vec(sc.ngens, p)), xj)[1]
                     for p in range(sc.ngens))
             rows.append(_coords_or_fail(hw, a, mats, "rho_tilde"))
         maps[a] = rows
@@ -134,7 +130,7 @@ def sigma_tilde(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
     one = (h.target.group.zero(), h.target.one)
     maps = {}
     for g, comp in hw.module.components.items():
-        rows = [hw.evaluate((g, _unit(comp.ngens, k)), one)[1]
+        rows = [hw.evaluate((g, _unit_vec(comp.ngens, k)), one)[1]
                 for k in range(comp.ngens)]
         maps[g] = rows
     return CanonicalMap("sigma_tilde", GradedMorphism(source, module, maps),
@@ -158,10 +154,10 @@ def delta(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
         for (d1, k1, d2, k2) in pairs:
             c1, p, a, i = em.index[d1][k1]
             c2, q, b, j = en.index[d2][k2]
-            ss = ring_s.multiply((c1, _unit(ring_s.component(c1).ngens, p)),
-                                 (c2, _unit(ring_s.component(c2).ngens, q)))
-            xy = tmn.pure((a, _unit(m.component(a).ngens, i)),
-                          (b, _unit(n.component(b).ngens, j)))
+            ss = ring_s.multiply((c1, _unit_vec(ring_s.component(c1).ngens, p)),
+                                 (c2, _unit_vec(ring_s.component(c2).ngens, q)))
+            xy = tmn.pure((a, _unit_vec(m.component(a).ngens, i)),
+                          (b, _unit_vec(n.component(b).ngens, j)))
             rows.append(etmn.pure(ss, xy)[1])
         maps[d] = rows
     forward = GradedMorphism(src.module, etmn.module, maps)
@@ -171,9 +167,9 @@ def delta(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
         rows = []
         for (c, p, dd, t) in pairs:
             a, i, b, j = tmn.index[dd][t]
-            u1 = em.pure((c, _unit(ring_s.component(c).ngens, p)),
-                         (a, _unit(m.component(a).ngens, i)))
-            u2 = en.pure(one, (b, _unit(n.component(b).ngens, j)))
+            u1 = em.pure((c, _unit_vec(ring_s.component(c).ngens, p)),
+                         (a, _unit_vec(m.component(a).ngens, i)))
+            u2 = en.pure(one, (b, _unit_vec(n.component(b).ngens, j)))
             rows.append(src.pure(u1, u2)[1])
         inv_maps[d] = rows
     backward = GradedMorphism(etmn.module, src.module, inv_maps)
@@ -187,8 +183,8 @@ def gamma(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
     target = restrict(h, ttw.module)
     maps = {}
     for d, pairs in src.index.items():
-        rows = [ttw.pure((a, _unit(m.component(a).ngens, i)),
-                         (b, _unit(n.component(b).ngens, j)))[1]
+        rows = [ttw.pure((a, _unit_vec(m.component(a).ngens, i)),
+                         (b, _unit_vec(n.component(b).ngens, j)))[1]
                 for (a, i, b, j) in pairs]
         maps[d] = rows
     return CanonicalMap("gamma", GradedMorphism(src.module, target, maps),
@@ -212,7 +208,7 @@ def epsilon(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
         rows = []
         for (g1, k1, g2, k2) in pairs:
             hn_comp = hn.module.component(g2)
-            v1_deg, v1 = hn.evaluate((g2, _unit(hn_comp.ngens, k2)), one)
+            v1_deg, v1 = hn.evaluate((g2, _unit_vec(hn_comp.ngens, k2)), one)
             hm_comp = hm.module.component(g1)
             mats = {}
             for c in sorted(ring_s.components):
@@ -223,8 +219,8 @@ def epsilon(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
                 rows_c = []
                 for p in range(sc.ngens):
                     u_deg, uvec = hm.evaluate(
-                        (g1, _unit(hm_comp.ngens, k1)),
-                        (c, _unit(sc.ngens, p)))
+                        (g1, _unit_vec(hm_comp.ngens, k1)),
+                        (c, _unit_vec(sc.ngens, p)))
                     rows_c.append(tmn.pure((u_deg, uvec), (v1_deg, v1))[1])
                 mats[c] = tuple(rows_c)
             rows.append(_coords_or_fail(target, grp.add(g1, g2), mats,
@@ -249,7 +245,7 @@ def eta(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
     for g, comp in hw_s.module.components.items():
         rows = []
         for k in range(comp.ngens):
-            mats = hw_s.matrices(g, _unit(comp.ngens, k))
+            mats = hw_s.matrices(g, _unit_vec(comp.ngens, k))
             rows.append(_coords_or_fail(target, g, mats, "eta"))
         maps[g] = rows
     return CanonicalMap("eta", GradedMorphism(src, target.module, maps),
@@ -271,7 +267,7 @@ def theta(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
     for d, pairs in src.index.items():
         rows = []
         for (c, p, g, k) in pairs:
-            sp = (c, _unit(ring_s.component(c).ngens, p))
+            sp = (c, _unit_vec(ring_s.component(c).ngens, p))
             hom_comp = hw_r.module.component(g)
             shift_deg = grp.add(c, g)
             mats = {}
@@ -281,10 +277,10 @@ def theta(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
                     continue
                 rows_d = []
                 for (c1, q, a, i) in em.index[d1]:
-                    sq = (c1, _unit(ring_s.component(c1).ngens, q))
+                    sq = (c1, _unit_vec(ring_s.component(c1).ngens, q))
                     ss = ring_s.multiply(sq, sp)
-                    ux = hw_r.evaluate((g, _unit(hom_comp.ngens, k)),
-                                       (a, _unit(m.component(a).ngens, i)))
+                    ux = hw_r.evaluate((g, _unit_vec(hom_comp.ngens, k)),
+                                       (a, _unit_vec(m.component(a).ngens, i)))
                     rows_d.append(en.pure(ss, ux)[1])
                 mats[d1] = tuple(rows_d)
             rows.append(_coords_or_fail(target, shift_deg, mats, "theta"))
@@ -310,7 +306,7 @@ def pi(h: GradedRingHom, l: GradedModule, m: GradedModule,
         rows = []
         for (g, k, b, j) in pairs:
             hom_comp = homlm.module.component(g)
-            xj = (b, _unit(n.component(b).ngens, j))
+            xj = (b, _unit_vec(n.component(b).ngens, j))
             mats = {}
             for a in sorted(l.components):
                 ca = l.components[a]
@@ -319,8 +315,8 @@ def pi(h: GradedRingHom, l: GradedModule, m: GradedModule,
                     continue
                 mats[a] = tuple(
                     tmn.pure(xj, homlm.evaluate(
-                        (g, _unit(hom_comp.ngens, k)),
-                        (a, _unit(ca.ngens, i))))[1]
+                        (g, _unit_vec(hom_comp.ngens, k)),
+                        (a, _unit_vec(ca.ngens, i))))[1]
                     for i in range(ca.ngens))
             rows.append(_coords_or_fail(target, grp.add(g, b), mats, "pi"))
         maps[d] = rows
@@ -344,7 +340,7 @@ def nu(h: GradedRingHom, l: GradedModule, m: GradedModule,
         rows = []
         for (g, k, b, j) in pairs:
             hom_comp = homlm.module.component(g)
-            xj = (b, _unit(n.component(b).ngens, j))
+            xj = (b, _unit_vec(n.component(b).ngens, j))
             mats = {}
             for a in sorted(l.components):
                 ca = l.components[a]
@@ -352,8 +348,8 @@ def nu(h: GradedRingHom, l: GradedModule, m: GradedModule,
                 if not cols:
                     continue
                 mats[a] = tuple(
-                    tmn.pure(homlm.evaluate((g, _unit(hom_comp.ngens, k)),
-                                            (a, _unit(ca.ngens, i))), xj)[1]
+                    tmn.pure(homlm.evaluate((g, _unit_vec(hom_comp.ngens, k)),
+                                            (a, _unit_vec(ca.ngens, i))), xj)[1]
                     for i in range(ca.ngens))
             rows.append(_coords_or_fail(target, grp.add(g, b), mats, "nu"))
         maps[d] = rows
@@ -371,8 +367,8 @@ def mu(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
     for d, pairs in src.index.items():
         rows = []
         for (a, i, b, j) in pairs:
-            xi = (a, _unit(m.component(a).ngens, i))
-            yj = (b, _unit(n.component(b).ngens, j))
+            xi = (a, _unit_vec(m.component(a).ngens, i))
+            yj = (b, _unit_vec(n.component(b).ngens, j))
             mats = {}
             for g in sorted(inner.module.components):
                 comp = inner.module.components[g]
@@ -381,7 +377,7 @@ def mu(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
                     continue
                 rows_g = []
                 for k in range(comp.ngens):
-                    ux = inner.evaluate((g, _unit(comp.ngens, k)), xi)
+                    ux = inner.evaluate((g, _unit_vec(comp.ngens, k)), xi)
                     rows_g.append(n.act(ux, yj)[1])
                 mats[g] = tuple(rows_g)
             rows.append(_coords_or_fail(target, grp.add(a, b), mats, "mu"))
@@ -401,7 +397,7 @@ def tau3(l: GradedModule, m: GradedModule, n: GradedModule) -> CanonicalMap:
     for d, pairs in src.index.items():
         rows = []
         for (a, i, g, k) in pairs:
-            xi = (a, _unit(l.component(a).ngens, i))
+            xi = (a, _unit_vec(l.component(a).ngens, i))
             hom_comp = hommn.module.component(g)
             mats = {}
             for g1 in sorted(homlm.module.components):
@@ -411,9 +407,9 @@ def tau3(l: GradedModule, m: GradedModule, n: GradedModule) -> CanonicalMap:
                     continue
                 rows_g = []
                 for t in range(comp.ngens):
-                    vx = homlm.evaluate((g1, _unit(comp.ngens, t)), xi)
+                    vx = homlm.evaluate((g1, _unit_vec(comp.ngens, t)), xi)
                     rows_g.append(hommn.evaluate(
-                        (g, _unit(hom_comp.ngens, k)), vx)[1])
+                        (g, _unit_vec(hom_comp.ngens, k)), vx)[1])
                 mats[g1] = tuple(rows_g)
             rows.append(_coords_or_fail(target, grp.add(a, g), mats, "tau3"))
         maps[d] = rows
@@ -433,7 +429,7 @@ def tau(l: GradedModule) -> CanonicalMap:
     for a, comp in l.components.items():
         rows = []
         for i in range(comp.ngens):
-            xi = (a, _unit(comp.ngens, i))
+            xi = (a, _unit_vec(comp.ngens, i))
             mats = {}
             for g in sorted(homlr.module.components):
                 hcomp = homlr.module.components[g]
@@ -441,7 +437,7 @@ def tau(l: GradedModule) -> CanonicalMap:
                 if not cols:
                     continue
                 mats[g] = tuple(
-                    homlr.evaluate((g, _unit(hcomp.ngens, k)), xi)[1]
+                    homlr.evaluate((g, _unit_vec(hcomp.ngens, k)), xi)[1]
                     for k in range(hcomp.ngens))
             rows.append(_coords_or_fail(target, a, mats, "tau"))
         maps[a] = rows
@@ -474,11 +470,11 @@ def kappa(m: GradedModule, family) -> CanonicalMap:
         rows = []
         for (a, i, b, j) in pairs:
             acc = [0] * tc.ngens
-            ei = _unit(total.component(a).ngens, i)
+            ei = _unit_vec(total.component(a).ngens, i)
             for jj, part in enumerate(parts):
                 _, pvec = projs[jj].apply((a, ei))
                 _, t = part.pure((a, pvec),
-                                 (b, _unit(m.component(b).ngens, j)))
+                                 (b, _unit_vec(m.component(b).ngens, j)))
                 _, ivec = tinjs[jj].apply((d, t))
                 for idx, v in enumerate(ivec):
                     acc[idx] += v
@@ -508,7 +504,7 @@ def lambda_big(m: GradedModule, family) -> CanonicalMap:
     for g, comp in src_total.components.items():
         rows = []
         for k in range(comp.ngens):
-            ek = _unit(comp.ngens, k)
+            ek = _unit_vec(comp.ngens, k)
             mats = {}
             for a in sorted(m.components):
                 ca = m.components[a]
@@ -521,7 +517,7 @@ def lambda_big(m: GradedModule, family) -> CanonicalMap:
                     inj_mat = ninjs[jj].matrix(grp.add(g, a))
                     for i in range(ca.ngens):
                         _, val = hw.evaluate((g, cj),
-                                             (a, _unit(ca.ngens, i)))
+                                             (a, _unit_vec(ca.ngens, i)))
                         for kk, v in enumerate(val):
                             if v:
                                 for col, w in enumerate(inj_mat[kk]):
@@ -561,7 +557,7 @@ def beta_h(psi: GroupEpi, h: GradedRingHom, m: GradedModule,
             comp = hw.module.components[g]
             base = hoff[g]
             for k in range(comp.ngens):
-                mats_g = hw.matrices(g, _unit(comp.ngens, k))
+                mats_g = hw.matrices(g, _unit_vec(comp.ngens, k))
                 coarse_mats = {}
                 for ab in sorted(mpsi.components):
                     rows_n = mpsi.components[ab].ngens
@@ -652,7 +648,7 @@ def alpha(h: GradedRingHom, l: GradedModule, m: GradedModule,
         comp = src.module.components[g]
         rows = []
         for k in range(comp.ngens):
-            ek = (g, _unit(comp.ngens, k))
+            ek = (g, _unit_vec(comp.ngens, k))
             outer_mats = {}
             for a in sorted(l.components):
                 ca = l.components[a]
@@ -662,7 +658,7 @@ def alpha(h: GradedRingHom, l: GradedModule, m: GradedModule,
                     continue
                 rows_a = []
                 for i in range(ca.ngens):
-                    xi = (a, _unit(ca.ngens, i))
+                    xi = (a, _unit_vec(ca.ngens, i))
                     mats = {}
                     for b in sorted(m.components):
                         cb = m.components[b]
@@ -671,7 +667,7 @@ def alpha(h: GradedRingHom, l: GradedModule, m: GradedModule,
                             continue
                         mats[b] = tuple(
                             src.evaluate(ek, tlm.pure(
-                                xi, (b, _unit(cb.ngens, j))))[1]
+                                xi, (b, _unit_vec(cb.ngens, j))))[1]
                             for j in range(cb.ngens))
                     rows_a.append(_coords_or_fail(inner, inner_deg, mats,
                                                   "alpha"))
@@ -684,7 +680,7 @@ def alpha(h: GradedRingHom, l: GradedModule, m: GradedModule,
         comp = target.module.components[g]
         rows = []
         for k in range(comp.ngens):
-            phi_mats = target.matrices(g, _unit(comp.ngens, k))
+            phi_mats = target.matrices(g, _unit_vec(comp.ngens, k))
             mats = {}
             for d in sorted(tlm.module.components):
                 cols = n.component(grp.add(g, d)).ngens
@@ -698,7 +694,7 @@ def alpha(h: GradedRingHom, l: GradedModule, m: GradedModule,
                         continue
                     inner_elem = (grp.add(g, a), pa[i])
                     rows_d.append(inner.evaluate(
-                        inner_elem, (b, _unit(m.components[b].ngens, j)))[1])
+                        inner_elem, (b, _unit_vec(m.components[b].ngens, j)))[1])
                 mats[d] = tuple(rows_d)
             rows.append(_coords_or_fail(src, g, mats, "alpha inverse"))
         inv_maps[g] = rows

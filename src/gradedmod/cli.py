@@ -8,7 +8,7 @@ also exposes ``<name>.R``, ``<name>.S``, ``<name>.RR``, ``<name>.SS``,
 ``<name>.psi`` and one shifted copy ``<name>.SS_<g>`` of S per support
 degree g).  Reports are deterministic: degrees sorted lexicographically,
 matrices row-major, flags alphabetical.  Exit codes: 0 success, 1 failed
-assertion, 2 input error.
+assertion, 2 input error, 3 undecided within the isomorphism search budget.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ FORMAT_VERSION = "1"
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_INPUT = 2
+EXIT_UNDECIDED = 3
 
 
 class CliError(Exception):
@@ -428,6 +429,8 @@ def main(argv=None) -> int:
                 indent=2) + "\n")
         else:
             sys.stdout.write(message + "\n")
+        if isinstance(exc, analyze.IsoSearchExhausted):
+            return EXIT_UNDECIDED
         return EXIT_INPUT
     report = {"format_version": FORMAT_VERSION, "command": args.cmd,
               "seed": args.seed}

@@ -13,18 +13,14 @@ canonical map downstream is built on these witnesses.
 from __future__ import annotations
 
 from .graded import (GradedModule, GradedMorphism, GradedRing, GradedRingHom,
-                     GradedError, RingMismatch, apply_tensor, ring_as_module,
-                     zero_component)
+                     GradedError, RingMismatch, _unit_vec, apply_tensor,
+                     ring_as_module, zero_component)
 from .znlinalg import (FpZnModule, Subquotient, howell, mat_mul, row_kernel,
                        vec_mat)
 
 
 class FunctorError(GradedError):
     """Raised when a functor construction hits an internal inconsistency."""
-
-
-def _unit_vec(k: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +266,13 @@ def tensor_map(h: GradedRingHom, u: GradedMorphism, v: GradedMorphism,
 # Hom modules
 
 
+def _block_matrices(blocks, flat):
+    """The matrix family {a: U_a} stored in a flat Hom vector by `blocks`."""
+    return {a: tuple(tuple(flat[off + i * cols:off + (i + 1) * cols])
+                     for i in range(rows))
+            for (a, rows, cols, off) in blocks}
+
+
 class HomWitness:
     """A graded Hom module with conversions between elements and matrices.
 
@@ -297,12 +300,7 @@ class HomWitness:
         g = grp.canon(g)
         if g not in self.sq:
             return {}
-        flat = self.sq[g].lift(coords)
-        mats = {}
-        for (a, rows, cols, off) in self.layout[g]:
-            mats[a] = tuple(tuple(flat[off + i * cols:off + (i + 1) * cols])
-                            for i in range(rows))
-        return mats
+        return _block_matrices(self.layout[g], self.sq[g].lift(coords))
 
     def coords_of(self, g, mats):
         """Coordinates of the Hom element given by a matrix family, or None."""
@@ -339,6 +337,122 @@ class HomWitness:
         return out_deg, out.reduce(vec_mat(xv, mat, out.n))
 
 
+def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
+               g):
+    """The degree-g component of Hom^G_R(h_*(source), target), for h: R -> S.
+
+    Returns (blocks, dim, sq).  An element is a family of matrices U_a:
+    source_a -> target_{g+a}, flattened row-major into a vector of length
+    `dim`; `blocks` lists (a, rows, cols, offset) for each U_a.  `sq`
+    presents the families that are well defined and R-linear, modulo those
+    landing in the target's relations; it is None when `dim` is 0.  The
+    rings are as for `mixed_hom`, which calls this for every degree.
+    """
+    ring_r = h.source
+    grp = ring_r.group
+    n = ring_r.n
+    blocks = []
+    dim = 0
+    for a in sorted(source.components):
+        rows = source.components[a].ngens
+        cols = target.component(grp.add(g, a)).ngens
+        if rows and cols:
+            blocks.append((a, rows, cols, dim))
+            dim += rows * cols
+    if not dim:
+        return blocks, 0, None
+    block_at = {a: (rows, cols, o) for (a, rows, cols, o) in blocks}
+
+    equations = []  # one {unknown: coeff} per scalar equation
+    nslack = 0
+
+    def add_constraint(terms_list, out_mod):
+        """terms_list[m] is a dict unknown->coeff; adds slack for rels."""
+        nonlocal nslack
+        base = dim + nslack
+        nslack += len(out_mod.rels)
+        for m, terms in enumerate(terms_list):
+            for t, rel in enumerate(out_mod.rels):
+                if rel[m]:
+                    terms[base + t] = terms.get(base + t, 0) + rel[m]
+            if terms:
+                equations.append(terms)
+
+    # well-definedness on source relations
+    for a in sorted(source.components):
+        if a not in block_at:
+            continue
+        rows, cols, o = block_at[a]
+        out_mod = target.component(grp.add(g, a))
+        for r in source.components[a].rels:
+            terms_list = []
+            for m in range(cols):
+                terms = {}
+                for i in range(rows):
+                    if r[i]:
+                        idx = o + i * cols + m
+                        terms[idx] = terms.get(idx, 0) + r[i]
+                terms_list.append(terms)
+            add_constraint(terms_list, out_mod)
+    # R-linearity: U(h(r) . x) = r . U(x)
+    for c in sorted(ring_r.components):
+        rc = ring_r.components[c]
+        for a in sorted(source.components):
+            ca = source.components[a]
+            a2 = grp.add(c, a)
+            e = grp.add(g, a2)
+            out_mod = target.component(e)
+            if not out_mod.ngens:
+                continue
+            ta = source.action.get((c, a))
+            ca2 = source.component(a2)
+            tn = target.action.get((c, grp.add(g, a)))
+            b_at = block_at.get(a)
+            b2_at = block_at.get(a2)
+            for p in range(rc.ngens):
+                _, hr = h.apply((c, _unit_vec(rc.ngens, p)))
+                for i in range(ca.ngens):
+                    w = apply_tensor(ta, hr, _unit_vec(ca.ngens, i), ca2) \
+                        if ta is not None else ca2.zero()
+                    terms_list = [dict() for _ in range(out_mod.ngens)]
+                    if b2_at is not None:
+                        rows2, cols2, o2 = b2_at
+                        for k, wk in enumerate(w):
+                            if wk:
+                                for m in range(cols2):
+                                    idx = o2 + k * cols2 + m
+                                    terms_list[m][idx] = \
+                                        (terms_list[m].get(idx, 0) + wk) % n
+                    if b_at is not None and tn is not None:
+                        rows1, cols1, o1 = b_at
+                        for j in range(cols1):
+                            coeffs = tn[p][j]
+                            for m, v in enumerate(coeffs):
+                                if v:
+                                    idx = o1 + i * cols1 + j
+                                    terms_list[m][idx] = \
+                                        (terms_list[m].get(idx, 0) - v) % n
+                    if any(terms_list):
+                        add_constraint(terms_list, out_mod)
+
+    total = dim + nslack
+    amat = [[0] * len(equations) for _ in range(total)]
+    for col, terms in enumerate(equations):
+        for idx, coeff in terms.items():
+            amat[idx][col] = coeff % n
+    ker = row_kernel(amat, len(equations), n)
+    wgens = howell([row[:dim] for row in ker], dim, n)
+    dgens = []
+    for (a, rows, cols, o) in blocks:
+        out_mod = target.component(grp.add(g, a))
+        for i in range(rows):
+            for s in out_mod.rels:
+                vec = [0] * dim
+                vec[o + i * cols:o + (i + 1) * cols] = list(s)
+                dgens.append(vec)
+    return blocks, dim, Subquotient(n, dim, wgens, dgens)
+
+
 def mixed_hom(h: GradedRingHom, source: GradedModule,
               target: GradedModule) -> HomWitness:
     """Hom^G_R(h_*(source), target) as an S-module, for h: R -> S."""
@@ -353,107 +467,11 @@ def mixed_hom(h: GradedRingHom, source: GradedModule,
                    for b in target.components})
     layout, sqs, dims, comps = {}, {}, {}, {}
     for g in degs:
-        blocks = []
-        off = 0
-        for a in sorted(source.components):
-            rows = source.components[a].ngens
-            cols = target.component(grp.add(g, a)).ngens
-            if rows and cols:
-                blocks.append((a, rows, cols, off))
-                off += rows * cols
-        if not off:
+        blocks, dim, sq = hom_degree(h, source, target, g)
+        if not dim:
             continue
         layout[g] = blocks
-        dims[g] = off
-        block_at = {a: (rows, cols, o) for (a, rows, cols, o) in blocks}
-
-        equations = []  # list of ({unknown: coeff}, out_module) per scalar eq
-        nslack = [0]
-
-        def add_constraint(terms_list, out_mod):
-            """terms_list[m] is a dict unknown->coeff; adds slack for rels."""
-            base = dims[g] + nslack[0]
-            nslack[0] += len(out_mod.rels)
-            for m, terms in enumerate(terms_list):
-                for t, rel in enumerate(out_mod.rels):
-                    if rel[m]:
-                        terms[base + t] = terms.get(base + t, 0) + rel[m]
-                if terms:
-                    equations.append(terms)
-
-        # well-definedness on source relations
-        for a in sorted(source.components):
-            if a not in block_at:
-                continue
-            rows, cols, o = block_at[a]
-            out_mod = target.component(grp.add(g, a))
-            for r in source.components[a].rels:
-                terms_list = []
-                for m in range(cols):
-                    terms = {}
-                    for i in range(rows):
-                        if r[i]:
-                            idx = o + i * cols + m
-                            terms[idx] = terms.get(idx, 0) + r[i]
-                    terms_list.append(terms)
-                add_constraint(terms_list, out_mod)
-        # R-linearity: U(h(r) . x) = r . U(x)
-        for c in sorted(ring_r.components):
-            rc = ring_r.components[c]
-            for a in sorted(source.components):
-                ca = source.components[a]
-                a2 = grp.add(c, a)
-                e = grp.add(g, a2)
-                out_mod = target.component(e)
-                if not out_mod.ngens:
-                    continue
-                ta = source.action.get((c, a))
-                ca2 = source.component(a2)
-                tn = target.action.get((c, grp.add(g, a)))
-                b_at = block_at.get(a)
-                b2_at = block_at.get(a2)
-                for p in range(rc.ngens):
-                    _, hr = h.apply((c, _unit_vec(rc.ngens, p)))
-                    for i in range(ca.ngens):
-                        w = apply_tensor(ta, hr, _unit_vec(ca.ngens, i), ca2) \
-                            if ta is not None else ca2.zero()
-                        terms_list = [dict() for _ in range(out_mod.ngens)]
-                        if b2_at is not None:
-                            rows2, cols2, o2 = b2_at
-                            for k, wk in enumerate(w):
-                                if wk:
-                                    for m in range(cols2):
-                                        idx = o2 + k * cols2 + m
-                                        terms_list[m][idx] = \
-                                            (terms_list[m].get(idx, 0) + wk) % n
-                        if b_at is not None and tn is not None:
-                            rows1, cols1, o1 = b_at
-                            for j in range(cols1):
-                                coeffs = tn[p][j]
-                                for m, v in enumerate(coeffs):
-                                    if v:
-                                        idx = o1 + i * cols1 + j
-                                        terms_list[m][idx] = \
-                                            (terms_list[m].get(idx, 0) - v) % n
-                        if any(terms_list):
-                            add_constraint(terms_list, out_mod)
-
-        total = dims[g] + nslack[0]
-        amat = [[0] * len(equations) for _ in range(total)]
-        for col, terms in enumerate(equations):
-            for idx, coeff in terms.items():
-                amat[idx][col] = coeff % n
-        ker = row_kernel(amat, len(equations), n)
-        wgens = howell([row[:dims[g]] for row in ker], dims[g], n)
-        dgens = []
-        for (a, rows, cols, o) in blocks:
-            out_mod = target.component(grp.add(g, a))
-            for i in range(rows):
-                for s in out_mod.rels:
-                    vec = [0] * dims[g]
-                    vec[o + i * cols:o + (i + 1) * cols] = list(s)
-                    dgens.append(vec)
-        sq = Subquotient(n, dims[g], wgens, dgens)
+        dims[g] = dim
         sqs[g] = sq
         if sq.module.ngens:
             comps[g] = sq.module

@@ -11,7 +11,7 @@ zero component.
 from __future__ import annotations
 
 from .abelian import FgAbelianGroup, GroupEpi
-from .znlinalg import (FpZnModule, ZnModuleMap, LinAlgError, howell,
+from .znlinalg import (FpZnModule, LinAlgError, howell,
                        identity_matrix, mat_mul, solve_row, vec_mat,
                        zero_matrix)
 
@@ -375,10 +375,6 @@ class GradedMorphism:
         if not mat:
             return deg, tc.zero()
         return deg, tc.reduce(vec_mat(xv, mat, tc.n))
-
-    def component_map(self, deg) -> ZnModuleMap:
-        return ZnModuleMap(self.source.component(deg), self.target.component(deg),
-                           self.matrix(deg))
 
     def _validate(self):
         for deg, mat in self.maps.items():

@@ -5,7 +5,7 @@ canonical form is the Howell normal form: unlike plain row echelon form it
 is unique for a given row span even in the presence of zero divisors, which
 makes structural equality of module presentations coincide with mathematical
 equality.  On top of it we build finitely presented Z/nZ-modules together
-with kernels, images, cokernels, hom modules and tensor products.
+with kernels, images, cokernels and subquotients.
 
 All arithmetic uses exact Python integers; moduli above 2**31 are rejected
 at construction.
@@ -200,16 +200,6 @@ def solve_row(rows, b, ncols: int, n: int):
     if coeffs is None:
         return None
     return reduce_mod_span(coeffs, _kernel_of(h, pivots, ncols, k, n), n)
-
-
-def solve(matrix, b, n: int):
-    """Some x with A@x == b (mod n) in the column convention, or None."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else len(b) and 0
-    if rows and any(len(r) != cols for r in matrix):
-        raise LinAlgError("ragged matrix")
-    transposed = [tuple(matrix[i][j] for i in range(rows)) for j in range(cols)]
-    return solve_row(transposed, b, rows, n)
 
 
 def mat_mul(a, b, n: int) -> tuple[tuple[int, ...], ...]:
@@ -469,119 +459,3 @@ class Subquotient:
         if sol is None:
             return None
         return self.module.reduce(sol[:len(self.gens)])
-
-
-def hom_module(m: FpZnModule, nn: FpZnModule):
-    """The module of Z/n-linear maps m -> nn, with evaluation both ways.
-
-    Returns (module, to_map, to_coords): `to_map(coords)` rebuilds a
-    ZnModuleMap from an element, `to_coords(map)` locates a map.
-    """
-    if m.n != nn.n:
-        raise LinAlgError("modulus mismatch")
-    n = m.n
-    gm, gn = m.ngens, nn.ngens
-    dim = gm * gn
-    # well-definedness: for each relation r of m, r @ X must lie in rels(nn)
-    nrel = len(m.rels)
-    eq_cols = nrel * gn
-    rows = []
-    for i in range(gm):
-        for j in range(gn):
-            row = [0] * eq_cols
-            for ri, r in enumerate(m.rels):
-                row[ri * gn + j] = r[i]
-            rows.append(tuple(row))
-    relblock = []
-    for ri in range(nrel):
-        for s in nn.rels:
-            row = [0] * eq_cols
-            row[ri * gn:(ri + 1) * gn] = list(s)
-            relblock.append(tuple(row))
-    wgens = preimage_gens(rows, relblock, eq_cols, n)
-    dgens = []
-    for i in range(gm):
-        for s in nn.rels:
-            vec = [0] * dim
-            vec[i * gn:(i + 1) * gn] = list(s)
-            dgens.append(tuple(vec))
-    sq = Subquotient(n, dim, wgens, dgens)
-
-    def to_map(coords) -> ZnModuleMap:
-        flat = sq.lift(coords)
-        matrix = tuple(tuple(flat[i * gn:(i + 1) * gn]) for i in range(gm))
-        return ZnModuleMap(m, nn, matrix)
-
-    def to_coords(u: ZnModuleMap):
-        flat = tuple(v for row in u.matrix for v in row)
-        return sq.coords(flat)
-
-    return sq.module, to_map, to_coords
-
-
-def tensor_zn(m: FpZnModule, nn: FpZnModule):
-    """The tensor product m (x) nn over Z/n, with the pure-tensor locator.
-
-    Presented on generator pairs (i, j) with relations induced from both
-    factors.  Returns (module, pure) where pure(x, y) locates x (x) y.
-    """
-    if m.n != nn.n:
-        raise LinAlgError("modulus mismatch")
-    n = m.n
-    gm, gn = m.ngens, nn.ngens
-    dim = gm * gn
-    rels = []
-    for r in m.rels:
-        for j in range(gn):
-            vec = [0] * dim
-            for i in range(gm):
-                vec[i * gn + j] = r[i]
-            rels.append(tuple(vec))
-    for i in range(gm):
-        for s in nn.rels:
-            vec = [0] * dim
-            vec[i * gn:(i + 1) * gn] = list(s)
-            rels.append(tuple(vec))
-    product = FpZnModule(n, dim, rels)
-
-    def pure(x, y) -> tuple[int, ...]:
-        vec = [0] * dim
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    vec[i * gn + j] = xi * yj
-        return product.reduce(vec)
-
-    return product, pure
-
-
-def direct_sum_modules(mods) -> tuple[FpZnModule, list[ZnModuleMap], list[ZnModuleMap]]:
-    """Direct sum with injections and projections."""
-    mods = list(mods)
-    if not mods:
-        raise LinAlgError("empty direct sum needs an explicit modulus")
-    n = mods[0].n
-    if any(m.n != n for m in mods):
-        raise LinAlgError("modulus mismatch")
-    total = sum(m.ngens for m in mods)
-    rels = []
-    offset = 0
-    offsets = []
-    for m in mods:
-        offsets.append(offset)
-        for r in m.rels:
-            vec = [0] * total
-            vec[offset:offset + m.ngens] = list(r)
-            rels.append(tuple(vec))
-        offset += m.ngens
-    total_mod = FpZnModule(n, total, rels)
-    injections = []
-    projections = []
-    for m, off in zip(mods, offsets):
-        inj = tuple(tuple(1 if j == off + i else 0 for j in range(total))
-                    for i in range(m.ngens))
-        proj = tuple(tuple(1 if off <= i < off + m.ngens and j == i - off else 0
-                           for j in range(m.ngens)) for i in range(total))
-        injections.append(ZnModuleMap(m, total_mod, inj))
-        projections.append(ZnModuleMap(total_mod, m, proj))
-    return total_mod, injections, projections

@@ -6,14 +6,18 @@ exercised across instances where that map is pure-but-not-iso, epi-but-
 not-iso, and iso.
 """
 
+import itertools
+import random
+
 import pytest
 
 from gradedmod import analyze as A
 from gradedmod import canonical as C
+from gradedmod import corpus
 from gradedmod.abelian import make_epi, make_group
-from gradedmod.functors import coextend, restrict
-from gradedmod.graded import (GradedMorphism, GradedRing, GradedRingHom,
-                              ring_as_module, shift)
+from gradedmod.functors import coextend, extend, restrict
+from gradedmod.graded import (GradedError, GradedMorphism, GradedRing,
+                              GradedRingHom, ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
 
 G0 = make_group([])
@@ -179,3 +183,127 @@ def test_sigma_tilde_trichotomy(instances):
         assert A.is_mono(st)[0] == A.is_epi(ul)[0]
         assert A.is_epi(st)[0] == A.is_section(ul)[0]
         assert A.is_iso(st)[0] == A.is_iso(ul)[0]
+
+
+# ---------------------------------------------------------------------------
+# iso_search against an exhaustive reference
+
+
+def _reference_search(m, n_mod):
+    """(some isomorphism or None, |Hom(m, n_mod)_0|) by brute force.
+
+    Every degreewise Z/n-linear map, given by canonical images of the
+    generators, is tried as a GradedMorphism; those that validate are the
+    elements of Hom(m, n_mod)_0, and each is tested with is_iso.
+    """
+    degs = sorted(set(m.components) | set(n_mod.components))
+    per_degree = [
+        list(itertools.product(list(n_mod.component(d).elements()),
+                               repeat=m.component(d).ngens))
+        for d in degs]
+    found, homs = None, 0
+    for combo in itertools.product(*per_degree):
+        try:
+            u = GradedMorphism(m, n_mod, dict(zip(degs, combo)))
+        except GradedError:
+            continue
+        homs += 1
+        if found is None and A.is_iso(u)[0]:
+            found = u
+    return found, homs
+
+
+def _reference_size(m, n_mod):
+    """How many degreewise linear maps the reference tries."""
+    size = 1
+    for d in set(m.components) | set(n_mod.components):
+        size *= n_mod.component(d).cardinality() ** m.component(d).ngens
+    return size
+
+
+# the reference enumerates every degreewise linear map; pairs beyond this
+# many maps are left out for time
+REFERENCE_CAP = 5000
+
+
+def _oracle_modules(inst, seed):
+    """Modules over R and over S of one named instance: the rings, their
+    support shifts, the change-of-ring images of R, and seeded random
+    modules from the corpus generator."""
+    h = inst["h"]
+    by_ring = {}
+    for ring in (h.source, h.target):
+        base = ring_as_module(ring)
+        mods = [base] + [shift(base, ring.group.neg(g))
+                         for g in sorted(ring.components) if any(g)]
+        rng = random.Random(seed)
+        mods += [corpus.random_module(ring, rng) for _ in range(3)]
+        by_ring[ring] = mods
+    by_ring[h.source].append(restrict(h, ring_as_module(h.target)))
+    rr = ring_as_module(h.source)
+    by_ring[h.target] += [coextend(h, rr).module, extend(h, rr).module]
+    return list(by_ring.values())
+
+
+@pytest.mark.parametrize("name", sorted(corpus.named_instances()))
+def test_iso_search_matches_exhaustive_reference(instances, name):
+    found_iso = compared = 0
+    for mods in _oracle_modules(instances[name], 11):
+        for m, n_mod in itertools.product(mods, repeat=2):
+            if _reference_size(m, n_mod) > REFERENCE_CAP:
+                continue
+            ref, homs = _reference_search(m, n_mod)
+            # the budget counts Hom elements: |Hom(m, n_mod)_0| suffices
+            u = A.iso_search(m, n_mod, budget=homs)
+            assert (u is None) == (ref is None), (name, m, n_mod)
+            compared += 1
+            if u is not None:
+                found_iso += 1
+                assert u.source == m and u.target == n_mod
+                assert A.is_iso(u)[0]
+    assert 0 < found_iso < compared
+
+
+def _frobenius_truncated(p, e, rng):
+    """F_p -> F_p[t]/(t^e), ungraded, with S on a seeded monomial basis.
+
+    Generator a of S is u_a t^(perm[a]) for a random permutation `perm`
+    and random units u_a, so the same ring is presented with its
+    generators reordered and rescaled.
+    """
+    perm = list(range(e))
+    rng.shuffle(perm)
+    units = [rng.randrange(1, p) for _ in range(e)]
+    where = {i: a for a, i in enumerate(perm)}
+
+    def coords(i):
+        # t^i = u_a^(-1) * generator a, and t^i = 0 for i >= e
+        vec = [0] * e
+        if i < e:
+            a = where[i]
+            vec[a] = pow(units[a], -1, p)
+        return tuple(vec)
+
+    mult = tuple(tuple(tuple(units[a] * units[b] * x % p
+                             for x in coords(perm[a] + perm[b]))
+                       for b in range(e))
+                 for a in range(e))
+    s = GradedRing(G0, p, {D0: FpZnModule(p, e, [])}, {(D0, D0): mult},
+                   coords(0))
+    r = _ungraded_ring(p)
+    return GradedRingHom(r, s, {D0: (coords(0),)})
+
+
+@pytest.mark.parametrize("p,e", [(2, 4), (3, 2)])
+@pytest.mark.parametrize("seed", range(5))
+def test_iso_search_cost_does_not_depend_on_generator_order(p, e, seed):
+    # coextend(h, R) is isomorphic to S (F_p[t]/(t^e) is self-dual), and
+    # Hom_S(coextend(h, R), S)_0 has |S| = p^e elements: a search over them
+    # decides within that budget, however S's generators are ordered
+    h = _frobenius_truncated(p, e, random.Random(seed))
+    coext = coextend(h, ring_as_module(h.source)).module
+    s_mod = ring_as_module(h.target)
+    u = A.iso_search(coext, s_mod, budget=p ** e)
+    assert u is not None and u.source == coext and u.target == s_mod
+    assert A.is_iso(u)[0]
+    assert A.morita_check(h) is True

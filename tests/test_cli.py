@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gradedmod import cli
+from gradedmod import analyze, cli
 from gradedmod.textio import parse_workspace, serialize_workspace
 
 WORKSPACE = """modulus 4
@@ -159,3 +159,24 @@ def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text):
     code, out = _run(capsys, ["--input", str(p), "validate"])
     assert code == 2
     assert out.startswith("error: ") and out.count("\n") == 1
+
+
+def test_exhausted_search_is_undecided_not_an_input_error(capsys,
+                                                          monkeypatch):
+    # with a budget of one Hom element, is_free on the coextension (which
+    # is S, presented differently) cannot decide: the first element of
+    # Hom(S, coextend(h, R))_0 is the zero map
+    search = analyze.iso_search
+    monkeypatch.setattr(analyze, "iso_search",
+                        lambda m, n, budget=None: search(m, n, 1))
+    argv = ["coextend", "--h", "frobenius_ungraded", "frobenius_ungraded.RR"]
+    code, out = _run(capsys, argv)
+    assert code == 3
+    assert out.startswith("error: undecided within budget 1")
+    assert out.count("\n") == 1
+    code, out = _run(capsys, argv + ["--format", "json"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["format_version"] == "1"
+    assert payload["error"].startswith("undecided within budget 1")
+    assert set(payload) == {"format_version", "error"}

@@ -266,3 +266,74 @@ def test_subquotient_coords_match_solve_row(data):
             # and the coordinates name v modulo the trivial vectors
             assert span_contains([a - b for a, b in zip(sq.lift(got), v)],
                                  sq.dgens, n)
+
+
+# ---------------------------------------------------------------------------
+# Howell canonicity and row kernels at large moduli
+
+# 2^31 - 1 is prime, 2^31 a prime power, and 6 * (2^28 - 57) a product of
+# two small primes and a large one (2^28 - 57 is prime)
+LARGE_MODULI = (MAX_MODULUS - 1, MAX_MODULUS, 6 * (2 ** 28 - 57))
+
+
+@st.composite
+def _large_matrix(draw):
+    n = draw(st.sampled_from(LARGE_MODULI))
+    r = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 4))
+    return n, draw(_entries(n, r, c))
+
+
+@st.composite
+def _span_equal_pair(draw):
+    """(n, A, B) with B obtained from A by invertible row operations.
+
+    The operations are a row permutation, adding a multiple of one row to
+    another, scaling a row by a unit, and appending a combination of the
+    rows, so both matrices span the same submodule.
+    """
+    n, mat = draw(_large_matrix())
+    rows = [list(row) for row in draw(st.permutations(mat))]
+    if len(rows) >= 2:
+        i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
+                             max_size=2, unique=True))
+        f = draw(st.integers(0, n - 1))
+        rows[i] = [(a + f * b) % n for a, b in zip(rows[i], rows[j])]
+    k = draw(st.integers(0, len(rows) - 1))
+    u = draw(st.integers(1, n - 1).filter(lambda x: _coprime(x, n)))
+    rows[k] = [(u * a) % n for a in rows[k]]
+    combo = [0] * len(rows[0])
+    for row in rows:
+        f = draw(st.integers(0, n - 1))
+        combo = [(a + f * b) % n for a, b in zip(combo, row)]
+    rows.append(combo)
+    return n, mat, [tuple(row) for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_span_equal_pair())
+def test_howell_canonical_at_large_moduli(data):
+    n, mat, variant = data
+    c = len(mat[0])
+    h = howell(mat, c, n)
+    assert howell(variant, c, n) == h
+    assert howell(h, c, n) == h
+    for row in variant:
+        assert span_contains(row, h, n)
+
+
+def _span_order(rows, ncols, n):
+    """The number of elements of the row span, from its Howell form."""
+    return n ** ncols // FpZnModule(n, ncols, rows).cardinality()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_large_matrix())
+def test_row_kernel_at_large_moduli(data):
+    n, mat = data
+    r, c = len(mat), len(mat[0])
+    ker = row_kernel(mat, c, n)
+    for x in ker:
+        assert not any(vec_mat(x, mat, n))
+    # |kernel| * |image| = n^rows for the map x -> x * A on (Z/n)^rows
+    assert _span_order(ker, r, n) * _span_order(mat, c, n) == n ** r
