@@ -23,7 +23,7 @@ from .graded import (GradedError, GradedModule, GradedMorphism,
 from .functors import coextend, extend, hom_graded, restrict, tensor
 from .textio import ParseError, ValidationError, Workspace, parse_workspace
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1

@@ -7,7 +7,9 @@ graded Hom modules (plain and mixed variants), and the composite functors
 built from them.  Tensor and Hom results are returned as witness objects
 that keep enough bookkeeping to locate pure tensors and to convert between
 Hom elements and the matrix families they encode; every element-level
-canonical map downstream is built on these witnesses.
+canonical map downstream is built on these witnesses.  Tensor components
+are minimal in the sense of `znlinalg.prune`: no relation has pivot 1, so
+no generator is a combination of the others by a unit-pivot relation.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 from .graded import (GradedModule, GradedMorphism, GradedRing, GradedRingHom,
                      GradedError, RingMismatch, _unit_vec, apply_tensor,
                      ring_as_module, zero_component)
-from .znlinalg import (FpZnModule, Subquotient, howell, mat_mul, row_kernel,
-                       vec_mat)
+from .znlinalg import (FpZnModule, Subquotient, howell, mat_mul, prune,
+                       row_kernel, vec_mat)
 
 
 class FunctorError(GradedError):
@@ -74,9 +76,12 @@ class TensorWitness:
 
     For a ring morphism h: R -> S, `module` is left (x)_R right where `left`
     is an S-module and `right` an R-module; the result carries the S-action
-    on the left factor.  The component at degree d is presented on the pairs
-    (a, i, b, j) listed in `index[d]` (generator i of left_a tensor generator
-    j of right_b with a + b = d).
+    on the left factor.  The component at degree d is built on all pairs
+    (a, i, b, j) (generator i of left_a tensor generator j of right_b with
+    a + b = d) and then pruned: generator k of the presentation is the
+    kept pair `index[d][k]`.  `pos[d]` sends every pair, kept or dropped,
+    to its image in the pruned component, which is how `pure` locates a
+    pure tensor.
     """
 
     __slots__ = ("h", "left", "right", "module", "index", "pos")
@@ -102,15 +107,25 @@ class TensorWitness:
             if xi:
                 for j, yj in enumerate(yv):
                     if yj:
-                        k = posd.get((a, i, b, j))
-                        if k is not None:
-                            vec[k] += xi * yj
+                        _add_image(vec, xi * yj, posd.get((a, i, b, j)))
         return d, comp.reduce(vec)
+
+
+def _add_image(vec, coeff, image):
+    """vec += coeff * image, for an image row (None when there is none)."""
+    if image is not None:
+        for k, v in enumerate(image):
+            if v:
+                vec[k] += coeff * v
 
 
 def mixed_tensor(h: GradedRingHom, left: GradedModule,
                  right: GradedModule) -> TensorWitness:
-    """left (x)_R right for left over S and right over R, as an S-module."""
+    """left (x)_R right for left over S and right over R, as an S-module.
+
+    Each component is presented on all generator pairs and then pruned
+    (`znlinalg.prune`), so no relation of the result has pivot 1.
+    """
     ring_s, ring_r = h.target, h.source
     if left.ring != ring_s:
         raise RingMismatch("left tensor factor must live over the target ring")
@@ -118,38 +133,38 @@ def mixed_tensor(h: GradedRingHom, left: GradedModule,
         raise RingMismatch("right tensor factor must live over the source ring")
     grp = ring_s.group
     n = ring_s.n
-    index = {}
-    pos = {}
+    pairs = {}
+    at = {}  # d -> {pair: ambient position}
     for a in sorted(left.components):
         ca = left.components[a]
         for b in sorted(right.components):
             cb = right.components[b]
             d = grp.add(a, b)
-            lst = index.setdefault(d, [])
-            posd = pos.setdefault(d, {})
+            lst = pairs.setdefault(d, [])
+            atd = at.setdefault(d, {})
             for i in range(ca.ngens):
                 for j in range(cb.ngens):
-                    posd[(a, i, b, j)] = len(lst)
+                    atd[(a, i, b, j)] = len(lst)
                     lst.append((a, i, b, j))
-    rels = {d: [] for d in index}
+    rels = {d: [] for d in pairs}
     for a in sorted(left.components):
         ca = left.components[a]
         for b in sorted(right.components):
             cb = right.components[b]
             d = grp.add(a, b)
-            posd = pos[d]
-            dim = len(index[d])
+            atd = at[d]
+            dim = len(pairs[d])
             for r in ca.rels:
                 for j in range(cb.ngens):
                     vec = [0] * dim
                     for i in range(ca.ngens):
-                        vec[posd[(a, i, b, j)]] = r[i]
+                        vec[atd[(a, i, b, j)]] = r[i]
                     rels[d].append(vec)
             for s in cb.rels:
                 for i in range(ca.ngens):
                     vec = [0] * dim
                     for j in range(cb.ngens):
-                        vec[posd[(a, i, b, j)]] = s[j]
+                        vec[atd[(a, i, b, j)]] = s[j]
                     rels[d].append(vec)
     # balance relations (x . h(r)) (x) y = x (x) (r . y) on generators
     for c in sorted(ring_r.components):
@@ -166,10 +181,10 @@ def mixed_tensor(h: GradedRingHom, left: GradedModule,
                 b2 = grp.add(c, b)
                 cb2 = right.component(b2)
                 d = grp.add(grp.add(a, b), c)
-                posd = pos.get(d)
-                if posd is None:
+                atd = at.get(d)
+                if atd is None:
                     continue
-                dim = len(index[d])
+                dim = len(pairs[d])
                 for p in range(rc.ngens):
                     lx = [apply_tensor(ta, hr_rows[p], _unit_vec(ca.ngens, i),
                                        ca2) if ta is not None else ca2.zero()
@@ -180,24 +195,28 @@ def mixed_tensor(h: GradedRingHom, left: GradedModule,
                             any_entry = False
                             for k, v in enumerate(lx[i]):
                                 if v:
-                                    vec[posd[(a2, k, b, j)]] += v
+                                    vec[atd[(a2, k, b, j)]] += v
                                     any_entry = True
                             ry = apply_tensor(tb, _unit_vec(rc.ngens, p),
                                               _unit_vec(cb.ngens, j), cb2) \
                                 if tb is not None else cb2.zero()
                             for l, v in enumerate(ry):
                                 if v:
-                                    vec[posd[(a, i, b2, l)]] -= v
+                                    vec[atd[(a, i, b2, l)]] -= v
                                     any_entry = True
                             if any_entry:
                                 rels[d].append(vec)
-    comps = {d: FpZnModule(n, len(index[d]), rels[d]) for d in index if index[d]}
-    # S-action on the left factor
+    comps, index, pos = {}, {}, {}
+    for d, lst in pairs.items():
+        comps[d], kept, proj = prune(FpZnModule(n, len(lst), rels[d]))
+        index[d] = [lst[k] for k in kept]
+        pos[d] = dict(zip(lst, proj))
+    # S-action on the left factor, on the kept generators
     action = {}
     for c in sorted(ring_s.components):
         sc = ring_s.components[c]
         for d in sorted(index):
-            if d not in comps or not comps[d].ngens:
+            if not comps[d].ngens:
                 continue
             out_deg = grp.add(c, d)
             out = comps.get(out_deg)
@@ -210,16 +229,15 @@ def mixed_tensor(h: GradedRingHom, left: GradedModule,
                 block = []
                 for (a, i, b, j) in index[d]:
                     ta = left.action.get((c, a))
-                    ca2 = left.component(grp.add(c, a))
                     vec = [0] * out.ngens
                     if ta is not None:
+                        a2 = grp.add(c, a)
                         sx = apply_tensor(ta, _unit_vec(sc.ngens, p),
                                           _unit_vec(left.components[a].ngens, i),
-                                          ca2)
-                        a2 = grp.add(c, a)
+                                          left.component(a2))
                         for k, v in enumerate(sx):
                             if v:
-                                vec[posd[(a2, k, b, j)]] += v
+                                _add_image(vec, v, posd[(a2, k, b, j)])
                     coords = out.reduce(vec)
                     if any(coords):
                         nonzero = True

@@ -706,10 +706,10 @@ def graded_submodule(module: GradedModule, gens_by_degree):
     incl_mats = {}
     for deg, gens in gens_by_degree.items():
         amb = module.component(deg)
-        sub, incl = zn_submodule(amb, gens)
+        sub, basis = zn_submodule(amb, gens)
         if sub.ngens:
             comps[deg] = sub
-            incl_mats[deg] = incl.matrix
+            incl_mats[deg] = basis
     action = _sub_action(module, comps, incl_mats)
     sub = GradedModule(module.ring, comps, action, validate=False)
     maps = {deg: incl_mats[deg] for deg in comps}
@@ -719,7 +719,7 @@ def graded_submodule(module: GradedModule, gens_by_degree):
 
 def graded_kernel(u: GradedMorphism):
     """Kernel of a graded morphism with its inclusion."""
-    from .znlinalg import kernel as zn_kernel, preimage_gens
+    from .znlinalg import preimage_gens
     gens = {}
     for deg in u.source.components:
         sc = u.source.component(deg)

@@ -5,7 +5,7 @@ canonical form is the Howell normal form: unlike plain row echelon form it
 is unique for a given row span even in the presence of zero divisors, which
 makes structural equality of module presentations coincide with mathematical
 equality.  On top of it we build finitely presented Z/nZ-modules together
-with kernels, images, cokernels and subquotients.
+with submodules, pruned (unit-pivot-free) presentations and subquotients.
 
 All arithmetic uses exact Python integers; moduli above 2**31 are rejected
 at construction.
@@ -313,97 +313,45 @@ class FpZnModule:
         return (tuple(t) for t in itertools.product(*ranges))
 
 
-class ZnModuleMap:
-    """Z/n-linear map between finitely presented modules, as a generator matrix.
-
-    Row i of `matrix` is the image of generator i of the source.  The map is
-    checked to send source relations to zero in the target.
-    """
-
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source: FpZnModule, target: FpZnModule, matrix):
-        if source.n != target.n:
-            raise LinAlgError("modulus mismatch")
-        matrix = tuple(target.reduce(row) for row in matrix)
-        if len(matrix) != source.ngens:
-            raise LinAlgError("matrix row count does not match source generators")
-        for r in source.rels:
-            if any(target.reduce(vec_mat(r, matrix, source.n) if matrix
-                                 else target.zero())):
-                raise LinAlgError("map is not well defined on relations")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-
-    def __eq__(self, other):
-        return (isinstance(other, ZnModuleMap) and self.source == other.source
-                and self.target == other.target and self.matrix == other.matrix)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
-
-    def __repr__(self):
-        return f"ZnModuleMap({self.matrix})"
-
-    def apply(self, vec) -> tuple[int, ...]:
-        if self.source.ngens == 0:
-            return self.target.zero()
-        return self.target.reduce(vec_mat(vec, self.matrix, self.source.n))
-
-    def compose(self, first: "ZnModuleMap") -> "ZnModuleMap":
-        """self after first."""
-        if first.target != self.source:
-            raise LinAlgError("composition mismatch")
-        return ZnModuleMap(first.source, self.target,
-                           mat_mul(first.matrix, self.matrix, self.source.n))
-
-    @staticmethod
-    def identity(module: FpZnModule) -> "ZnModuleMap":
-        return ZnModuleMap(module, module, identity_matrix(module.ngens))
-
-    @staticmethod
-    def zero_map(source: FpZnModule, target: FpZnModule) -> "ZnModuleMap":
-        return ZnModuleMap(source, target, zero_matrix(source.ngens, target.ngens))
-
-
-def submodule(ambient: FpZnModule, gens) -> tuple[FpZnModule, ZnModuleMap]:
-    """The submodule of `ambient` generated by `gens`, with its inclusion.
+def submodule(ambient: FpZnModule, gens) -> tuple[FpZnModule, tuple]:
+    """The submodule of `ambient` generated by `gens`, with its basis.
 
     The submodule is presented on the Howell basis of span(gens) + relations;
-    generators lying in the relation span are dropped.
+    generators lying in the relation span are dropped.  Row i of the
+    returned matrix is the reduced ambient image of generator i (the
+    inclusion).
     """
     n = ambient.n
     basis = [row for row in howell(list(gens) + list(ambient.rels), ambient.ngens, n)
              if any(ambient.reduce(row))]
     rels = preimage_gens(basis, ambient.rels, ambient.ngens, n)
-    sub = FpZnModule(n, len(basis), rels)
-    incl = ZnModuleMap(sub, ambient, tuple(basis))
-    return sub, incl
+    return (FpZnModule(n, len(basis), rels),
+            tuple(ambient.reduce(row) for row in basis))
 
 
-def quotient(ambient: FpZnModule, gens) -> tuple[FpZnModule, ZnModuleMap]:
-    """The quotient of `ambient` by the span of `gens`, with its projection."""
-    quot = FpZnModule(ambient.n, ambient.ngens, list(ambient.rels) + list(gens))
-    proj = ZnModuleMap(ambient, quot, identity_matrix(ambient.ngens))
-    return quot, proj
+def prune(module: FpZnModule):
+    """Drop the generators that a unit-pivot relation expresses by the rest.
 
-
-def kernel(u: ZnModuleMap) -> tuple[FpZnModule, ZnModuleMap]:
-    """Kernel of u with its inclusion into the source."""
-    n = u.source.n
-    pre = preimage_gens(u.matrix, u.target.rels, u.target.ngens, n)
-    return submodule(u.source, pre)
-
-
-def image(u: ZnModuleMap) -> tuple[FpZnModule, ZnModuleMap]:
-    """Image of u with its inclusion into the target."""
-    return submodule(u.target, u.matrix)
-
-
-def cokernel(u: ZnModuleMap) -> tuple[FpZnModule, ZnModuleMap]:
-    """Cokernel of u with the projection from the target."""
-    return quotient(u.target, u.matrix)
+    Returns (pruned, kept, proj).  `kept` lists the surviving generator
+    indices in order; row g of `proj` is the image of ambient generator g
+    in `pruned`, and the map it defines is an isomorphism.  In a Howell
+    form a row with pivot 1 at column c is the only row nonzero in column
+    c, and it is zero in every other unit-pivot column, so e_c equals
+    minus the rest of that row, which lies on the kept columns.  The
+    other rows, cut to the kept columns, present the same module.
+    """
+    n = module.n
+    unit = {j: row for row, j in zip(module.rels, module.pivots)
+            if row[j] == 1}
+    kept = [c for c in range(module.ngens) if c not in unit]
+    pruned = FpZnModule(n, len(kept),
+                        [[row[c] for c in kept]
+                         for row, j in zip(module.rels, module.pivots)
+                         if j not in unit])
+    proj = tuple(tuple(-unit[g][c] % n for c in kept) if g in unit
+                 else tuple(int(c == g) for c in kept)
+                 for g in range(module.ngens))
+    return pruned, kept, proj
 
 
 class Subquotient:

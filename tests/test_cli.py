@@ -69,7 +69,7 @@ def test_json_format_version(capsys, ws_file):
                               "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["format_version"] == "1"
+    assert payload["format_version"] == "2"
     assert payload["command"] == "analyze"
 
 
@@ -177,6 +177,20 @@ def test_exhausted_search_is_undecided_not_an_input_error(capsys,
     code, out = _run(capsys, argv + ["--format", "json"])
     assert code == 3
     payload = json.loads(out)
-    assert payload["format_version"] == "1"
+    assert payload["format_version"] == "2"
     assert payload["error"].startswith("undecided within budget 1")
     assert set(payload) == {"format_version", "error"}
+
+
+def test_canon_delta_on_zgraded(capsys):
+    # delta on the Z-graded truncated ring used to take seconds: the
+    # one-sided inverse was solved over an unpruned tensor presentation
+    code, out = _run(capsys, ["--format", "json", "canon", "delta",
+                              "zgraded", "zgraded.RR", "zgraded.SS"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["has_inverse"] is True
+    assert payload["analysis"]["flags"] == {
+        "is_epi": True, "is_iso": True, "is_mono": True, "is_pure": True,
+        "is_retraction": True, "is_section": True}
+    assert payload["source"]["cardinality"] == 8

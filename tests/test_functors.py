@@ -4,7 +4,8 @@ The two adjunctions (extension -| restriction) and (restriction -|
 coextension) are verified through their triangle identities on every
 corpus instance and on a population of seeded random modules; the unit
 and counit one-sided properties (sigma epi, rho-tilde mono) are checked
-on the same population.
+on the same population.  Tensor products and extensions are checked to be
+pruned, with a bilinear, well-defined and balanced pure-tensor locator.
 """
 
 import random
@@ -18,7 +19,9 @@ from gradedmod.functors import (coextend, coextend_morphism, extend,
                                 extend_morphism, hom_graded, hom_map,
                                 restrict, restrict_morphism, tensor,
                                 tensor_map)
-from gradedmod.graded import GradedMorphism, ring_as_module, shift
+from gradedmod.graded import (GradedModule, GradedMorphism, ring_as_module,
+                              shift)
+from gradedmod.znlinalg import FpZnModule
 
 ALL = ["z4_to_z2", "frobenius", "frobenius_ungraded", "d25e", "d25e_z3",
        "zgraded"]
@@ -145,3 +148,70 @@ def test_restrict_preserves_composition(inst):
         restrict_morphism(h, v.compose(u))
     assert restrict_morphism(h, GradedMorphism.identity(m)) == \
         GradedMorphism.identity(restrict(h, m))
+
+
+# ---------------------------------------------------------------------------
+# pruned tensor presentations
+
+
+def _random_element(module, deg, rng):
+    comp = module.component(deg)
+    return deg, tuple(rng.randrange(module.ring.n) for _ in range(comp.ngens))
+
+
+def _check_pruned_tensor(tw, rng):
+    """No unit-pivot relation; `pure` is bilinear, well defined, balanced."""
+    h, left, right = tw.h, tw.left, tw.right
+    n = tw.module.ring.n
+    for comp in tw.module.components.values():
+        assert all(row[j] != 1 for row, j in zip(comp.rels, comp.pivots))
+    for a in left.support:
+        for b in right.support:
+            x1, x2 = (_random_element(left, a, rng) for _ in range(2))
+            y1, y2 = (_random_element(right, b, rng) for _ in range(2))
+            c = rng.randrange(n)
+            x12 = (a, left.component(a).add(x1[1], x2[1]))
+            y12 = (b, right.component(b).add(y1[1], y2[1]))
+            d, t12 = tw.pure(x12, y1)
+            comp = tw.module.component(d)
+            assert t12 == comp.add(tw.pure(x1, y1)[1], tw.pure(x2, y1)[1])
+            assert tw.pure(x1, y12)[1] == comp.add(tw.pure(x1, y1)[1],
+                                                   tw.pure(x1, y2)[1])
+            assert tw.pure((a, left.component(a).scale(c, x1[1])), y1)[1] \
+                == comp.scale(c, tw.pure(x1, y1)[1])
+            # well defined: a relation of either factor goes to 0
+            for rel in left.component(a).rels:
+                assert not any(tw.pure((a, rel), y1)[1])
+            for rel in right.component(b).rels:
+                assert not any(tw.pure(x1, (b, rel))[1])
+            # balanced: (x . h(r)) (x) y == x (x) (r . y)
+            for e in h.source.support:
+                r = _random_element(ring_as_module(h.source), e, rng)
+                assert tw.pure(left.act(h.apply(r), x1), y1) == \
+                    tw.pure(x1, right.act(r, y1))
+
+
+def test_tensor_and_extend_are_pruned_bilinear_and_balanced(instances):
+    for name in ALL:
+        inst = instances[name]
+        h = inst["h"]
+        rng = random.Random(f"pruned-{name}")
+        mods_r = [ring_as_module(inst["ring_r"])]
+        mods_s = [ring_as_module(inst["ring_s"])]
+        for _ in range(3):
+            mods_r.append(corpus.random_module(inst["ring_r"], rng))
+            mods_s.append(corpus.random_module(inst["ring_s"], rng))
+        for m in mods_r:
+            _check_pruned_tensor(extend(h, m), rng)
+        for m, n_mod in zip(mods_s, reversed(mods_s)):
+            _check_pruned_tensor(tensor(m, n_mod), rng)
+
+
+def test_pruned_tensor_with_a_sign_sensitive_relation(instances):
+    # over Z/4 the relation e0 + e1 = 0 prunes e0 to -e1 = 3 e1, not e1
+    inst = instances["z4_to_z2"]
+    m = GradedModule(inst["ring_r"], {(): FpZnModule(4, 2, [(1, 1)])},
+                     {((), ()): (((1, 0), (0, 1)),)})
+    rng = random.Random("pruned-z4")
+    _check_pruned_tensor(extend(inst["h"], m), rng)
+    _check_pruned_tensor(tensor(m, m), rng)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gradedmod.znlinalg import (MAX_MODULUS, FpZnModule, LinAlgError,
                                 Subquotient, howell, identity_matrix,
-                                mat_mul, reduce_mod_span, row_kernel,
+                                mat_mul, prune, reduce_mod_span, row_kernel,
                                 solve_row, span_contains, vec_mat)
 
 MODULI = (2, 3, 4, 6, 8)
@@ -337,3 +337,34 @@ def test_row_kernel_at_large_moduli(data):
         assert not any(vec_mat(x, mat, n))
     # |kernel| * |image| = n^rows for the map x -> x * A on (Z/n)^rows
     assert _span_order(ker, r, n) * _span_order(mat, c, n) == n ** r
+
+
+# ---------------------------------------------------------------------------
+# pruning unit-pivot generators
+
+PRUNE_MODULI = (2, 4, 6, 42) + LARGE_MODULI
+
+
+@st.composite
+def _presentation(draw):
+    n = draw(st.sampled_from(PRUNE_MODULI))
+    c = draw(st.integers(1, 5))
+    return n, c, draw(_entries(n, draw(st.integers(0, 5)), c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_presentation())
+def test_prune_presents_the_same_module(data):
+    n, c, rels = data
+    ambient = FpZnModule(n, c, rels)
+    pruned, kept, proj = prune(ambient)
+    assert len(proj) == c and pruned.ngens == len(kept)
+    # proj is well defined: every ambient relation goes to 0
+    for r in list(ambient.rels) + rels:
+        assert pruned.contains_zero(vec_mat(r, proj, n))
+    # onto: each kept generator goes to its own unit vector
+    for k, g in enumerate(kept):
+        assert proj[g] == tuple(int(i == k) for i in range(len(kept)))
+    # with equal (finite) orders, a well-defined onto map is a bijection
+    assert pruned.cardinality() == ambient.cardinality()
+    assert all(row[j] != 1 for row, j in zip(pruned.rels, pruned.pivots))
