@@ -18,8 +18,9 @@ from .abelian import GroupEpi
 from .graded import (GradedError, GradedModule, GradedMorphism, GradedRing,
                      GradedRingHom, _unit_vec, coarsen_ring_hom, free_module,
                      graded_kernel, ring_as_module, shift)
-from .functors import _block_matrices, coextend, hom_degree, restrict
-from .znlinalg import howell, solve_row, span_contains
+from .functors import (_block_layout, _block_matrices, _flat_vector, coextend,
+                       hom_degree, restrict)
+from .znlinalg import howell, identity_matrix, mat_mul, solve_row, span_contains
 from . import canonical
 
 
@@ -88,131 +89,42 @@ def is_iso(u: GradedMorphism):
 
 
 def _solve_one_sided_inverse(u: GradedMorphism, side: str):
-    """Find v: target -> source with v.u = id (side='left') or u.v = id.
+    """Find v: N -> M with v.u = id (side='left') or u.v = id, for u: M -> N.
 
-    All degrees are solved as one affine linear system; the unknowns are the
-    entries of v's matrices, with slack unknowns absorbing "equal modulo
-    relations".  Returns v's matrices by degree, or None.
+    v ranges over Hom(N, M)_0 as presented by `functors.hom_degree`, so
+    every candidate is well defined and R-linear.  The composite is linear
+    in v: each presentation generator w_k gives one row, its composite w.u
+    (left) or u.w (right) flattened over the block layout of End(E)_0,
+    where E is M (left) or N (right).  Below those rows sit the relation
+    rows of E, since the composite need only equal the identity modulo the
+    relations of E.  One `solve_row` against the flattened identity
+    decides, and the first coefficients c_k of a solution give
+    v = sum_k c_k w_k.  Returns v's matrices by degree, or None.
     """
-    src, tgt = u.source, u.target
-    ring = src.ring
+    ring = u.source.ring
     n = ring.n
-    grp = ring.group
-    degs = sorted(set(src.components) | set(tgt.components))
-    offsets = {}
-    total = 0
-    for d in degs:
-        offsets[d] = total
-        total += tgt.component(d).ngens * src.component(d).ngens
-
-    equations = []   # list of dicts unknown_index -> coeff
-    rhs = []
-    nslack = [0]
-
-    def vidx(d, j, i):
-        return offsets[d] + j * src.component(d).ngens + i
-
-    def add_constraint(coeff_vec_fn, target_comp, b_vec):
-        """One vector equation: sum(unknown*coeff) == b modulo comp rels."""
-        cols = target_comp.ngens
-        rels = target_comp.rels
-        slack_base = total + nslack[0]
-        nslack[0] += len(rels)
-        for m in range(cols):
-            eq = coeff_vec_fn(m)
-            for t, rel in enumerate(rels):
-                if rel[m]:
-                    eq[slack_base + t] = eq.get(slack_base + t, 0) + rel[m]
-            equations.append(eq)
-            rhs.append(b_vec[m])
-
-    # well-definedness: target relations map into source relations
-    for d in degs:
-        tc, sc = tgt.component(d), src.component(d)
-        if not tc.ngens or not sc.ngens:
-            continue
-        for r in tc.rels:
-            add_constraint(
-                lambda m, d=d, r=r, sc=sc: {
-                    vidx(d, j, m): r[j] for j in range(len(r)) if r[j]},
-                sc, (0,) * sc.ngens)
-
-    # linearity: v(r*x) == r*v(x) for ring generators r and target generators x
-    for dc in sorted(ring.components):
-        rc = ring.components[dc]
-        for d in degs:
-            tc = tgt.component(d)
-            d2 = grp.add(dc, d)
-            if d2 not in offsets:
-                continue
-            sc2 = src.component(d2)
-            if not sc2.ngens:
-                continue
-            for p in range(rc.ngens):
-                r = (dc, _unit_vec(rc.ngens, p))
-                for j in range(tc.ngens):
-                    _, rx = tgt.act(r, (d, _unit_vec(tc.ngens, j)))
-                    sc = src.component(d)
-                    # v(rx) - r*v(x_j) == 0:  v(rx) uses unknowns at d2,
-                    # r*v(x_j) is the source action applied to row (d, j).
-                    def coeff(m, d=d, d2=d2, j=j, r=r, rx=rx, sc=sc):
-                        eq = {}
-                        for jj in range(len(rx)):
-                            if rx[jj]:
-                                key = vidx(d2, jj, m)
-                                eq[key] = (eq.get(key, 0) + rx[jj])
-                        for i in range(sc.ngens):
-                            _, av = src.act(r, (d, _unit_vec(sc.ngens, i)))
-                            if av[m]:
-                                key = vidx(d, j, i)
-                                eq[key] = (eq.get(key, 0) - av[m])
-                        return eq
-                    add_constraint(coeff, sc2, (0,) * sc2.ngens)
-
-    # the inverse condition itself
-    if side == "left":
-        for d in sorted(src.components):
-            sc = src.components[d]
-            mat = u.matrix(d)
-            for i in range(sc.ngens):
-                b = _unit_vec(sc.ngens, i)
-                add_constraint(
-                    lambda m, d=d, row=mat[i]: {
-                        vidx(d, j, m): row[j]
-                        for j in range(len(row)) if row[j]},
-                    sc, b)
-    else:
-        for d in sorted(tgt.components):
-            tc = tgt.components[d]
-            sc = src.component(d)
-            mat = u.matrix(d)
-            for j in range(tc.ngens):
-                b = _unit_vec(tc.ngens, j)
-                # u(v(x_j)) == x_j: coefficient of unknown v[d][j][i] is
-                # column m of u's row i.
-                add_constraint(
-                    lambda m, d=d, j=j, mat=mat, sc=sc: {
-                        vidx(d, j, i): mat[i][m] for i in range(sc.ngens)
-                        if mat[i][m]},
-                    tc, b)
-
-    nunknowns = total + nslack[0]
-    neq = len(equations)
-    rows = [[0] * neq for _ in range(nunknowns)]
-    for e, eq in enumerate(equations):
-        for k, c in eq.items():
-            rows[k][e] = c % n
-    sol = solve_row(rows, rhs, neq, n)
+    zero = ring.group.zero()
+    blocks, _, sq = hom_degree(GradedRingHom.identity(ring), u.target,
+                               u.source, zero)
+    gens = sq.gens if sq is not None else ()
+    end = u.source if side == "left" else u.target
+    end_blocks, end_dim, end_rels = _block_layout(end, end, zero)
+    rows = []
+    for w in gens:
+        composite = {}
+        for a, wa in _block_matrices(blocks, w).items():
+            ua = u.matrix(a)
+            composite[a] = (mat_mul(ua, wa, n) if side == "left"
+                            else mat_mul(wa, ua, n))
+        rows.append(_flat_vector(end_blocks, end_dim, composite))
+    ident = _flat_vector(end_blocks, end_dim,
+                         {a: identity_matrix(k) for (a, k, _, _) in end_blocks})
+    sol = solve_row(rows + end_rels, ident, end_dim, n)
     if sol is None:
         return None
-    mats = {}
-    for d in degs:
-        tn, sn = tgt.component(d).ngens, src.component(d).ngens
-        if not tn or not sn:
-            continue
-        mats[d] = tuple(tuple(sol[vidx(d, j, i)] for i in range(sn))
-                        for j in range(tn))
-    return mats
+    if sq is None:  # Hom(N, M)_0 is zero
+        return {}
+    return _block_matrices(blocks, sq.lift(sol[:len(gens)]))
 
 
 def is_section(u: GradedMorphism):

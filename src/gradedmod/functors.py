@@ -284,11 +284,54 @@ def tensor_map(h: GradedRingHom, u: GradedMorphism, v: GradedMorphism,
 # Hom modules
 
 
+def _block_layout(source: GradedModule, target: GradedModule, g):
+    """The flat layout of the matrix families U_a: source_a -> target_{g+a}.
+
+    Returns (blocks, dim, rel_rows).  Each U_a is flattened row-major into
+    a vector of length `dim`; `blocks` lists (a, rows, cols, offset) for
+    every U_a with rows and columns.  `rel_rows` span the families whose
+    rows all lie in the relations of the target: row i of U_a may move by
+    any relation of target_{g+a}.
+    """
+    grp = source.ring.group
+    blocks = []
+    dim = 0
+    for a in sorted(source.components):
+        rows = source.components[a].ngens
+        cols = target.component(grp.add(g, a)).ngens
+        if rows and cols:
+            blocks.append((a, rows, cols, dim))
+            dim += rows * cols
+    rel_rows = []
+    for (a, rows, cols, o) in blocks:
+        rels = target.component(grp.add(g, a)).rels
+        for i in range(rows):
+            for s in rels:
+                vec = [0] * dim
+                vec[o + i * cols:o + (i + 1) * cols] = list(s)
+                rel_rows.append(vec)
+    return blocks, dim, rel_rows
+
+
 def _block_matrices(blocks, flat):
     """The matrix family {a: U_a} stored in a flat Hom vector by `blocks`."""
     return {a: tuple(tuple(flat[off + i * cols:off + (i + 1) * cols])
                      for i in range(rows))
             for (a, rows, cols, off) in blocks}
+
+
+def _flat_vector(blocks, dim, mats):
+    """The flat vector of a matrix family {a: U_a}, laid out by `blocks`;
+    a block without a matrix in `mats` is zero."""
+    flat = [0] * dim
+    for (a, rows, cols, off) in blocks:
+        mat = mats.get(a)
+        if mat is None:
+            continue
+        for i in range(rows):
+            for j in range(cols):
+                flat[off + i * cols + j] = mat[i][j]
+    return flat
 
 
 class HomWitness:
@@ -332,15 +375,8 @@ class HomWitness:
                     if any(tc.reduce(row)):
                         return None
             return ()
-        flat = [0] * self.dim[g]
-        for (a, rows, cols, off) in self.layout[g]:
-            mat = mats.get(a)
-            if mat is None:
-                continue
-            for i in range(rows):
-                for j in range(cols):
-                    flat[off + i * cols + j] = mat[i][j]
-        return self.sq[g].coords(flat)
+        return self.sq[g].coords(
+            _flat_vector(self.layout[g], self.dim[g], mats))
 
     def evaluate(self, u, x):
         """Apply the Hom element u = (g, coords) to x = (a, xv)."""
@@ -369,14 +405,7 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
     ring_r = h.source
     grp = ring_r.group
     n = ring_r.n
-    blocks = []
-    dim = 0
-    for a in sorted(source.components):
-        rows = source.components[a].ngens
-        cols = target.component(grp.add(g, a)).ngens
-        if rows and cols:
-            blocks.append((a, rows, cols, dim))
-            dim += rows * cols
+    blocks, dim, dgens = _block_layout(source, target, g)
     if not dim:
         return blocks, 0, None
     block_at = {a: (rows, cols, o) for (a, rows, cols, o) in blocks}
@@ -460,14 +489,6 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
             amat[idx][col] = coeff % n
     ker = row_kernel(amat, len(equations), n)
     wgens = howell([row[:dim] for row in ker], dim, n)
-    dgens = []
-    for (a, rows, cols, o) in blocks:
-        out_mod = target.component(grp.add(g, a))
-        for i in range(rows):
-            for s in out_mod.rels:
-                vec = [0] * dim
-                vec[o + i * cols:o + (i + 1) * cols] = list(s)
-                dgens.append(vec)
     return blocks, dim, Subquotient(n, dim, wgens, dgens)
 
 

@@ -846,6 +846,28 @@ def coarsen_module(module: GradedModule, psi: GroupEpi,
     return GradedModule(coarse_ring, mcomps, action, validate=False)
 
 
+def _coarse_maps(fine, src, tgt, psi, n):
+    """The matrices of a degreewise map `fine` (a morphism of modules or of
+    rings) between its coarsened ends `src` and `tgt`: each matrix of
+    `fine` is a block of the matrix at its degree's image under psi."""
+    _, soff = _coarse_components(fine.source.components, psi, n)
+    _, toff = _coarse_components(fine.target.components, psi, n)
+    maps = {}
+    for deg, mat in fine.maps.items():
+        img = psi.apply(deg)
+        smat = maps.setdefault(
+            img, [[0] * tgt.component(img).ngens
+                  for _ in range(src.component(img).ngens)])
+        so, to = soff[deg], toff.get(deg)
+        if to is None:
+            continue
+        for i, row in enumerate(mat):
+            for j, v in enumerate(row):
+                if v:
+                    smat[so + i][to + j] = v
+    return maps
+
+
 def coarsen_morphism(u: GradedMorphism, psi: GroupEpi,
                      coarse_ring: GradedRing | None = None) -> GradedMorphism:
     """Blockwise coarsening of a graded morphism."""
@@ -853,41 +875,14 @@ def coarsen_morphism(u: GradedMorphism, psi: GroupEpi,
         coarse_ring = coarsen_ring(u.source.ring, psi)
     src = coarsen_module(u.source, psi, coarse_ring)
     tgt = coarsen_module(u.target, psi, coarse_ring)
-    _, soff = _coarse_components(u.source.components, psi, u.source.ring.n)
-    _, toff = _coarse_components(u.target.components, psi, u.source.ring.n)
-    maps = {}
-    for deg, mat in u.maps.items():
-        img = psi.apply(deg)
-        smat = maps.setdefault(
-            img, [[0] * tgt.component(img).ngens
-                  for _ in range(src.component(img).ngens)])
-        so, to = soff[deg], toff.get(deg)
-        if to is None:
-            continue
-        for i, row in enumerate(mat):
-            for j, v in enumerate(row):
-                if v:
-                    smat[so + i][to + j] = v
-    return GradedMorphism(src, tgt, maps, validate=False)
+    return GradedMorphism(src, tgt,
+                          _coarse_maps(u, src, tgt, psi, u.source.ring.n),
+                          validate=False)
 
 
 def coarsen_ring_hom(h: GradedRingHom, psi: GroupEpi) -> GradedRingHom:
     """Coarsening of a graded ring morphism."""
     src = coarsen_ring(h.source, psi)
     tgt = coarsen_ring(h.target, psi)
-    _, soff = _coarse_components(h.source.components, psi, h.source.n)
-    _, toff = _coarse_components(h.target.components, psi, h.source.n)
-    maps = {}
-    for deg, mat in h.maps.items():
-        img = psi.apply(deg)
-        smat = maps.setdefault(
-            img, [[0] * tgt.component(img).ngens
-                  for _ in range(src.component(img).ngens)])
-        so, to = soff[deg], toff.get(deg)
-        if to is None:
-            continue
-        for i, row in enumerate(mat):
-            for j, v in enumerate(row):
-                if v:
-                    smat[so + i][to + j] = v
-    return GradedRingHom(src, tgt, maps, validate=False)
+    return GradedRingHom(src, tgt, _coarse_maps(h, src, tgt, psi, h.source.n),
+                         validate=False)

@@ -43,6 +43,12 @@ class ScenarioError(Exception):
     pass
 
 
+def _underline_map(h: GradedRingHom) -> canonical.CanonicalMap:
+    """`canonical.underline` as a named canonical map."""
+    return canonical.CanonicalMap("underline", canonical.underline(h),
+                                  {"h": h})
+
+
 # canonical map name -> (constructor, takes ring morphism, module count)
 CANON_SPECS = {
     "rho": (canonical.rho, True, 1),
@@ -60,7 +66,7 @@ CANON_SPECS = {
     "alpha": (canonical.alpha, True, 3),
     "tau": (canonical.tau, False, 1),
     "tau3": (canonical.tau3, False, 3),
-    "underline": (canonical.underline, True, 0),
+    "underline": (_underline_map, True, 0),
     "hstar_ring": (canonical.hstar_ring_iso, True, 0),
 }
 

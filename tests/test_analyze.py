@@ -186,31 +186,41 @@ def test_sigma_tilde_trichotomy(instances):
 
 
 # ---------------------------------------------------------------------------
-# iso_search against an exhaustive reference
+# iso_search and one-sided inverses against an exhaustive reference
 
 
-def _reference_search(m, n_mod):
-    """(some isomorphism or None, |Hom(m, n_mod)_0|) by brute force.
+def _reference_homs(m, n_mod):
+    """The elements of Hom(m, n_mod)_0, by brute force.
 
     Every degreewise Z/n-linear map, given by canonical images of the
     generators, is tried as a GradedMorphism; those that validate are the
-    elements of Hom(m, n_mod)_0, and each is tested with is_iso.
+    elements of Hom(m, n_mod)_0.
     """
     degs = sorted(set(m.components) | set(n_mod.components))
     per_degree = [
         list(itertools.product(list(n_mod.component(d).elements()),
                                repeat=m.component(d).ngens))
         for d in degs]
-    found, homs = None, 0
+    homs = []
     for combo in itertools.product(*per_degree):
         try:
-            u = GradedMorphism(m, n_mod, dict(zip(degs, combo)))
+            homs.append(GradedMorphism(m, n_mod, dict(zip(degs, combo))))
         except GradedError:
             continue
-        homs += 1
-        if found is None and A.is_iso(u)[0]:
-            found = u
-    return found, homs
+    return homs
+
+
+@pytest.fixture(scope="module")
+def reference_homs():
+    """`_reference_homs`, enumerating each pair of modules once: the
+    brute-force tests below ask for the same pairs."""
+    cache = {}
+
+    def homs(m, n_mod):
+        if (m, n_mod) not in cache:
+            cache[(m, n_mod)] = _reference_homs(m, n_mod)
+        return cache[(m, n_mod)]
+    return homs
 
 
 def _reference_size(m, n_mod):
@@ -246,15 +256,17 @@ def _oracle_modules(inst, seed):
 
 
 @pytest.mark.parametrize("name", sorted(corpus.named_instances()))
-def test_iso_search_matches_exhaustive_reference(instances, name):
+def test_iso_search_matches_exhaustive_reference(instances, reference_homs,
+                                                 name):
     found_iso = compared = 0
     for mods in _oracle_modules(instances[name], 11):
         for m, n_mod in itertools.product(mods, repeat=2):
             if _reference_size(m, n_mod) > REFERENCE_CAP:
                 continue
-            ref, homs = _reference_search(m, n_mod)
+            homs = reference_homs(m, n_mod)
+            ref = next((u for u in homs if A.is_iso(u)[0]), None)
             # the budget counts Hom elements: |Hom(m, n_mod)_0| suffices
-            u = A.iso_search(m, n_mod, budget=homs)
+            u = A.iso_search(m, n_mod, budget=len(homs))
             assert (u is None) == (ref is None), (name, m, n_mod)
             compared += 1
             if u is not None:
@@ -262,6 +274,50 @@ def test_iso_search_matches_exhaustive_reference(instances, name):
                 assert u.source == m and u.target == n_mod
                 assert A.is_iso(u)[0]
     assert 0 < found_iso < compared
+
+
+def _one_sided_inverse_verdicts(u, homs_back):
+    """(is_section, is_retraction) of u: M -> N, each asserted equal to
+    the brute-force answer over `homs_back`, the elements of Hom(N, M)_0."""
+    section = A.is_section(u)[0]
+    retraction = A.is_retraction(u)[0]
+    id_m = GradedMorphism.identity(u.source)
+    id_n = GradedMorphism.identity(u.target)
+    assert section == any(v.compose(u) == id_m for v in homs_back), u
+    assert retraction == any(u.compose(v) == id_n for v in homs_back), u
+    return section, retraction
+
+
+@pytest.mark.parametrize("name", sorted(corpus.named_instances()))
+def test_one_sided_inverses_match_exhaustive_reference(instances,
+                                                       reference_homs, name):
+    # on every pair within the cap both ways: the zero map, the reference
+    # isomorphism (if any) and three seeded elements of Hom(M, N)_0
+    rng = random.Random(5)
+    seen = set()
+    verdicts = []
+    for mods in _oracle_modules(instances[name], 11):
+        for m, n_mod in itertools.product(mods, repeat=2):
+            if (m, n_mod) in seen or max(_reference_size(m, n_mod),
+                                         _reference_size(n_mod, m)) \
+                    > REFERENCE_CAP:
+                continue
+            seen.add((m, n_mod))
+            homs = reference_homs(m, n_mod)
+            back = reference_homs(n_mod, m)
+            iso = next((u for u in homs if A.is_iso(u)[0]), None)
+            candidates = ([GradedMorphism.zero(m, n_mod)]
+                          + ([iso] if iso is not None else [])
+                          + rng.sample(homs, min(3, len(homs))))
+            verdicts += [_one_sided_inverse_verdicts(u, back)
+                         for u in candidates]
+    for side in (0, 1):
+        assert 0 < sum(v[side] for v in verdicts) < len(verdicts)
+    h = instances[name]["h"]
+    for u in (C.underline(h),
+              C.rho(h, ring_as_module(h.source)).morphism,
+              C.sigma(h, ring_as_module(h.target)).morphism):
+        _one_sided_inverse_verdicts(u, reference_homs(u.target, u.source))
 
 
 def _frobenius_truncated(p, e, rng):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gradedmod import analyze, cli
+from gradedmod import analyze, cli, scenarios
 from gradedmod.textio import parse_workspace, serialize_workspace
 
 WORKSPACE = """modulus 4
@@ -194,3 +194,27 @@ def test_canon_delta_on_zgraded(capsys):
         "is_epi": True, "is_iso": True, "is_mono": True, "is_pure": True,
         "is_retraction": True, "is_section": True}
     assert payload["source"]["cardinality"] == 8
+
+
+# module arguments of each canonical map on z4_to_z2: .RR is an R-module,
+# .SS an S-module; the ring morphism z4_to_z2 goes first where one is taken
+CANON_MODULES = {
+    "rho": ["RR"], "sigma": ["SS"], "rho_tilde": ["SS"],
+    "sigma_tilde": ["RR"], "delta": ["RR", "RR"], "gamma": ["SS", "SS"],
+    "epsilon": ["RR", "RR"], "eta": ["SS", "SS"], "theta": ["RR", "RR"],
+    "mu": ["SS", "RR"], "pi": ["SS", "RR", "SS"], "nu": ["SS", "RR", "RR"],
+    "alpha": ["SS", "SS", "RR"], "tau": ["RR"], "tau3": ["RR", "RR", "RR"],
+    "underline": [], "hstar_ring": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.CANON_SPECS))
+def test_every_canonical_map_reports(capsys, name):
+    _, takes_h, nmods = scenarios.CANON_SPECS[name]
+    modules = ["z4_to_z2." + m for m in CANON_MODULES[name]]
+    assert len(modules) == nmods
+    argv = ["--format", "json", "canon", name] \
+        + (["z4_to_z2"] if takes_h else []) + modules
+    code, out = _run(capsys, argv)
+    assert code == 0, out
+    assert json.loads(out)["canonical_map"] == name
