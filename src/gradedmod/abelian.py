@@ -11,7 +11,6 @@ verified at construction, the latter via Smith normal form over Z.
 from __future__ import annotations
 
 import itertools
-from math import gcd
 
 
 class GroupError(Exception):

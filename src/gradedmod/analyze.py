@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .abelian import GroupEpi
-from .graded import (GradedError, GradedModule, GradedMorphism, GradedRing,
+from .graded import (GradedError, GradedModule, GradedMorphism,
                      GradedRingHom, _unit_vec, coarsen_ring_hom, free_module,
                      graded_kernel, ring_as_module, shift)
 from .functors import (_block_layout, _block_matrices, _flat_vector, coextend,
@@ -88,27 +88,33 @@ def is_iso(u: GradedMorphism):
     return True, None
 
 
-def _solve_one_sided_inverse(u: GradedMorphism, side: str):
-    """Find v: N -> M with v.u = id (side='left') or u.v = id, for u: M -> N.
+def _hom_back(u: GradedMorphism):
+    """Hom(N, M)_0 for u: M -> N, as the (blocks, sq) of `hom_degree`."""
+    ring = u.source.ring
+    blocks, _, sq = hom_degree(GradedRingHom.identity(ring), u.target,
+                               u.source, ring.group.zero())
+    return blocks, sq
 
-    v ranges over Hom(N, M)_0 as presented by `functors.hom_degree`, so
-    every candidate is well defined and R-linear.  The composite is linear
-    in v: each presentation generator w_k gives one row, its composite w.u
-    (left) or u.w (right) flattened over the block layout of End(E)_0,
-    where E is M (left) or N (right).  Below those rows sit the relation
-    rows of E, since the composite need only equal the identity modulo the
-    relations of E.  One `solve_row` against the flattened identity
-    decides, and the first coefficients c_k of a solution give
-    v = sum_k c_k w_k.  Returns v's matrices by degree, or None.
+
+def _one_sided_inverse(u: GradedMorphism, side: str, back):
+    """(verdict, v) for v: N -> M with v.u = id (side='left') or u.v = id.
+
+    v ranges over `back`, the presentation of Hom(N, M)_0 from `_hom_back`,
+    so every candidate is well defined and R-linear.  The composite is
+    linear in v: each presentation generator w_k gives one row, its
+    composite w.u (left) or u.w (right) flattened over the block layout of
+    End(E)_0, where E is M (left) or N (right).  Below those rows sit the
+    relation rows of E, since the composite need only equal the identity
+    modulo the relations of E.  One `solve_row` against the flattened
+    identity decides, and the first coefficients c_k of a solution give
+    v = sum_k c_k w_k, checked to be a one-sided inverse.
     """
     ring = u.source.ring
     n = ring.n
-    zero = ring.group.zero()
-    blocks, _, sq = hom_degree(GradedRingHom.identity(ring), u.target,
-                               u.source, zero)
+    blocks, sq = back
     gens = sq.gens if sq is not None else ()
     end = u.source if side == "left" else u.target
-    end_blocks, end_dim, end_rels = _block_layout(end, end, zero)
+    end_blocks, end_dim, end_rels = _block_layout(end, end, ring.group.zero())
     rows = []
     for w in gens:
         composite = {}
@@ -121,32 +127,25 @@ def _solve_one_sided_inverse(u: GradedMorphism, side: str):
                          {a: identity_matrix(k) for (a, k, _, _) in end_blocks})
     sol = solve_row(rows + end_rels, ident, end_dim, n)
     if sol is None:
-        return None
-    if sq is None:  # Hom(N, M)_0 is zero
-        return {}
-    return _block_matrices(blocks, sq.lift(sol[:len(gens)]))
+        return False, None
+    mats = {} if sq is None else _block_matrices(blocks,
+                                                 sq.lift(sol[:len(gens)]))
+    v = GradedMorphism(u.target, u.source, mats)
+    composite = v.compose(u) if side == "left" else u.compose(v)
+    if composite != GradedMorphism.identity(end):
+        what = "section" if side == "left" else "retraction"
+        raise AnalyzeError(f"{what} solver returned a non-inverse")
+    return True, v
 
 
 def is_section(u: GradedMorphism):
     """(verdict, witness): witness is v with v.u = id when one exists."""
-    mats = _solve_one_sided_inverse(u, "left")
-    if mats is None:
-        return False, None
-    v = GradedMorphism(u.target, u.source, mats)
-    if v.compose(u) != GradedMorphism.identity(u.source):
-        raise AnalyzeError("section solver returned a non-inverse")
-    return True, v
+    return _one_sided_inverse(u, "left", _hom_back(u))
 
 
 def is_retraction(u: GradedMorphism):
     """(verdict, witness): witness is v with u.v = id when one exists."""
-    mats = _solve_one_sided_inverse(u, "right")
-    if mats is None:
-        return False, None
-    v = GradedMorphism(u.target, u.source, mats)
-    if u.compose(v) != GradedMorphism.identity(u.target):
-        raise AnalyzeError("retraction solver returned a non-inverse")
-    return True, v
+    return _one_sided_inverse(u, "right", _hom_back(u))
 
 
 def is_pure(u: GradedMorphism) -> bool:
@@ -296,8 +295,9 @@ def is_small(module: GradedModule) -> bool:
 def analyze_morphism(u: GradedMorphism, subject: str = "morphism"):
     mono, wm = is_mono(u)
     epi, we = is_epi(u)
-    sec, ws = is_section(u)
-    ret, wr = is_retraction(u)
+    back = _hom_back(u)  # one presentation serves both one-sided inverses
+    sec, ws = _one_sided_inverse(u, "left", back)
+    ret, wr = _one_sided_inverse(u, "right", back)
     report = AnalysisReport(subject)
     report.flags = {
         "is_epi": epi,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .abelian import GroupEpi
-from .graded import (GradedModule, GradedMorphism, GradedRing, GradedRingHom,
+from .graded import (GradedModule, GradedMorphism, GradedRingHom,
                      GradedError, _coarse_components, _unit_vec,
                      coarsen_module, coarsen_ring, coarsen_ring_hom,
                      direct_sum, ring_as_module)

@@ -6,8 +6,8 @@ ungraded), the truncated polynomial ring F_2[X]/(X^3) with its quotient by
 (X^2) (ungraded, Z/3-graded, and Z-graded), and the coarsening maps between
 their grading groups.  The random generators draw modules from shifts, sums
 and quotients of the ring with a bounded size budget, and morphisms
-uniformly from the full Hom module, so properties quantified over "all
-modules/morphisms" are exercised on a reproducible sample.
+uniformly from the presentation of Hom(M, N)_0, so properties quantified
+over "all modules/morphisms" are exercised on a reproducible sample.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import random
 
 from .abelian import FgAbelianGroup, GroupEpi, make_epi, make_group
 from .graded import (GradedModule, GradedMorphism, GradedRing, GradedRingHom,
-                     direct_sum, free_module, graded_cokernel,
-                     graded_submodule, ring_as_module, shift)
-from .functors import hom_graded
+                     direct_sum, graded_cokernel, graded_submodule,
+                     ring_as_module, shift)
+from .functors import _block_matrices, hom_degree
 from .znlinalg import FpZnModule
 
 
@@ -230,15 +230,17 @@ def _random_quotient(module: GradedModule, rng: random.Random):
 
 def random_morphism(source: GradedModule, target: GradedModule,
                     rng: random.Random) -> GradedMorphism:
-    """A uniformly random degree-zero morphism, via the Hom module."""
-    hw = hom_graded(source, target)
-    zero = source.ring.group.zero()
-    comp = hw.module.component(zero)
-    if not comp.ngens:
+    """A uniformly random degree-zero morphism, via Hom(M, N)_0."""
+    ring = source.ring
+    blocks, _, sq = hom_degree(GradedRingHom.identity(ring), source, target,
+                               ring.group.zero())
+    if sq is None or not sq.module.ngens:
         return GradedMorphism.zero(source, target)
+    comp = sq.module
     coords = comp.reduce(tuple(rng.randrange(comp.n)
                                for _ in range(comp.ngens)))
-    return GradedMorphism(source, target, hw.matrices(zero, coords),
+    return GradedMorphism(source, target,
+                          _block_matrices(blocks, sq.lift(coords)),
                           validate=False)
 
 
@@ -247,19 +249,3 @@ def random_endo_pair(ring: GradedRing, rng: random.Random):
     m = random_module(ring, rng)
     n = random_module(ring, rng)
     return m, n, random_morphism(m, n, rng)
-
-
-def random_exact_sequence(module: GradedModule, rng: random.Random):
-    """A short exact sequence 0 -> K -> M -> M/K -> 0 from a random K."""
-    degs = sorted(module.components)
-    gens_by_degree = {}
-    for d in degs:
-        comp = module.components[d]
-        if rng.randrange(2):
-            vec = comp.reduce(tuple(rng.randrange(comp.n)
-                                    for _ in range(comp.ngens)))
-            if any(vec):
-                gens_by_degree[d] = [vec]
-    sub, incl = graded_submodule(module, _saturate(module, gens_by_degree))
-    coker, proj = graded_cokernel(incl)
-    return incl, proj

@@ -14,9 +14,9 @@ no generator is a combination of the others by a unit-pivot relation.
 
 from __future__ import annotations
 
-from .graded import (GradedModule, GradedMorphism, GradedRing, GradedRingHom,
+from .graded import (GradedModule, GradedMorphism, GradedRingHom,
                      GradedError, RingMismatch, _unit_vec, apply_tensor,
-                     ring_as_module, zero_component)
+                     ring_as_module)
 from .znlinalg import (FpZnModule, Subquotient, howell, mat_mul, prune,
                        row_kernel, vec_mat)
 

@@ -6,14 +6,22 @@ action tensors R_g x M_h -> M_{g+h}.  Morphisms are degree-zero and stored
 as one matrix per degree.  All objects are validated on construction and
 immutable afterwards; any degree outside the stored support denotes the
 zero component.
+
+One validation policy serves rings and modules: a ring is checked as a
+commutative module over itself, so the support, unit, well-definedness
+and associativity checks of a module also check a ring's multiplication.
+Module morphisms and ring morphisms share one core for their degreewise
+matrix families: canonicalization, evaluation, composition, equality and
+well-definedness.
 """
 
 from __future__ import annotations
 
 from .abelian import FgAbelianGroup, GroupEpi
-from .znlinalg import (FpZnModule, LinAlgError, howell,
-                       identity_matrix, mat_mul, solve_row, vec_mat,
-                       zero_matrix)
+from .znlinalg import (FpZnModule, identity_matrix, mat_mul, solve_row,
+                       vec_mat, zero_matrix)
+# re-exported: perfbench's tracer test reaches `howell` through this module
+from .znlinalg import howell as howell
 
 
 class GradedError(Exception):
@@ -26,15 +34,6 @@ class RingMismatch(GradedError):
 
 class GroupMismatch(GradedError):
     pass
-
-
-def _tensor_canon(tensor, g1: int, g2: int, out: FpZnModule):
-    """Canonicalize a bilinear structure tensor t[i][j] -> coords."""
-    rows = tuple(tuple(out.reduce(tensor[i][j]) for j in range(g2))
-                 for i in range(g1))
-    if all(not any(v) for block in rows for v in block):
-        return None
-    return rows
 
 
 def apply_tensor(tensor, x, y, out: FpZnModule) -> tuple[int, ...]:
@@ -71,6 +70,121 @@ def zero_component(n: int) -> FpZnModule:
     return _ZERO_CACHE[n]
 
 
+def _unit_vec(k: int, i: int) -> tuple[int, ...]:
+    return (0,) * i + (1,) + (0,) * (k - i - 1)
+
+
+def _key_eq(self, other):
+    return type(other) is type(self) and self._key() == other._key()
+
+
+def _key_hash(self):
+    return hash(self._key())
+
+
+# ---------------------------------------------------------------------------
+# rings and modules: one canonicalizer, one axiom checker
+
+# How the error messages name the action, its unit axiom and its
+# associativity axiom, for a ring acting on itself and for a module.
+_RING_WORDS = ("multiplication", "unitality", "associativity")
+_MODULE_WORDS = ("action", "unit action", "associativity of the action")
+
+
+def _canon_structure(group, n, components, tensors, what, left=None):
+    """Canonical components and structure tensors of a ring or a module.
+
+    Degrees are canonicalized, every component must be a Z/n-module, and
+    components without generators are dropped.  The tensor at (g, h) maps
+    left_g x M_h to M_{g+h}, where `left` holds the ring's components
+    (None: the components themselves, for a ring).  Tensors whose factors
+    are not in the support are dropped, zero tensors too; a nonzero tensor
+    landing outside the support is rejected.
+    """
+    comps = {}
+    for deg, comp in components.items():
+        deg = group.canon(deg)
+        if comp.n != n:
+            raise GradedError("component modulus differs from the ring modulus")
+        if comp.ngens:
+            comps[deg] = comp
+    if left is None:
+        left = comps
+    canon = {}
+    for (dg, dh), t in tensors.items():
+        dg, dh = group.canon(dg), group.canon(dh)
+        if dg not in left or dh not in comps:
+            continue
+        out_deg = group.add(dg, dh)
+        out = comps.get(out_deg)
+        if out is None:
+            if any(v % n for block in t for row in block for v in row):
+                raise GradedError(f"{what} leaves the declared support")
+            continue
+        rows = tuple(tuple(out.reduce(t[i][j]) for j in range(comps[dh].ngens))
+                     for i in range(left[dg].ngens))
+        if any(any(v) for block in rows for v in block):
+            canon[(dg, dh)] = rows
+    return comps, canon
+
+
+def _check_module_axioms(ring, comps, tensors, act, words):
+    """The module axioms of `ring` acting on `comps` through `tensors`.
+
+    `act` evaluates the action on homogeneous elements; a ring checked as
+    a module over itself passes its own `multiply`.  The checks run in
+    this order: support closure, the unit, well-definedness in the ring
+    factor and in the module factor, and associativity (xy)m = x(ym).
+    Every check runs on generators, since all of them are linear in each
+    argument.  `words` names the axioms in the error messages.
+    """
+    what, unit, assoc = words
+    g = ring.group
+    for dg, dh in tensors:
+        if g.add(dg, dh) not in comps:
+            raise GradedError(f"{what} leaves the declared support")
+    zero = g.zero()
+    for dh, ch in comps.items():
+        t = tensors.get((zero, dh))
+        for j in range(ch.ngens):
+            ej = _unit_vec(ch.ngens, j)
+            if apply_tensor(t, ring.one, ej, ch) != ch.reduce(ej):
+                raise GradedError(f"{unit} fails at degree {dh}")
+    none = zero_component(ring.n)
+    for dg, cg in ring.components.items():
+        for dh, ch in comps.items():
+            out = comps.get(g.add(dg, dh), none)
+            t = tensors.get((dg, dh))
+            for r in cg.rels:
+                for j in range(ch.ngens):
+                    if any(apply_tensor(t, r, _unit_vec(ch.ngens, j), out)):
+                        raise GradedError(
+                            f"{what} not well defined at {dg},{dh}")
+            for s in ch.rels:
+                for i in range(cg.ngens):
+                    if any(apply_tensor(t, _unit_vec(cg.ngens, i), s, out)):
+                        raise GradedError(
+                            f"{what} not well defined at {dg},{dh}")
+    for d1, c1 in ring.components.items():
+        for d2, c2 in ring.components.items():
+            for dh, ch in comps.items():
+                # actions come back reduced in their component, so they
+                # compare directly
+                for i in range(c1.ngens):
+                    x = _unit_vec(c1.ngens, i)
+                    for j in range(c2.ngens):
+                        y = _unit_vec(c2.ngens, j)
+                        dxy, xy = ring.multiply((d1, x), (d2, y))
+                        for k in range(ch.ngens):
+                            z = _unit_vec(ch.ngens, k)
+                            _, left = act((dxy, xy), (dh, z))
+                            dyz, yz = act((d2, y), (dh, z))
+                            _, right = act((d1, x), (dyz, yz))
+                            if left != right:
+                                raise GradedError(
+                                    f"{assoc} fails at {d1},{d2},{dh}")
+
+
 class GradedRing:
     """Finitely supported commutative G-graded ring over Z/nZ."""
 
@@ -80,32 +194,12 @@ class GradedRing:
                  validate: bool = True):
         self.group = group
         self.n = n
-        comps = {}
-        for deg, comp in components.items():
-            deg = group.canon(deg)
-            if comp.ngens:
-                comps[deg] = comp
-        self.components = comps
-        tensors = {}
-        for (dg, dh), t in mult.items():
-            dg, dh = group.canon(dg), group.canon(dh)
-            if dg not in comps or dh not in comps:
-                continue
-            out_deg = group.add(dg, dh)
-            if out_deg not in comps:
-                if any(v % n for block in t for row in block for v in row):
-                    raise GradedError(
-                        "multiplication leaves the declared support")
-                continue
-            tc = _tensor_canon(t, comps[dg].ngens, comps[dh].ngens,
-                               comps[out_deg])
-            if tc is not None:
-                tensors[(dg, dh)] = tc
-        self.mult = tensors
+        self.components, self.mult = _canon_structure(
+            group, n, components, mult, _RING_WORDS[0])
         zero = group.zero()
-        if zero not in comps:
+        if zero not in self.components:
             raise GradedError("a nonzero graded ring needs a degree-zero component")
-        self.one = comps[zero].reduce(one)
+        self.one = self.components[zero].reduce(one)
         if not any(self.one):
             raise GradedError("the unit of the ring must be nonzero")
         if validate:
@@ -135,77 +229,32 @@ class GradedRing:
         return self.group.zero(), self.one
 
     def _validate(self):
+        """Commutativity, then the module axioms of R acting on itself."""
         g = self.group
-        for (dg, dh), t in self.mult.items():
-            if g.add(dg, dh) not in self.components:
-                raise GradedError("multiplication leaves the declared support")
         for dg, cg in self.components.items():
             for dh, ch in self.components.items():
                 out = self.component(g.add(dg, dh))
-                t = self.mult.get((dg, dh))
-                ts = self.mult.get((dh, dg))
+                t, ts = self.mult.get((dg, dh)), self.mult.get((dh, dg))
                 for i in range(cg.ngens):
                     ei = _unit_vec(cg.ngens, i)
                     for j in range(ch.ngens):
                         ej = _unit_vec(ch.ngens, j)
-                        p = apply_tensor(t, ei, ej, out)
-                        q = apply_tensor(ts, ej, ei, out)
-                        if p != q:
+                        if (apply_tensor(t, ei, ej, out)
+                                != apply_tensor(ts, ej, ei, out)):
                             raise GradedError(
                                 f"commutativity fails at degrees {dg},{dh}")
-                # well-definedness against relations
-                for r in cg.rels:
-                    for j in range(ch.ngens):
-                        if any(apply_tensor(t, r, _unit_vec(ch.ngens, j), out)):
-                            raise GradedError(
-                                f"multiplication not well defined at {dg},{dh}")
-        zero = g.zero()
-        for dh, ch in self.components.items():
-            t = self.mult.get((zero, dh))
-            for j in range(ch.ngens):
-                ej = _unit_vec(ch.ngens, j)
-                if apply_tensor(t, self.one, ej, ch) != ch.reduce(ej):
-                    raise GradedError(f"unitality fails at degree {dh}")
-        degs = list(self.components)
-        for d1 in degs:
-            c1 = self.components[d1]
-            for d2 in degs:
-                c2 = self.components[d2]
-                for d3 in degs:
-                    c3 = self.components[d3]
-                    # products come back reduced in their component, so
-                    # they compare directly
-                    for i in range(c1.ngens):
-                        x = _unit_vec(c1.ngens, i)
-                        for j in range(c2.ngens):
-                            y = _unit_vec(c2.ngens, j)
-                            dxy, xy = self.multiply((d1, x), (d2, y))
-                            for k in range(c3.ngens):
-                                z = _unit_vec(c3.ngens, k)
-                                dyz, yz = self.multiply((d2, y), (d3, z))
-                                _, left = self.multiply((dxy, xy), (d3, z))
-                                _, right = self.multiply((d1, x), (dyz, yz))
-                                if left != right:
-                                    raise GradedError(
-                                        f"associativity fails at {d1},{d2},{d3}")
+        _check_module_axioms(self, self.components, self.mult, self.multiply,
+                             _RING_WORDS)
 
     def _key(self):
-        return (self.group, self.n, tuple(sorted(self.components.items(),
-                                                 key=lambda kv: kv[0])),
-                tuple(sorted(self.mult.items(), key=lambda kv: kv[0])), self.one)
+        return (self.group, self.n, tuple(sorted(self.components.items())),
+                tuple(sorted(self.mult.items())), self.one)
 
-    def __eq__(self, other):
-        return isinstance(other, GradedRing) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    __eq__ = _key_eq
+    __hash__ = _key_hash
 
     def __repr__(self):
         return f"GradedRing(n={self.n}, support={self.support})"
-
-
-def _unit_vec(k: int, i: int) -> tuple[int, ...]:
-    return (0,) * i + (1,) + (0,) * (k - i - 1)
 
 
 class GradedModule:
@@ -215,30 +264,9 @@ class GradedModule:
 
     def __init__(self, ring: GradedRing, components, action, validate: bool = True):
         self.ring = ring
-        g = ring.group
-        comps = {}
-        for deg, comp in components.items():
-            deg = g.canon(deg)
-            if comp.n != ring.n:
-                raise GradedError("component modulus differs from the ring modulus")
-            if comp.ngens:
-                comps[deg] = comp
-        self.components = comps
-        tensors = {}
-        for (dg, dh), t in action.items():
-            dg, dh = g.canon(dg), g.canon(dh)
-            if dg not in ring.components or dh not in comps:
-                continue
-            out_deg = g.add(dg, dh)
-            if out_deg not in comps:
-                if any(v % ring.n for block in t for row in block for v in row):
-                    raise GradedError("action leaves the declared support")
-                continue
-            tc = _tensor_canon(t, ring.components[dg].ngens, comps[dh].ngens,
-                               comps[out_deg])
-            if tc is not None:
-                tensors[(dg, dh)] = tc
-        self.action = tensors
+        self.components, self.action = _canon_structure(
+            ring.group, ring.n, components, action, _MODULE_WORDS[0],
+            ring.components)
         if validate:
             self._validate()
 
@@ -274,114 +302,120 @@ class GradedModule:
         return out_deg, apply_tensor(t, rv, xv, out)
 
     def _validate(self):
-        g = self.ring.group
-        for (dg, dh) in self.action:
-            if g.add(dg, dh) not in self.components:
-                raise GradedError("action leaves the declared support")
-        for dh, ch in self.components.items():
-            t = self.action.get((g.zero(), dh))
-            for j in range(ch.ngens):
-                ej = _unit_vec(ch.ngens, j)
-                if apply_tensor(t, self.ring.one, ej, ch) != ch.reduce(ej):
-                    raise GradedError(f"unit action fails at degree {dh}")
-        for dg, cg in self.ring.components.items():
-            for dh, ch in self.components.items():
-                out = self.component(g.add(dg, dh))
-                t = self.action.get((dg, dh))
-                for r in cg.rels:
-                    for j in range(ch.ngens):
-                        if any(apply_tensor(t, r, _unit_vec(ch.ngens, j), out)):
-                            raise GradedError(
-                                f"action not well defined at {dg},{dh}")
-                for s in ch.rels:
-                    for i in range(cg.ngens):
-                        if any(apply_tensor(t, _unit_vec(cg.ngens, i), s, out)):
-                            raise GradedError(
-                                f"action not well defined at {dg},{dh}")
-        for d1, c1 in self.ring.components.items():
-            for d2, c2 in self.ring.components.items():
-                for dh, ch in self.components.items():
-                    # actions come back reduced in their component, so
-                    # they compare directly
-                    for i in range(c1.ngens):
-                        x = _unit_vec(c1.ngens, i)
-                        for j in range(c2.ngens):
-                            y = _unit_vec(c2.ngens, j)
-                            dxy, xy = self.ring.multiply((d1, x), (d2, y))
-                            for k in range(ch.ngens):
-                                z = _unit_vec(ch.ngens, k)
-                                _, left = self.act((dxy, xy), (dh, z))
-                                dyz, yz = self.act((d2, y), (dh, z))
-                                _, right = self.act((d1, x), (dyz, yz))
-                                if left != right:
-                                    raise GradedError(
-                                        f"associativity of the action fails at "
-                                        f"{d1},{d2},{dh}")
+        _check_module_axioms(self.ring, self.components, self.action,
+                             self.act, _MODULE_WORDS)
 
     def _key(self):
-        return (self.ring, tuple(sorted(self.components.items(),
-                                        key=lambda kv: kv[0])),
-                tuple(sorted(self.action.items(), key=lambda kv: kv[0])))
+        return (self.ring, tuple(sorted(self.components.items())),
+                tuple(sorted(self.action.items())))
 
-    def __eq__(self, other):
-        return isinstance(other, GradedModule) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    __eq__ = _key_eq
+    __hash__ = _key_hash
 
     def __repr__(self):
         return f"GradedModule(support={self.support})"
+
+
+# ---------------------------------------------------------------------------
+# morphisms: one core for degreewise matrix families
+#
+# A module morphism and a ring morphism both hold `source`, `target` and
+# `maps`, one nonzero matrix per degree; a ring is a module over itself,
+# so `_ring` finds the coefficients of either kind of end.  Each class
+# words its own errors through `_MALFORMED`, `_ILL_DEFINED` and
+# `_MISMATCH`.
+
+
+def _ring(end):
+    """The ring a module is over; a ring is a module over itself."""
+    return end if isinstance(end, GradedRing) else end.ring
+
+
+def _init_maps(self, source, target, maps):
+    """Store the ends and the canonical nonzero matrices of `maps`."""
+    self.source = source
+    self.target = target
+    g = _ring(source).group
+    canon = {}
+    for deg, mat in maps.items():
+        deg = g.canon(deg)
+        sc, tc = source.component(deg), target.component(deg)
+        if not sc.ngens:
+            continue
+        mat = tuple(tc.reduce(row) for row in mat)
+        if len(mat) != sc.ngens:
+            raise GradedError(self._MALFORMED.format(deg))
+        if any(any(row) for row in mat):
+            canon[deg] = mat
+    self.maps = canon
+
+
+def _maps_matrix(self, deg):
+    deg = _degree_key(_ring(self.source).group, self.maps, deg)
+    if deg in self.maps:
+        return self.maps[deg]
+    return zero_matrix(self.source.component(deg).ngens,
+                       self.target.component(deg).ngens)
+
+
+def _maps_apply(self, x):
+    """Image of a homogeneous element (deg, coords)."""
+    deg, xv = x
+    tc = self.target.component(deg)
+    mat = self.matrix(deg)
+    if not mat:
+        return deg, tc.zero()
+    return deg, tc.reduce(vec_mat(xv, mat, tc.n))
+
+
+def _maps_well_defined(self):
+    """Every matrix sends the source relations into the target relations."""
+    for deg, mat in self.maps.items():
+        sc, tc = self.source.component(deg), self.target.component(deg)
+        for r in sc.rels:
+            if any(tc.reduce(vec_mat(r, mat, tc.n))):
+                raise GradedError(self._ILL_DEFINED.format(deg))
+
+
+def _maps_compose(self, first):
+    """self after first."""
+    if first.target != self.source:
+        raise GradedError(self._MISMATCH)
+    n = _ring(self.source).n
+    maps = {deg: mat_mul(first.matrix(deg), self.matrix(deg), n)
+            for deg in set(first.maps) | set(self.maps)}
+    return type(self)(first.source, self.target, maps, validate=False)
+
+
+def _identity_maps(end):
+    return {deg: identity_matrix(c.ngens) for deg, c in end.components.items()}
+
+
+def _maps_key(self):
+    return (self.source, self.target, tuple(sorted(self.maps.items())))
 
 
 class GradedMorphism:
     """Degree-zero morphism of graded modules over a common ring."""
 
     __slots__ = ("source", "target", "maps")
+    _MALFORMED = "matrix at degree {} has wrong row count"
+    _ILL_DEFINED = "morphism not well defined at degree {}"
+    _MISMATCH = "composition endpoints do not match"
 
     def __init__(self, source: GradedModule, target: GradedModule, maps,
                  validate: bool = True):
         if source.ring != target.ring:
             raise RingMismatch("morphism endpoints live over different rings")
-        self.source = source
-        self.target = target
-        g = source.ring.group
-        canon = {}
-        for deg, mat in maps.items():
-            deg = g.canon(deg)
-            sc, tc = source.component(deg), target.component(deg)
-            if not sc.ngens:
-                continue
-            mat = tuple(tc.reduce(row) for row in mat)
-            if len(mat) != sc.ngens:
-                raise GradedError(f"matrix at degree {deg} has wrong row count")
-            if any(any(row) for row in mat):
-                canon[deg] = mat
-        self.maps = canon
+        _init_maps(self, source, target, maps)
         if validate:
             self._validate()
 
-    def matrix(self, deg):
-        deg = _degree_key(self.source.ring.group, self.maps, deg)
-        if deg in self.maps:
-            return self.maps[deg]
-        return zero_matrix(self.source.component(deg).ngens,
-                           self.target.component(deg).ngens)
-
-    def apply(self, x):
-        """Image of a homogeneous element (deg, coords)."""
-        deg, xv = x
-        tc = self.target.component(deg)
-        mat = self.matrix(deg)
-        if not mat:
-            return deg, tc.zero()
-        return deg, tc.reduce(vec_mat(xv, mat, tc.n))
+    matrix = _maps_matrix
+    apply = _maps_apply
 
     def _validate(self):
-        for deg, mat in self.maps.items():
-            sc, tc = self.source.component(deg), self.target.component(deg)
-            for r in sc.rels:
-                if any(tc.reduce(vec_mat(r, mat, tc.n))):
-                    raise GradedError(f"morphism not well defined at degree {deg}")
+        _maps_well_defined(self)
         degs = set(self.source.components) | set(self.target.components)
         for dc, rc in self.source.ring.components.items():
             for dh in degs:
@@ -401,16 +435,7 @@ class GradedMorphism:
     def is_zero(self) -> bool:
         return not self.maps
 
-    def compose(self, first: "GradedMorphism") -> "GradedMorphism":
-        """self after first."""
-        if first.target != self.source:
-            raise GradedError("composition endpoints do not match")
-        degs = set(first.maps) | set(self.maps)
-        maps = {}
-        for deg in degs:
-            maps[deg] = mat_mul(first.matrix(deg), self.matrix(deg),
-                                self.source.ring.n)
-        return GradedMorphism(first.source, self.target, maps, validate=False)
+    compose = _maps_compose
 
     def add(self, other: "GradedMorphism") -> "GradedMorphism":
         if other.source != self.source or other.target != self.target:
@@ -424,23 +449,16 @@ class GradedMorphism:
 
     @staticmethod
     def identity(module: GradedModule) -> "GradedMorphism":
-        maps = {deg: identity_matrix(c.ngens)
-                for deg, c in module.components.items()}
-        return GradedMorphism(module, module, maps, validate=False)
+        return GradedMorphism(module, module, _identity_maps(module),
+                              validate=False)
 
     @staticmethod
     def zero(source: GradedModule, target: GradedModule) -> "GradedMorphism":
         return GradedMorphism(source, target, {}, validate=False)
 
-    def _key(self):
-        return (self.source, self.target,
-                tuple(sorted(self.maps.items(), key=lambda kv: kv[0])))
-
-    def __eq__(self, other):
-        return isinstance(other, GradedMorphism) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    _key = _maps_key
+    __eq__ = _key_eq
+    __hash__ = _key_hash
 
     def __repr__(self):
         return f"GradedMorphism(degrees={sorted(self.maps)})"
@@ -450,6 +468,9 @@ class GradedRingHom:
     """Degree-preserving unital ring morphism h: R -> S over one group."""
 
     __slots__ = ("source", "target", "maps")
+    _MALFORMED = "ring morphism matrix at {} malformed"
+    _ILL_DEFINED = "ring morphism not well defined at {}"
+    _MISMATCH = "ring morphism composition mismatch"
 
     def __init__(self, source: GradedRing, target: GradedRing, maps,
                  validate: bool = True):
@@ -457,45 +478,15 @@ class GradedRingHom:
             raise GroupMismatch("ring morphism endpoints over different groups")
         if source.n != target.n:
             raise GradedError("ring morphism endpoints over different moduli")
-        self.source = source
-        self.target = target
-        g = source.group
-        canon = {}
-        for deg, mat in maps.items():
-            deg = g.canon(deg)
-            sc, tc = source.component(deg), target.component(deg)
-            if not sc.ngens:
-                continue
-            mat = tuple(tc.reduce(row) for row in mat)
-            if len(mat) != sc.ngens:
-                raise GradedError(f"ring morphism matrix at {deg} malformed")
-            if any(any(row) for row in mat):
-                canon[deg] = mat
-        self.maps = canon
+        _init_maps(self, source, target, maps)
         if validate:
             self._validate()
 
-    def matrix(self, deg):
-        deg = _degree_key(self.source.group, self.maps, deg)
-        if deg in self.maps:
-            return self.maps[deg]
-        return zero_matrix(self.source.component(deg).ngens,
-                           self.target.component(deg).ngens)
-
-    def apply(self, x):
-        deg, xv = x
-        tc = self.target.component(deg)
-        mat = self.matrix(deg)
-        if not mat:
-            return deg, tc.zero()
-        return deg, tc.reduce(vec_mat(xv, mat, tc.n))
+    matrix = _maps_matrix
+    apply = _maps_apply
 
     def _validate(self):
-        for deg, mat in self.maps.items():
-            sc, tc = self.source.component(deg), self.target.component(deg)
-            for r in sc.rels:
-                if any(tc.reduce(vec_mat(r, mat, tc.n))):
-                    raise GradedError(f"ring morphism not well defined at {deg}")
+        _maps_well_defined(self)
         _, one_img = self.apply(self.source.one_element())
         if one_img != self.target.one:
             raise GradedError("ring morphism does not preserve the unit")
@@ -512,33 +503,15 @@ class GradedRingHom:
                             raise GradedError(
                                 f"ring morphism not multiplicative at {d1},{d2}")
 
-    def compose(self, first: "GradedRingHom") -> "GradedRingHom":
-        """self after first."""
-        if first.target != self.source:
-            raise GradedError("ring morphism composition mismatch")
-        degs = set(first.maps) | set(self.maps)
-        maps = {deg: mat_mul(first.matrix(deg), self.matrix(deg), self.source.n)
-                for deg in degs}
-        return GradedRingHom(first.source, self.target, maps, validate=False)
+    compose = _maps_compose
 
     @staticmethod
     def identity(ring: GradedRing) -> "GradedRingHom":
-        maps = {deg: identity_matrix(c.ngens) for deg, c in ring.components.items()}
-        return GradedRingHom(ring, ring, maps, validate=False)
+        return GradedRingHom(ring, ring, _identity_maps(ring), validate=False)
 
-    @property
-    def is_identity(self) -> bool:
-        return self == GradedRingHom.identity(self.source)
-
-    def _key(self):
-        return (self.source, self.target,
-                tuple(sorted(self.maps.items(), key=lambda kv: kv[0])))
-
-    def __eq__(self, other):
-        return isinstance(other, GradedRingHom) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    _key = _maps_key
+    __eq__ = _key_eq
+    __hash__ = _key_hash
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +550,31 @@ def free_module(ring: GradedRing, shift_degrees) -> GradedModule:
     return total
 
 
+def _stack(n, parts):
+    """The direct sum of the Z/n-modules `parts`, with block-diagonal
+    relations, and the offset of each part's first generator in it."""
+    total = sum(c.ngens for c in parts)
+    rels, offsets, off = [], [], 0
+    for c in parts:
+        offsets.append(off)
+        for r in c.rels:
+            vec = [0] * total
+            vec[off:off + c.ngens] = r
+            rels.append(tuple(vec))
+        off += c.ngens
+    return FpZnModule(n, total, rels), offsets
+
+
+def _place(tensor, t, o1, o2, o3):
+    """Copy the nonzero entries of the tensor t into `tensor` as the block
+    at offsets (o1, o2, o3)."""
+    for i, block in enumerate(t):
+        for j, row in enumerate(block):
+            for k, v in enumerate(row):
+                if v:
+                    tensor[o1 + i][o2 + j][o3 + k] = v
+
+
 def direct_sum(modules):
     """Componentwise direct sum with injections and projections."""
     modules = list(modules)
@@ -590,63 +588,35 @@ def direct_sum(modules):
     comps = {}
     offsets = {}  # (module index, degree) -> offset
     for deg in degs:
-        off = 0
-        rels = []
-        total = sum(m.component(deg).ngens for m in modules)
-        for idx, m in enumerate(modules):
-            c = m.component(deg)
+        comps[deg], offs = _stack(ring.n, [m.component(deg) for m in modules])
+        for idx, off in enumerate(offs):
             offsets[(idx, deg)] = off
-            for r in c.rels:
-                vec = [0] * total
-                vec[off:off + c.ngens] = list(r)
-                rels.append(tuple(vec))
-            off += c.ngens
-        comps[deg] = FpZnModule(ring.n, total, rels)
     action = {}
-    for dc in ring.components:
-        rc = ring.components[dc]
+    for dc, rc in ring.components.items():
         for deg in degs:
             out_deg = g.add(dc, deg)
             out = comps.get(out_deg)
-            if out is None or not comps[deg].ngens:
+            if out is None:
                 continue
             tensor = [[[0] * out.ngens for _ in range(comps[deg].ngens)]
                       for _ in range(rc.ngens)]
-            nonzero = False
             for idx, m in enumerate(modules):
                 t = m.action.get((dc, deg))
-                if t is None:
-                    continue
-                src_off = offsets[(idx, deg)]
-                out_off = offsets.get((idx, out_deg))
-                if out_off is None:
-                    continue
-                for i, block in enumerate(t):
-                    for j, row in enumerate(block):
-                        for k, v in enumerate(row):
-                            if v:
-                                tensor[i][src_off + j][out_off + k] = v
-                                nonzero = True
-            if nonzero:
-                action[(dc, deg)] = tensor
+                if t is not None:
+                    _place(tensor, t, 0, offsets[(idx, deg)],
+                           offsets[(idx, out_deg)])
+                    action[(dc, deg)] = tensor
     total_mod = GradedModule(ring, comps, action, validate=False)
     injections, projections = [], []
     for idx, m in enumerate(modules):
-        inj = {}
-        proj = {}
-        for deg in m.components:
-            c = m.component(deg)
-            tot = comps[deg].ngens
-            off = offsets[(idx, deg)]
-            inj[deg] = tuple(tuple(1 if jj == off + i else 0 for jj in range(tot))
-                             for i in range(c.ngens))
+        inj, proj = {}, {}
         for deg in degs:
-            c = m.component(deg)
-            tot = comps[deg].ngens
-            off = offsets.get((idx, deg), 0)
-            proj[deg] = tuple(tuple(1 if off <= i < off + c.ngens and jj == i - off
-                                    else 0 for jj in range(c.ngens))
-                              for i in range(tot))
+            k, off = m.component(deg).ngens, offsets[(idx, deg)]
+            if k:
+                inj[deg] = tuple(_unit_vec(comps[deg].ngens, off + i)
+                                 for i in range(k))
+            proj[deg] = tuple(_unit_vec(k, i - off) if off <= i < off + k
+                              else (0,) * k for i in range(comps[deg].ngens))
         injections.append(GradedMorphism(m, total_mod, inj, validate=False))
         projections.append(GradedMorphism(total_mod, m, proj, validate=False))
     return total_mod, injections, projections
@@ -721,11 +691,9 @@ def graded_kernel(u: GradedMorphism):
     """Kernel of a graded morphism with its inclusion."""
     from .znlinalg import preimage_gens
     gens = {}
-    for deg in u.source.components:
-        sc = u.source.component(deg)
+    for deg, sc in u.source.components.items():
         tc = u.target.component(deg)
-        pre = preimage_gens(u.matrix(deg), tc.rels, tc.ngens, sc.n)
-        gens[deg] = pre
+        gens[deg] = preimage_gens(u.matrix(deg), tc.rels, tc.ngens, sc.n)
     return graded_submodule(u.source, gens)
 
 
@@ -760,59 +728,31 @@ def graded_cokernel(u: GradedMorphism):
 # coarsening
 
 
-def _fiber_layout(degrees, psi: GroupEpi):
-    """Group a set of G-degrees by their image under psi.
-
-    Returns {h_degree: [(g_degree, offset, ngens placeholder)]} ordering the
-    fiber by the canonical sort of G-degrees; offsets are filled by callers.
-    """
-    layout = {}
-    for deg in sorted(degrees):
-        img = psi.apply(deg)
-        layout.setdefault(img, []).append(deg)
-    return layout
-
-
 def _coarse_components(components, psi, n):
-    layout = _fiber_layout(components.keys(), psi)
+    """The components summed over each fiber of psi, the fiber in sorted
+    order, and the offset of each fine component in its coarse one."""
+    fibers = {}
+    for deg in sorted(components):
+        fibers.setdefault(psi.apply(deg), []).append(deg)
     comps = {}
     offsets = {}
-    for img, fiber in layout.items():
-        off = 0
-        rels = []
-        total = sum(components[d].ngens for d in fiber)
-        for d in fiber:
-            c = components[d]
-            offsets[d] = off
-            for r in c.rels:
-                vec = [0] * total
-                vec[off:off + c.ngens] = list(r)
-                rels.append(tuple(vec))
-            off += c.ngens
-        comps[img] = FpZnModule(n, total, rels)
+    for img, fiber in fibers.items():
+        comps[img], offs = _stack(n, [components[d] for d in fiber])
+        offsets.update(zip(fiber, offs))
     return comps, offsets
 
 
-def _coarse_tensors(tensors, src1_comps, src2_comps, out_comps,
-                    off1, off2, off_out, psi, n):
-    """Reassemble bilinear tensors blockwise along psi."""
+def _coarse_tensors(tensors, left, comps, left_off, off, psi):
+    """Reassemble the structure tensors left_g x M_h -> M_{g+h} blockwise
+    along psi, given the coarse components and the offsets of both."""
     coarse = {}
     for (d1, d2), t in tensors.items():
         i1, i2 = psi.apply(d1), psi.apply(d2)
-        dout = psi.target.add(i1, i2)
-        c1, c2 = src1_comps[i1], src2_comps[i2]
-        out = out_comps[dout]
-        key = (i1, i2)
+        out = comps[psi.target.add(i1, i2)]
         tensor = coarse.setdefault(
-            key, [[[0] * out.ngens for _ in range(c2.ngens)]
-                  for _ in range(c1.ngens)])
-        o1, o2 = off1[d1], off2[d2]
-        oo = off_out[psi.source.add(d1, d2)]
-        for i, block in enumerate(t):
-            for j, row in enumerate(block):
-                for k, v in enumerate(row):
-                    if v:
-                        tensor[o1 + i][o2 + j][oo + k] = v
+            (i1, i2), [[[0] * out.ngens for _ in range(comps[i2].ngens)]
+                       for _ in range(left[i1].ngens)])
+        _place(tensor, t, left_off[d1], off[d2], off[psi.source.add(d1, d2)])
     return coarse
 
 
@@ -821,8 +761,7 @@ def coarsen_ring(ring: GradedRing, psi: GroupEpi) -> GradedRing:
     if psi.source != ring.group:
         raise GroupMismatch("psi does not start at the grading group of the ring")
     comps, offsets = _coarse_components(ring.components, psi, ring.n)
-    mult = _coarse_tensors(ring.mult, comps, comps, comps,
-                           offsets, offsets, offsets, psi, ring.n)
+    mult = _coarse_tensors(ring.mult, comps, comps, offsets, offsets, psi)
     zero_img = psi.target.zero()
     one = [0] * comps[zero_img].ngens
     off = offsets[ring.group.zero()]
@@ -841,8 +780,7 @@ def coarsen_module(module: GradedModule, psi: GroupEpi,
         coarse_ring = coarsen_ring(ring, psi)
     rcomps, roff = _coarse_components(ring.components, psi, ring.n)
     mcomps, moff = _coarse_components(module.components, psi, ring.n)
-    action = _coarse_tensors(module.action, rcomps, mcomps, mcomps,
-                             roff, moff, moff, psi, ring.n)
+    action = _coarse_tensors(module.action, rcomps, mcomps, roff, moff, psi)
     return GradedModule(coarse_ring, mcomps, action, validate=False)
 
 

@@ -36,7 +36,7 @@ from .abelian import GroupEpi
 from .graded import (GradedError, GradedModule, GradedRing, GradedRingHom,
                      coarsen_module, ring_as_module, shift)
 from .functors import coextend, extend, hom_graded, restrict, tensor
-from .textio import ParseError, ValidationError, Workspace, parse_workspace
+from .textio import Workspace, parse_workspace
 
 
 class ScenarioError(Exception):

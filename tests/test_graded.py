@@ -32,6 +32,13 @@ def _truncated_poly_ring():
                       (1,))
 
 
+def _dual_numbers():
+    """F_2[a]/(a^2), ungraded, on the basis 1, a."""
+    return GradedRing(G0, 2, {D0: FpZnModule(2, 2, [])},
+                      {(D0, D0): (((1, 0), (0, 1)), ((0, 1), (0, 0)))},
+                      (1, 0))
+
+
 def test_ring_validation_messages():
     # unit must be nonzero
     with pytest.raises(GradedError, match="unit"):
@@ -52,6 +59,29 @@ def test_ring_validation_messages():
                     ((1,), (0,)): (((1,),),),
                     ((1,), (1,)): (((1,),),)},
                    (1,))
+    # a Z/2 component in a ring over Z/4
+    with pytest.raises(GradedError, match="modulus"):
+        GradedRing(G0, 4, {D0: FpZnModule(2, 1)}, {(D0, D0): (((1,),),)},
+                   (1,))
+    # basis 1, a, b with a * b = a but b * a = 0
+    with pytest.raises(GradedError, match="commutativity fails"):
+        GradedRing(G0, 2, {D0: FpZnModule(2, 3)},
+                   {(D0, D0): (((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                               ((0, 1, 0), (0, 0, 0), (0, 1, 0)),
+                               ((0, 0, 1), (0, 0, 0), (0, 0, 0)))},
+                   (1, 0, 0))
+    # commutative and unital, but a * a = b and a * b = a, so that
+    # (a * a) * b = 0 while a * (a * b) = b
+    with pytest.raises(GradedError, match="^associativity fails"):
+        GradedRing(G0, 2, {D0: FpZnModule(2, 3)},
+                   {(D0, D0): (((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                               ((0, 1, 0), (0, 0, 1), (0, 1, 0)),
+                               ((0, 0, 1), (0, 1, 0), (0, 0, 0)))},
+                   (1, 0, 0))
+    # Z/4 + Z/2 e with e * e = 1: 2e = 0 but (2e) * e = 2
+    with pytest.raises(GradedError, match="multiplication not well defined"):
+        GradedRing(G0, 4, {D0: FpZnModule(4, 2, [(0, 2)])},
+                   {(D0, D0): (((1, 0), (0, 1)), ((0, 1), (1, 0)))}, (1, 0))
 
 
 def test_module_validation_messages():
@@ -60,6 +90,20 @@ def test_module_validation_messages():
         GradedModule(r, {D0: FpZnModule(2, 1, [])}, {(D0, D0): (((1,),),)})
     with pytest.raises(GradedError, match="unit action"):
         GradedModule(r, {D0: FpZnModule(4, 1, [])}, {(D0, D0): (((0,),),)})
+    # Z/2 acting on Z/4: 2 = 0 in the ring but 2 * m != 0
+    with pytest.raises(GradedError, match="action not well defined"):
+        GradedModule(_ungraded_ring(4, [(2,)]), {D0: FpZnModule(4, 1)},
+                     {(D0, D0): (((1,),),)})
+    # a acting as the identity on F_2: (a * a) m = 0 but a (a m) = m
+    with pytest.raises(GradedError, match="associativity of the action"):
+        GradedModule(_dual_numbers(), {D0: FpZnModule(2, 1)},
+                     {(D0, D0): (((1,),), ((1,),))})
+    # t * m lands in degree 1, where the module has no component
+    s = _truncated_poly_ring()
+    with pytest.raises(GradedError,
+                       match="action leaves the declared support"):
+        GradedModule(s, {(0,): FpZnModule(2, 1)},
+                     {((0,), (0,)): (((1,),),), ((1,), (0,)): (((1,),),)})
 
 
 def test_morphism_validation():
@@ -75,6 +119,10 @@ def test_morphism_validation():
     with pytest.raises(RingMismatch):
         other = ring_as_module(_ungraded_ring(4, [(2,)]))
         GradedMorphism(m, other, {D0: ((1,),)}).compose  # construction raises
+    # 1 -> 1, a -> 0 on F_2[a]/(a^2): u(a * 1) = 0 but a * u(1) = a
+    d = ring_as_module(_dual_numbers())
+    with pytest.raises(GradedError, match="not linear"):
+        GradedMorphism(d, d, {D0: ((1, 0), (0, 0))})
 
 
 def test_ring_hom_validation():
@@ -82,6 +130,13 @@ def test_ring_hom_validation():
     s2 = _ungraded_ring(4, [(2,)])
     with pytest.raises(GradedError, match="unit"):
         GradedRingHom(r4, s2, {D0: ((0,),)})
+    # Z/2 -> Z/4 sending 1 to 1 sends the relation 2 to 2
+    with pytest.raises(GradedError, match="ring morphism not well defined"):
+        GradedRingHom(s2, r4, {D0: ((1,),)})
+    # 1 -> 1, a -> 1 on F_2[a]/(a^2): h(a * a) = 0 but h(a) * h(a) = 1
+    d = _dual_numbers()
+    with pytest.raises(GradedError, match="not multiplicative"):
+        GradedRingHom(d, d, {D0: ((1, 0), (1, 0))})
     h = GradedRingHom(r4, s2, {D0: ((1,),)})
     assert h.compose(GradedRingHom.identity(r4)) == h
     assert GradedRingHom.identity(s2).compose(h) == h

@@ -1,0 +1,53 @@
+"""Every name a module of the package imports is used in that module.
+
+An import of the form `from m import x as x` marks a deliberate re-export
+(the convention type checkers follow) and is exempt.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import gradedmod
+
+SOURCES = sorted(pathlib.Path(next(iter(gradedmod.__path__))).glob("*.py"))
+
+
+def _imported(tree):
+    """(bound name, line) for every import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.asname != alias.name:
+                    yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def _used(tree):
+    """Names read anywhere, including inside quoted annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _used(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported(tree)
+              if name not in used]
+    assert not unused, f"{path.name} imports unused names: {unused}"
