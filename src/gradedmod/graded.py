@@ -13,15 +13,25 @@ and associativity checks of a module also check a ring's multiplication.
 Module morphisms and ring morphisms share one core for their degreewise
 matrix families: canonicalization, evaluation, composition, equality and
 well-definedness.
+
+Every axiom is checked exactly, by matrix equality, but each multilinear
+axiom runs one of its arguments over a set of homogeneous generators of
+R as a Z/n-algebra (`GradedRing.algebra_generators`) instead of over a
+Z/n-basis.  This is Light's associativity test (Clifford-Preston, *The
+Algebraic Theory of Semigroups*, vol. I): the elements y with
+(xy)m = x(ym) for all x and m form a Z/n-submodule that holds 1 and is
+closed under products, so it is all of R once it holds the generators.
+The same argument covers commutativity (the centre is a subalgebra of an
+associative ring), R-linearity of a module morphism and multiplicativity
+of a ring morphism.  The order of the checks, and what each one trusts,
+is spelled out at `_check_module_axioms` and at the `_validate` methods.
 """
 
 from __future__ import annotations
 
 from .abelian import FgAbelianGroup, GroupEpi
-from .znlinalg import (FpZnModule, identity_matrix, mat_mul, solve_row,
-                       vec_mat, zero_matrix)
-# re-exported: perfbench's tracer test reaches `howell` through this module
-from .znlinalg import howell as howell
+from .znlinalg import (FpZnModule, howell, identity_matrix, mat_mul,
+                       solve_row, span_contains, vec_mat, zero_matrix)
 
 
 class GradedError(Exception):
@@ -128,15 +138,78 @@ def _canon_structure(group, n, components, tensors, what, left=None):
     return comps, canon
 
 
-def _check_module_axioms(ring, comps, tensors, act, words):
+def _product(group, comps, tensors, da, a, db, b):
+    """(deg, coords) of a*b for a in degree da and b in degree db, both
+    canonical: `tensors` maps left_da x M_db into `comps` at da + db, and a
+    product outside the support is the empty vector of the zero component.
+    """
+    out_deg = group.add(da, db)
+    out = comps.get(out_deg)
+    if out is None:
+        return out_deg, ()
+    return out_deg, apply_tensor(tensors.get((da, db)), a, b, out)
+
+
+def _algebra_generators(ring):
+    """Homogeneous unit vectors (deg, coords) that generate `ring` as a
+    Z/n-algebra.
+
+    Degree by degree in sorted order, a unit vector becomes a generator
+    when the closure so far misses it.  The closure is the degreewise Z/n
+    span, in Howell form with the relations, of 1, the generators and
+    every left-normed product (..(g_1 g_2)..) g_k of generators: the least
+    span that holds 1 and the generators and is closed under right
+    multiplication by each generator.  When the loop ends every unit
+    vector lies in the closure, so the closure is all of R.  No step
+    assumes associativity, commutativity or a unit.
+    """
+    g, n, comps, mult = ring.group, ring.n, ring.components, ring.mult
+    spans = {d: c.rels for d, c in comps.items()}
+    found, gens = [], []
+
+    def close(queue):
+        while queue:
+            d, v = queue.pop()
+            if d not in comps or span_contains(v, spans[d], n):
+                continue
+            spans[d] = howell(spans[d] + (v,), comps[d].ngens, n)
+            found.append((d, v))
+            queue += [_product(g, comps, mult, d, v, dg, gv)
+                      for dg, gv in gens]
+
+    close([ring.one_element()])
+    for d in sorted(comps):
+        k = comps[d].ngens
+        for j in range(k):
+            e = _unit_vec(k, j)
+            if span_contains(e, spans[d], n):
+                continue
+            gens.append((d, e))
+            close([(d, e)] + [_product(g, comps, mult, df, f, d, e)
+                              for df, f in found])
+    return tuple(gens)
+
+
+def _check_module_axioms(ring, comps, tensors, words):
     """The module axioms of `ring` acting on `comps` through `tensors`.
 
-    `act` evaluates the action on homogeneous elements; a ring checked as
-    a module over itself passes its own `multiply`.  The checks run in
-    this order: support closure, the unit, well-definedness in the ring
-    factor and in the module factor, and associativity (xy)m = x(ym).
-    Every check runs on generators, since all of them are linear in each
-    argument.  `words` names the axioms in the error messages.
+    A ring checked as a module over itself passes its own components and
+    multiplication.  The checks run in this order: support closure, the
+    unit, well-definedness in the ring factor and in the module factor,
+    and associativity (xy)m = x(ym).  All of them are linear in each
+    argument, so they run on generators: the unit and well-definedness
+    checks on the Z/n-generators of each component, associativity with x
+    and m over Z/n-generators and y over the ring's algebra generators
+    only (Light's test).  That suffices: given the unit action and a ring
+    that is associative with 1 as a two-sided unit, the y that satisfy
+    (xy)m = x(ym) for all x and m form a Z/n-submodule that holds 1 and
+    is closed under products, since
+    (x(y1 y2))m = ((x y1) y2)m = (x y1)(y2 m) = x(y1(y2 m)) = x((y1 y2)m).
+    So a module check trusts its ring's associativity and two-sided unit.
+    A ring checked as a module over itself needs only the two-sided unit,
+    which `GradedRing._validate` settles first: its first step
+    x(y1 y2) = (x y1)y2 is then the condition on y1 itself, with m = y2.
+    `words` names the axioms in the error messages.
     """
     what, unit, assoc = words
     g = ring.group
@@ -165,30 +238,36 @@ def _check_module_axioms(ring, comps, tensors, act, words):
                     if any(apply_tensor(t, _unit_vec(cg.ngens, i), s, out)):
                         raise GradedError(
                             f"{what} not well defined at {dg},{dh}")
-    for d1, c1 in ring.components.items():
-        for d2, c2 in ring.components.items():
-            for dh, ch in comps.items():
-                # actions come back reduced in their component, so they
-                # compare directly
-                for i in range(c1.ngens):
-                    x = _unit_vec(c1.ngens, i)
-                    for j in range(c2.ngens):
-                        y = _unit_vec(c2.ngens, j)
-                        dxy, xy = ring.multiply((d1, x), (d2, y))
-                        for k in range(ch.ngens):
-                            z = _unit_vec(ch.ngens, k)
-                            _, left = act((dxy, xy), (dh, z))
-                            dyz, yz = act((d2, y), (dh, z))
-                            _, right = act((d1, x), (dyz, yz))
-                            if left != right:
-                                raise GradedError(
-                                    f"{assoc} fails at {d1},{d2},{dh}")
+    rcomps, rmult = ring.components, ring.mult
+    for dy, y in ring.algebra_generators:
+        # y m for every generator m of every component, with its degree
+        ym = {dh: (g.add(dy, dh),
+                   [_product(g, comps, tensors, dy, y, dh,
+                             _unit_vec(ch.ngens, k))[1]
+                    for k in range(ch.ngens)])
+              for dh, ch in comps.items()}
+        for dx, cx in rcomps.items():
+            for i in range(cx.ngens):
+                x = _unit_vec(cx.ngens, i)
+                dxy, xy = _product(g, rcomps, rmult, dx, x, dy, y)
+                for dh, ch in comps.items():
+                    dyh, yms = ym[dh]
+                    out = comps.get(g.add(dxy, dh), none)
+                    left = tensors.get((dxy, dh))
+                    right = tensors.get((dx, dyh))
+                    # both sides come back reduced in their component, so
+                    # they compare directly
+                    for k in range(ch.ngens):
+                        if (apply_tensor(left, xy, _unit_vec(ch.ngens, k), out)
+                                != apply_tensor(right, x, yms[k], out)):
+                            raise GradedError(
+                                f"{assoc} fails at {dx},{dy},{dh}")
 
 
 class GradedRing:
     """Finitely supported commutative G-graded ring over Z/nZ."""
 
-    __slots__ = ("group", "n", "components", "mult", "one")
+    __slots__ = ("group", "n", "components", "mult", "one", "_algebra_gens")
 
     def __init__(self, group: FgAbelianGroup, n: int, components, mult, one,
                  validate: bool = True):
@@ -202,6 +281,7 @@ class GradedRing:
         self.one = self.components[zero].reduce(one)
         if not any(self.one):
             raise GradedError("the unit of the ring must be nonzero")
+        self._algebra_gens = None
         if validate:
             self._validate()
 
@@ -214,37 +294,44 @@ class GradedRing:
     def support(self):
         return sorted(self.components)
 
+    @property
+    def algebra_generators(self):
+        """Homogeneous elements (deg, coords) that generate the ring as a
+        Z/n-algebra, computed once; see `_algebra_generators`."""
+        if self._algebra_gens is None:
+            self._algebra_gens = _algebra_generators(self)
+        return self._algebra_gens
+
     def multiply(self, a, b):
         """Product of homogeneous elements (deg, coords)."""
         (dg, x), (dh, y) = a, b
         g, comps = self.group, self.components
-        out_deg = g.add(dg, dh)  # canonical, so looked up as it is
-        out = comps.get(out_deg)
-        if out is None:
-            out = zero_component(self.n)
-        t = self.mult.get((_degree_key(g, comps, dg), _degree_key(g, comps, dh)))
-        return out_deg, apply_tensor(t, x, y, out)
+        return _product(g, comps, self.mult, _degree_key(g, comps, dg), x,
+                        _degree_key(g, comps, dh), y)
 
     def one_element(self):
         return self.group.zero(), self.one
 
     def _validate(self):
-        """Commutativity, then the module axioms of R acting on itself."""
-        g = self.group
-        for dg, cg in self.components.items():
-            for dh, ch in self.components.items():
-                out = self.component(g.add(dg, dh))
-                t, ts = self.mult.get((dg, dh)), self.mult.get((dh, dg))
-                for i in range(cg.ngens):
-                    ei = _unit_vec(cg.ngens, i)
-                    for j in range(ch.ngens):
-                        ej = _unit_vec(ch.ngens, j)
-                        if (apply_tensor(t, ei, ej, out)
-                                != apply_tensor(ts, ej, ei, out)):
-                            raise GradedError(
-                                f"commutativity fails at degrees {dg},{dh}")
-        _check_module_axioms(self, self.components, self.mult, self.multiply,
-                             _RING_WORDS)
+        """Commutativity, then the module axioms of R acting on itself.
+
+        Commutativity runs y over 1 and the algebra generators and x over
+        the Z/n-generators of every component.  So 1 is central, and a
+        two-sided unit once `_check_module_axioms` passes the left unit;
+        and the centre, a subalgebra once that check passes associativity,
+        holds every generator and so is all of R.
+        """
+        g, comps, mult = self.group, self.components, self.mult
+        for dy, y in (self.one_element(),) + self.algebra_generators:
+            for dx, cx in comps.items():
+                for i in range(cx.ngens):
+                    x = _unit_vec(cx.ngens, i)
+                    if (_product(g, comps, mult, dx, x, dy, y)
+                            != _product(g, comps, mult, dy, y, dx, x)):
+                        lo, hi = sorted((dx, dy))
+                        raise GradedError(
+                            f"commutativity fails at degrees {lo},{hi}")
+        _check_module_axioms(self, comps, mult, _RING_WORDS)
 
     def _key(self):
         return (self.group, self.n, tuple(sorted(self.components.items())),
@@ -293,17 +380,14 @@ class GradedModule:
         """Action of homogeneous ring element r = (deg, coords) on x."""
         (dg, rv), (dh, xv) = r, x
         g = self.ring.group
-        out_deg = g.add(dg, dh)  # canonical, so looked up as it is
-        out = self.components.get(out_deg)
-        if out is None:
-            out = zero_component(self.ring.n)
-        t = self.action.get((_degree_key(g, self.ring.components, dg),
-                             _degree_key(g, self.components, dh)))
-        return out_deg, apply_tensor(t, rv, xv, out)
+        return _product(g, self.components, self.action,
+                        _degree_key(g, self.ring.components, dg), rv,
+                        _degree_key(g, self.components, dh), xv)
 
     def _validate(self):
+        """The module axioms; associativity trusts the ring's."""
         _check_module_axioms(self.ring, self.components, self.action,
-                             self.act, _MODULE_WORDS)
+                             _MODULE_WORDS)
 
     def _key(self):
         return (self.ring, tuple(sorted(self.components.items())),
@@ -351,21 +435,33 @@ def _init_maps(self, source, target, maps):
 
 
 def _maps_matrix(self, deg):
-    deg = _degree_key(_ring(self.source).group, self.maps, deg)
+    ring = _ring(self.source)
+    deg = _degree_key(ring.group, self.source.components, deg)
     if deg in self.maps:
         return self.maps[deg]
-    return zero_matrix(self.source.component(deg).ngens,
-                       self.target.component(deg).ngens)
+    none = zero_component(ring.n)
+    return zero_matrix(self.source.components.get(deg, none).ngens,
+                       self.target.components.get(deg, none).ngens)
+
+
+def _image(self, deg, xv):
+    """Image of the source element xv at the canonical degree `deg`,
+    reduced in the target component there."""
+    tc = self.target.components.get(deg)
+    if tc is None:
+        return ()
+    mat = self.maps.get(deg)
+    if mat is None:
+        return tc.zero()
+    return tc.reduce(vec_mat(xv, mat, tc.n))
 
 
 def _maps_apply(self, x):
     """Image of a homogeneous element (deg, coords)."""
     deg, xv = x
-    tc = self.target.component(deg)
-    mat = self.matrix(deg)
-    if not mat:
-        return deg, tc.zero()
-    return deg, tc.reduce(vec_mat(xv, mat, tc.n))
+    target = self.target
+    return deg, _image(self, _degree_key(_ring(target).group,
+                                         target.components, deg), xv)
 
 
 def _maps_well_defined(self):
@@ -415,21 +511,28 @@ class GradedMorphism:
     apply = _maps_apply
 
     def _validate(self):
+        """Well-definedness, then R-linearity u(rx) = r u(x) with x over the
+        Z/n-generators of the source and r over the ring's algebra
+        generators only.  Given the module axioms of both ends, the r that
+        satisfy it form a Z/n-submodule that holds 1 and is closed under
+        products, since u((r1 r2)x) = u(r1(r2 x)) = r1 u(r2 x) =
+        r1(r2 u(x)) = (r1 r2)u(x); so it is all of R.
+        """
         _maps_well_defined(self)
-        degs = set(self.source.components) | set(self.target.components)
-        for dc, rc in self.source.ring.components.items():
-            for dh in degs:
-                sc = self.source.component(dh)
-                # both sides come back reduced in the target component
-                for i in range(rc.ngens):
-                    r = (dc, _unit_vec(rc.ngens, i))
-                    for j in range(sc.ngens):
-                        x = (dh, _unit_vec(sc.ngens, j))
-                        _, lhs = self.apply(self.source.act(r, x))
-                        _, rhs = self.target.act(r, self.apply(x))
-                        if lhs != rhs:
-                            raise GradedError(
-                                f"morphism is not linear at degrees {dc},{dh}")
+        src, tgt = self.source, self.target
+        g = src.ring.group
+        for dr, r in src.ring.algebra_generators:
+            for dh, sc in src.components.items():
+                for j in range(sc.ngens):
+                    x = _unit_vec(sc.ngens, j)
+                    # both sides come back reduced in the target component
+                    drx, rx = _product(g, src.components, src.action,
+                                       dr, r, dh, x)
+                    _, rux = _product(g, tgt.components, tgt.action,
+                                      dr, r, dh, _image(self, dh, x))
+                    if _image(self, drx, rx) != rux:
+                        raise GradedError(
+                            f"morphism is not linear at degrees {dr},{dh}")
 
     @property
     def is_zero(self) -> bool:
@@ -486,22 +589,32 @@ class GradedRingHom:
     apply = _maps_apply
 
     def _validate(self):
+        """Well-definedness, the unit, then h(xy) = h(x)h(y) with x over the
+        Z/n-generators of R and y over its algebra generators only.  Given
+        that both ends are rings and h(1) = 1, the y that satisfy it form a
+        Z/n-submodule that holds 1 and is closed under products, since
+        h(x(y1 y2)) = h((x y1)y2) = h(x y1)h(y2) = (h(x)h(y1))h(y2) =
+        h(x)h(y1 y2); so it is all of R.
+        """
         _maps_well_defined(self)
         _, one_img = self.apply(self.source.one_element())
         if one_img != self.target.one:
             raise GradedError("ring morphism does not preserve the unit")
-        for d1, c1 in self.source.components.items():
-            for d2, c2 in self.source.components.items():
-                # both sides come back reduced in the target component
-                for i in range(c1.ngens):
-                    x = (d1, _unit_vec(c1.ngens, i))
-                    for j in range(c2.ngens):
-                        y = (d2, _unit_vec(c2.ngens, j))
-                        _, lhs = self.apply(self.source.multiply(x, y))
-                        _, rhs = self.target.multiply(self.apply(x), self.apply(y))
-                        if lhs != rhs:
-                            raise GradedError(
-                                f"ring morphism not multiplicative at {d1},{d2}")
+        src, tgt = self.source, self.target
+        g = src.group
+        for dy, y in src.algebra_generators:
+            hy = _image(self, dy, y)
+            for dx, cx in src.components.items():
+                for i in range(cx.ngens):
+                    x = _unit_vec(cx.ngens, i)
+                    # both sides come back reduced in the target component
+                    dxy, xy = _product(g, src.components, src.mult,
+                                       dx, x, dy, y)
+                    _, hxhy = _product(g, tgt.components, tgt.mult,
+                                       dx, _image(self, dx, x), dy, hy)
+                    if _image(self, dxy, xy) != hxhy:
+                        raise GradedError(
+                            f"ring morphism not multiplicative at {dx},{dy}")
 
     compose = _maps_compose
 

@@ -1,8 +1,7 @@
 """Shared helpers for the test suite."""
 
 from gradedmod import analyze
-from gradedmod.graded import GradedMorphism
-from gradedmod.znlinalg import howell, span_contains
+from gradedmod.graded import GradedMorphism, _unit_vec, apply_tensor
 
 
 def rebase(u: GradedMorphism, source, target) -> GradedMorphism:
@@ -33,3 +32,98 @@ def is_component_epi(u: GradedMorphism) -> bool:
 
 def is_component_mono(u: GradedMorphism) -> bool:
     return analyze.is_mono(u)[0]
+
+
+# ---------------------------------------------------------------------------
+# brute-force reference for the axiom checks of `gradedmod.graded`
+#
+# Each function returns the first axiom the object fails, as (axiom name,
+# witness), or None.  Every multilinear axiom runs every argument over the
+# Z/n-generators of its components, with no appeal to algebra generators,
+# so an associativity check costs d^3; the tests hold the library's checks
+# to the same verdicts.
+
+
+def _basis(comps):
+    """(deg, unit vector) for every generator of every component."""
+    for d in sorted(comps):
+        k = comps[d].ngens
+        for i in range(k):
+            yield d, _unit_vec(k, i)
+
+
+def reference_ring_failure(ring):
+    """Commutativity on all pairs, then the module axioms of R on itself."""
+    basis = list(_basis(ring.components))
+    for x in basis:
+        for y in basis:
+            if ring.multiply(x, y) != ring.multiply(y, x):
+                return "commutativity", (x, y)
+    return _reference_module_failure(ring, ring.components, ring.mult,
+                                     ring.multiply)
+
+
+def reference_module_failure(module):
+    return _reference_module_failure(module.ring, module.components,
+                                     module.action, module.act)
+
+
+def _reference_module_failure(ring, comps, tensors, act):
+    g = ring.group
+    for dg, dh in tensors:
+        if g.add(dg, dh) not in comps:
+            return "support", (dg, dh)
+    for m in _basis(comps):
+        if act(ring.one_element(), m)[1] != comps[m[0]].reduce(m[1]):
+            return "unit", (m,)
+    for dg, cg in ring.components.items():
+        for dh, ch in comps.items():
+            out = comps.get(g.add(dg, dh))
+            t = tensors.get((dg, dh))
+            pairs = [(r, _unit_vec(ch.ngens, j)) for r in cg.rels
+                     for j in range(ch.ngens)]
+            pairs += [(_unit_vec(cg.ngens, i), s) for s in ch.rels
+                      for i in range(cg.ngens)]
+            for r, m in pairs:
+                if out is not None and any(apply_tensor(t, r, m, out)):
+                    return "well-definedness", ((dg, r), (dh, m))
+    rbasis = list(_basis(ring.components))
+    for x in rbasis:
+        for y in rbasis:
+            xy = ring.multiply(x, y)
+            for m in _basis(comps):
+                if act(xy, m)[1] != act(x, act(y, m))[1]:
+                    return "associativity", (x, y, m)
+    return None
+
+
+def reference_morphism_failure(u):
+    """Well-definedness, then u(rx) = r u(x) on all pairs."""
+    src, tgt = u.source, u.target
+    for deg in u.maps:
+        for r in src.component(deg).rels:
+            if any(u.apply((deg, r))[1]):
+                return "well-definedness", ((deg, r),)
+    for r in _basis(src.ring.components):
+        for x in _basis(src.components):
+            if u.apply(src.act(r, x))[1] != tgt.act(r, u.apply(x))[1]:
+                return "linearity", (r, x)
+    return None
+
+
+def reference_ring_hom_failure(h):
+    """Well-definedness, the unit, then h(xy) = h(x)h(y) on all pairs."""
+    src, tgt = h.source, h.target
+    for deg in h.maps:
+        for r in src.component(deg).rels:
+            if any(h.apply((deg, r))[1]):
+                return "well-definedness", ((deg, r),)
+    if h.apply(src.one_element())[1] != tgt.one:
+        return "unit", ()
+    basis = list(_basis(src.components))
+    for x in basis:
+        for y in basis:
+            if (h.apply(src.multiply(x, y))[1]
+                    != tgt.multiply(h.apply(x), h.apply(y))[1]):
+                return "multiplicativity", (x, y)
+    return None
