@@ -1,12 +1,14 @@
 """Command-line interface: workspace subcommands and the scenario runner.
 
-Workspaces are loaded from repeatable ``--input`` files; names in
-subcommand arguments resolve first in the loaded workspaces, then among
-the built-in named instances (``z4_to_z2``, ``frobenius``,
-``frobenius_ungraded``, ``d25e``, ``d25e_z3``, ``zgraded``; each instance
-also exposes ``<name>.R``, ``<name>.S``, ``<name>.RR``, ``<name>.SS``,
-``<name>.psi`` and one shifted copy ``<name>.SS_<g>`` of S per support
-degree g).  Reports are deterministic: degrees sorted lexicographically,
+Workspaces are loaded from repeatable ``--input`` files, which are parsed,
+validated and derived once per command; names in subcommand arguments
+resolve first in the loaded workspaces, then among the built-in named
+instances (``z4_to_z2``, ``frobenius``, ``frobenius_ungraded``, ``d25e``,
+``d25e_z3``, ``zgraded``; each instance also exposes ``<name>.R``,
+``<name>.S``, ``<name>.RR``, ``<name>.SS``, ``<name>.psi`` and one shifted
+copy ``<name>.SS_<g>`` of S per support degree g).  A built-in instance
+is built only when an argument names it and no workspace defines that
+name.  Reports are deterministic: degrees sorted lexicographically,
 matrices row-major, flags alphabetical.  Exit codes: 0 success, 1 failed
 assertion, 2 input error, 3 undecided within the isomorphism search budget.
 """
@@ -39,26 +41,47 @@ class CliError(Exception):
 # name resolution
 
 
-def _corpus_env() -> dict:
-    env = {}
-    for name, inst in corpus.named_instances().items():
-        env[name] = inst["h"]
-        env[name + ".R"] = inst["ring_r"]
-        env[name + ".S"] = inst["ring_s"]
-        env[name + ".RR"] = ring_as_module(inst["ring_r"])
-        s_mod = ring_as_module(inst["ring_s"])
-        env[name + ".SS"] = s_mod
-        env[name + ".psi"] = inst["psi"]
-        grp = inst["ring_s"].group
-        for g in sorted(inst["ring_s"].components):
-            if any(g):
-                label = "_".join(str(x) for x in g)
-                env[f"{name}.SS_{label}"] = shift(s_mod, grp.neg(g))
+def _instance_env(name) -> dict:
+    """The names of one built-in instance: `name` and its members."""
+    inst = corpus.INSTANCE_BUILDERS[name]()
+    env = {name: inst["h"],
+           name + ".R": inst["ring_r"],
+           name + ".S": inst["ring_s"],
+           name + ".RR": ring_as_module(inst["ring_r"])}
+    s_mod = ring_as_module(inst["ring_s"])
+    env[name + ".SS"] = s_mod
+    env[name + ".psi"] = inst["psi"]
+    grp = inst["ring_s"].group
+    for g in sorted(inst["ring_s"].components):
+        if any(g):
+            label = "_".join(str(x) for x in g)
+            env[f"{name}.SS_{label}"] = shift(s_mod, grp.neg(g))
     return env
 
 
-def build_environment(inputs) -> dict:
-    env = _corpus_env()
+# the parsed arguments that hold names to resolve
+_NAME_ARGS = ("a", "b", "module", "h", "psi", "name", "args", "family")
+
+
+def _named_tokens(args) -> list[str]:
+    tokens = []
+    for attr in _NAME_ARGS:
+        value = getattr(args, attr, None)
+        if isinstance(value, str):
+            tokens.append(value)
+        elif value:
+            tokens.extend(value)
+    return tokens
+
+
+def build_environment(inputs, names) -> tuple[Workspace, dict]:
+    """The merged workspace of the `inputs` files and the names in scope.
+
+    The files are parsed, validated and derived once.  A built-in instance
+    is built only when one of `names` is `<inst>` or `<inst>.<member>` and
+    the workspace does not define that name: workspace names take
+    precedence over built-in ones.
+    """
     merged = Workspace()
     for path in inputs:
         try:
@@ -67,14 +90,24 @@ def build_environment(inputs) -> dict:
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc}")
         parse_workspace(text, merged)
-    env.update(scenarios.build_env(merged))
-    return env
+    ws_env = scenarios.build_env(merged)
+    env = {}
+    for base in sorted({name.partition(".")[0] for name in names
+                        if name not in ws_env}):
+        if base in corpus.INSTANCE_BUILDERS:
+            env.update(_instance_env(base))
+    env.update(ws_env)
+    return merged, env
 
 
 def _get(env, name, what):
     if name not in env:
         raise CliError(f"unknown {what} {name!r}")
-    return env[name]
+    value = env[name]
+    kind = scenarios.KINDS.get(what)
+    if kind is not None and not isinstance(value, kind):
+        raise CliError(f"{name!r} is not a {what}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +219,8 @@ def emit_report(payload: dict, fmt: str) -> str:
 # subcommands
 
 
-def _cmd_validate(args, env):
-    merged = Workspace()
-    for path in args.input:
-        with open(path) as f:
-            parse_workspace(f.read(), merged)
-    env = scenarios.build_env(merged)
-    results = scenarios.run_checks(merged, env)
+def _cmd_validate(args, ws, env):
+    results = scenarios.run_checks(ws, env)
     checks = []
     for res in results:
         entry = {"line": res.line, "check": res.text, "ok": res.ok}
@@ -201,15 +229,15 @@ def _cmd_validate(args, env):
         checks.append(entry)
     ok = all(res.ok for res in results)
     payload = {
-        "modulus": merged.n,
+        "modulus": ws.n,
         "objects": {
-            "groups": sorted(merged.groups),
-            "epimorphisms": sorted(merged.epis),
-            "rings": sorted(merged.rings),
-            "ring_morphisms": sorted(merged.ringhoms),
-            "modules": sorted(merged.modules),
-            "morphisms": sorted(merged.morphisms),
-            "derived": sorted(name for _, name, _ in merged.derivations),
+            "groups": sorted(ws.groups),
+            "epimorphisms": sorted(ws.epis),
+            "rings": sorted(ws.rings),
+            "ring_morphisms": sorted(ws.ringhoms),
+            "modules": sorted(ws.modules),
+            "morphisms": sorted(ws.morphisms),
+            "derived": sorted(name for _, name, _ in ws.derivations),
         },
         "checks": checks,
         "status": "ok" if ok else "failed",
@@ -223,21 +251,21 @@ def _module_report(module, subject):
             "analysis": _analysis_payload(analyze.analyze_module(module))}
 
 
-def _cmd_tensor(args, env):
+def _cmd_tensor(args, ws, env):
     m = _get(env, args.a, "module")
     n = _get(env, args.b, "module")
     result = tensor(m, n).module
     return _module_report(result, f"tensor {args.a} {args.b}"), EXIT_OK
 
 
-def _cmd_hom(args, env):
+def _cmd_hom(args, ws, env):
     m = _get(env, args.a, "module")
     n = _get(env, args.b, "module")
     result = hom_graded(m, n).module
     return _module_report(result, f"hom {args.a} {args.b}"), EXIT_OK
 
 
-def _cmd_coarsen(args, env):
+def _cmd_coarsen(args, ws, env):
     m = _get(env, args.module, "module")
     psi = _get(env, args.psi, "group epimorphism")
     result = coarsen_module(m, psi)
@@ -245,7 +273,7 @@ def _cmd_coarsen(args, env):
                           f"coarsen {args.module} --psi {args.psi}"), EXIT_OK
 
 
-def _cmd_change_of_ring(args, env):
+def _cmd_change_of_ring(args, ws, env):
     h = _get(env, args.h, "ring morphism")
     m = _get(env, args.module, "module")
     if args.cmd == "restrict":
@@ -258,7 +286,7 @@ def _cmd_change_of_ring(args, env):
                           f"{args.cmd} --h {args.h} {args.module}"), EXIT_OK
 
 
-def _cmd_canon(args, env):
+def _cmd_canon(args, ws, env):
     tokens = [args.name] + args.args
     try:
         cmap, used = scenarios.build_canon(env, tokens, 0)
@@ -275,7 +303,7 @@ def _cmd_canon(args, env):
     return payload, EXIT_OK
 
 
-def _cmd_analyze(args, env):
+def _cmd_analyze(args, ws, env):
     obj = _get(env, args.name, "module or morphism")
     if isinstance(obj, GradedModule):
         return _module_report(obj, f"analyze {args.name}"), EXIT_OK
@@ -286,14 +314,14 @@ def _cmd_analyze(args, env):
     raise CliError(f"{args.name!r} is not a module or morphism")
 
 
-def _cmd_epitest(args, env):
+def _cmd_epitest(args, ws, env):
     h = _get(env, args.h, "ring morphism")
     verdict = analyze.is_ring_epimorphism(h)
     return {"subject": f"epitest --h {args.h}",
             "ring epimorphism": verdict}, EXIT_OK
 
 
-def _cmd_battery(args, env):
+def _cmd_battery(args, ws, env):
     h = _get(env, args.h, "ring morphism")
     family = [_get(env, name, "module") for name in args.family]
     report = analyze.d70_battery(h, family)
@@ -305,7 +333,7 @@ def _cmd_battery(args, env):
                                    "vii")}}, EXIT_OK
 
 
-def _cmd_scenario(args, env):
+def _cmd_scenario(args, ws, env):
     if args.action == "list":
         return {"scenarios": sorted(scenarios.available_scenarios())}, EXIT_OK
     try:
@@ -418,8 +446,8 @@ def main(argv=None) -> int:
     args.format = getattr(args, "format", "text")
     args.seed = getattr(args, "seed", 0)
     try:
-        env = build_environment(args.input)
-        payload, code = _HANDLERS[args.cmd](args, env)
+        ws, env = build_environment(args.input, _named_tokens(args))
+        payload, code = _HANDLERS[args.cmd](args, ws, env)
     except (ParseError, ValidationError, CliError, GradedError,
             analyze.AnalyzeError, scenarios.ScenarioError) as exc:
         message = f"error: {exc}"

@@ -138,16 +138,21 @@ def zgraded_truncated():
             "h": GradedRingHom.identity(r), "psi": psi}
 
 
+# name -> builder of the instance; each builder returns a fresh dict with
+# keys "ring_r", "ring_s", "h" and "psi"
+INSTANCE_BUILDERS = {
+    "z4_to_z2": z4_to_z2,
+    "frobenius": frobenius,
+    "frobenius_ungraded": frobenius_ungraded,
+    "d25e": d25e,
+    "d25e_z3": d25e_z3,
+    "zgraded": zgraded_truncated,
+}
+
+
 def named_instances():
     """All named ring-morphism instances, keyed by their usual names."""
-    return {
-        "z4_to_z2": z4_to_z2(),
-        "frobenius": frobenius(),
-        "frobenius_ungraded": frobenius_ungraded(),
-        "d25e": d25e(),
-        "d25e_z3": d25e_z3(),
-        "zgraded": zgraded_truncated(),
-    }
+    return {name: build() for name, build in INSTANCE_BUILDERS.items()}
 
 
 # ---------------------------------------------------------------------------

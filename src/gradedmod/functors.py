@@ -441,9 +441,13 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
                         terms[idx] = terms.get(idx, 0) + r[i]
                 terms_list.append(terms)
             add_constraint(terms_list, out_mod)
-    # R-linearity: U(h(r) . x) = r . U(x)
-    for c in sorted(ring_r.components):
-        rc = ring_r.components[c]
+    # R-linearity: U(h(r) . x) = r . U(x), for r over the algebra
+    # generators of R: U is Z/n-linear, and the actions on source and
+    # target are unital and associative, so linearity in the generators
+    # gives linearity in every product of them
+    for c, r in ring_r.algebra_generators:
+        p = r.index(1)
+        _, hr = h.apply((c, r))
         for a in sorted(source.components):
             ca = source.components[a]
             a2 = grp.add(c, a)
@@ -456,31 +460,29 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
             tn = target.action.get((c, grp.add(g, a)))
             b_at = block_at.get(a)
             b2_at = block_at.get(a2)
-            for p in range(rc.ngens):
-                _, hr = h.apply((c, _unit_vec(rc.ngens, p)))
-                for i in range(ca.ngens):
-                    w = apply_tensor(ta, hr, _unit_vec(ca.ngens, i), ca2) \
-                        if ta is not None else ca2.zero()
-                    terms_list = [dict() for _ in range(out_mod.ngens)]
-                    if b2_at is not None:
-                        rows2, cols2, o2 = b2_at
-                        for k, wk in enumerate(w):
-                            if wk:
-                                for m in range(cols2):
-                                    idx = o2 + k * cols2 + m
-                                    terms_list[m][idx] = \
-                                        (terms_list[m].get(idx, 0) + wk) % n
-                    if b_at is not None and tn is not None:
-                        rows1, cols1, o1 = b_at
-                        for j in range(cols1):
-                            coeffs = tn[p][j]
-                            for m, v in enumerate(coeffs):
-                                if v:
-                                    idx = o1 + i * cols1 + j
-                                    terms_list[m][idx] = \
-                                        (terms_list[m].get(idx, 0) - v) % n
-                    if any(terms_list):
-                        add_constraint(terms_list, out_mod)
+            for i in range(ca.ngens):
+                w = apply_tensor(ta, hr, _unit_vec(ca.ngens, i), ca2) \
+                    if ta is not None else ca2.zero()
+                terms_list = [dict() for _ in range(out_mod.ngens)]
+                if b2_at is not None:
+                    rows2, cols2, o2 = b2_at
+                    for k, wk in enumerate(w):
+                        if wk:
+                            for m in range(cols2):
+                                idx = o2 + k * cols2 + m
+                                terms_list[m][idx] = \
+                                    (terms_list[m].get(idx, 0) + wk) % n
+                if b_at is not None and tn is not None:
+                    rows1, cols1, o1 = b_at
+                    for j in range(cols1):
+                        coeffs = tn[p][j]
+                        for m, v in enumerate(coeffs):
+                            if v:
+                                idx = o1 + i * cols1 + j
+                                terms_list[m][idx] = \
+                                    (terms_list[m].get(idx, 0) - v) % n
+                if any(terms_list):
+                    add_constraint(terms_list, out_mod)
 
     total = dim + nslack
     amat = [[0] * len(equations) for _ in range(total)]

@@ -122,7 +122,7 @@ def _canon_structure(group, n, components, tensors, what, left=None):
         left = comps
     canon = {}
     for (dg, dh), t in tensors.items():
-        dg, dh = group.canon(dg), group.canon(dh)
+        dg, dh = _degree_key(group, left, dg), _degree_key(group, comps, dh)
         if dg not in left or dh not in comps:
             continue
         out_deg = group.add(dg, dh)

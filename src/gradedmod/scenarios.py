@@ -108,7 +108,7 @@ def build_env(ws: Workspace) -> dict:
 
 
 # what an operand is looked up as -> the type it must have
-_KINDS = {
+KINDS = {
     "ring": GradedRing,
     "module": GradedModule,
     "ring morphism": GradedRingHom,
@@ -120,7 +120,7 @@ def _get(env, name, lineno, what="object"):
     if name not in env:
         raise ScenarioError(f"line {lineno}: unknown {what} {name!r}")
     value = env[name]
-    kind = _KINDS.get(what)
+    kind = KINDS.get(what)
     if kind is not None and not isinstance(value, kind):
         raise ScenarioError(f"line {lineno}: {name!r} is not a {what}")
     return value

@@ -16,9 +16,10 @@ from gradedmod import canonical as C
 from gradedmod import corpus
 from gradedmod.abelian import make_epi, make_group
 from gradedmod.functors import coextend, extend, restrict
-from gradedmod.graded import (GradedError, GradedMorphism, GradedRing,
-                              GradedRingHom, ring_as_module, shift)
+from gradedmod.graded import (GradedMorphism, GradedRing, GradedRingHom,
+                              ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
+from util import reference_homs as _reference_homs
 
 G0 = make_group([])
 D0 = ()
@@ -189,30 +190,9 @@ def test_sigma_tilde_trichotomy(instances):
 # iso_search and one-sided inverses against an exhaustive reference
 
 
-def _reference_homs(m, n_mod):
-    """The elements of Hom(m, n_mod)_0, by brute force.
-
-    Every degreewise Z/n-linear map, given by canonical images of the
-    generators, is tried as a GradedMorphism; those that validate are the
-    elements of Hom(m, n_mod)_0.
-    """
-    degs = sorted(set(m.components) | set(n_mod.components))
-    per_degree = [
-        list(itertools.product(list(n_mod.component(d).elements()),
-                               repeat=m.component(d).ngens))
-        for d in degs]
-    homs = []
-    for combo in itertools.product(*per_degree):
-        try:
-            homs.append(GradedMorphism(m, n_mod, dict(zip(degs, combo))))
-        except GradedError:
-            continue
-    return homs
-
-
 @pytest.fixture(scope="module")
 def reference_homs():
-    """`_reference_homs`, enumerating each pair of modules once: the
+    """`util.reference_homs`, enumerating each pair of modules once: the
     brute-force tests below ask for the same pairs."""
     cache = {}
 

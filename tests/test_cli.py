@@ -1,10 +1,14 @@
 """Command-line interface: determinism, exit codes, formats."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradedmod import analyze, cli, scenarios
+from gradedmod import analyze, cli, corpus, scenarios
 from gradedmod.textio import parse_workspace, serialize_workspace
 
 WORKSPACE = """modulus 4
@@ -218,3 +222,150 @@ def test_every_canonical_map_reports(capsys, name):
     code, out = _run(capsys, argv)
     assert code == 0, out
     assert json.loads(out)["canonical_map"] == name
+
+
+# ---------------------------------------------------------------------------
+# one environment per command: inputs parsed once, instances on demand
+
+
+def _no_instances(monkeypatch):
+    """Make every built-in instance builder raise."""
+    def boom():
+        raise AssertionError("a built-in instance was built")
+    for name in corpus.INSTANCE_BUILDERS:
+        monkeypatch.setitem(corpus.INSTANCE_BUILDERS, name, boom)
+
+
+def test_validate_parses_each_input_once(capsys, monkeypatch, tmp_path):
+    paths = []
+    for i, text in enumerate((WORKSPACE, "modulus 4\ngroup H moduli 2\n")):
+        p = tmp_path / f"ws{i}.txt"
+        p.write_text(text)
+        paths.append(str(p))
+    calls = []
+    parse = cli.parse_workspace
+
+    def counting(text, ws=None):
+        calls.append(text)
+        return parse(text, ws)
+
+    monkeypatch.setattr(cli, "parse_workspace", counting)
+    code, out = _run(capsys, ["--input", paths[0], "--input", paths[1],
+                              "validate"])
+    assert code == 0, out
+    assert len(calls) == 2
+    assert "    - H\n" in out and "    - M\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["scenario", "run", "d40C"],
+    ["scenario", "list"],
+    ["--format", "json", "scenario", "run", "d40C"],
+])
+def test_commands_naming_no_instance_build_none(capsys, monkeypatch, ws_file,
+                                                argv):
+    for args in (argv, ["--input", ws_file] + argv):
+        expected = _run(capsys, args)
+        with monkeypatch.context() as m:
+            _no_instances(m)
+            assert _run(capsys, args) == expected
+
+
+def test_malformed_input_builds_no_instance(capsys, monkeypatch, tmp_path):
+    p = tmp_path / "broken.txt"
+    p.write_text("modulus 2\nfrobnicate x\n")
+    argv = ["--input", str(p), "analyze", "zgraded.RR"]
+    expected = _run(capsys, argv)
+    assert expected[0] == 2
+    _no_instances(monkeypatch)
+    assert _run(capsys, argv) == expected
+
+
+def test_only_the_named_instance_is_built(capsys, monkeypatch):
+    built = []
+    for name, build in corpus.INSTANCE_BUILDERS.items():
+        monkeypatch.setitem(corpus.INSTANCE_BUILDERS, name,
+                            lambda name=name, build=build:
+                            built.append(name) or build())
+    code, out = _run(capsys, ["analyze", "frobenius.SS_1"])
+    assert code == 0, out
+    assert built == ["frobenius"]
+
+
+def test_workspace_names_shadow_built_in_names(capsys, monkeypatch,
+                                               tmp_path):
+    p = tmp_path / "shadow.txt"
+    p.write_text(WORKSPACE + "derive zgraded.RR ringmod S\n")
+    argv = ["--input", str(p), "--format", "json", "analyze", "zgraded.RR"]
+    code, out = _run(capsys, argv)
+    assert code == 0, out
+    module = json.loads(out)["module"]
+    assert (module["modulus"], module["cardinality"]) == (4, 2)
+    # the built-in zgraded.RR is F_2[X]/(X^3): modulus 2, 8 elements
+    code, out = _run(capsys, ["--format", "json", "analyze", "zgraded.RR"])
+    module = json.loads(out)["module"]
+    assert (module["modulus"], module["cardinality"]) == (2, 8)
+
+
+def test_unknown_instance_member_is_an_input_error(capsys):
+    code, out = _run(capsys, ["analyze", "nosuch.RR"])
+    assert code == 2
+    assert out == "error: unknown module or morphism 'nosuch.RR'\n"
+
+
+def test_wrong_kind_of_object_is_an_input_error(capsys):
+    # every named argument is checked to be of the kind its slot takes
+    code, out = _run(capsys, ["restrict", "--h", "d25e", "d25e"])
+    assert (code, out) == (2, "error: 'd25e' is not a module\n")
+    code, out = _run(capsys, ["battery", "--h", "d25e.RR", "--family",
+                              "d25e.SS"])
+    assert (code, out) == (2, "error: 'd25e.RR' is not a ring morphism\n")
+
+
+# tokens for the name-resolution fuzz: built-in names and members, members
+# that do not exist, malformed names, and the names WORKSPACE defines
+_FUZZ_BASES = sorted(corpus.INSTANCE_BUILDERS) + ["", "nosuch"]
+_FUZZ_MEMBERS = ["", ".", ".R", ".S", ".RR", ".SS", ".psi", ".SS_1",
+                 ".SS_9", ".SS_", ".nosuch", ".RR.RR"]
+_FUZZ_TOKENS = st.one_of(
+    st.builds(str.__add__, st.sampled_from(_FUZZ_BASES),
+              st.sampled_from(_FUZZ_MEMBERS)),
+    st.sampled_from(["z4_to_z2.", ".SS", "d25e.SS_9", "R", "S", "h", "M",
+                     "G"]),
+)
+
+
+@pytest.fixture(scope="module")
+def ws_path(tmp_path_factory):
+    p = tmp_path_factory.mktemp("fuzz") / "ws.txt"
+    p.write_text(WORKSPACE)
+    return str(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["analyze", "restrict", "battery", "canon"]),
+       st.one_of(st.sampled_from(sorted(scenarios.CANON_SPECS)),
+                 _FUZZ_TOKENS),
+       st.lists(_FUZZ_TOKENS, min_size=1, max_size=3),
+       st.booleans())
+def test_name_resolution_never_crashes(ws_path, cmd, canon_name, tokens,
+                                       with_input):
+    if cmd == "analyze":
+        argv = ["analyze", tokens[0]]
+    elif cmd == "restrict":
+        argv = ["restrict", "--h", tokens[0], tokens[-1]]
+    elif cmd == "battery":
+        argv = ["battery", "--h", tokens[0], "--family"] + tokens[1:] \
+            + tokens[:1]
+    else:
+        argv = ["canon", canon_name] + tokens
+    if with_input:
+        argv = ["--input", ws_path] + argv
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue().startswith("error: ")
+        assert out.getvalue().count("\n") == 1

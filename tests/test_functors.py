@@ -15,13 +15,15 @@ import pytest
 from gradedmod import analyze
 from gradedmod import canonical as C
 from gradedmod import corpus
-from gradedmod.functors import (coextend, coextend_morphism, extend,
-                                extend_morphism, hom_graded, hom_map,
-                                restrict, restrict_morphism, tensor,
-                                tensor_map)
-from gradedmod.graded import (GradedModule, GradedMorphism, ring_as_module,
-                              shift)
+from gradedmod.abelian import make_group
+from gradedmod.functors import (_block_matrices, coextend,
+                                coextend_morphism, extend, extend_morphism,
+                                hom_degree, hom_graded, hom_map, restrict,
+                                restrict_morphism, tensor, tensor_map)
+from gradedmod.graded import (GradedModule, GradedMorphism, GradedRing,
+                              GradedRingHom, ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
+from util import reference_homs
 
 ALL = ["z4_to_z2", "frobenius", "frobenius_ungraded", "d25e", "d25e_z3",
        "zgraded"]
@@ -215,3 +217,28 @@ def test_pruned_tensor_with_a_sign_sensitive_relation(instances):
     rng = random.Random("pruned-z4")
     _check_pruned_tensor(extend(inst["h"], m), rng)
     _check_pruned_tensor(tensor(m, m), rng)
+
+
+def test_hom_degree_matches_brute_force_over_two_algebra_generators():
+    # F_2[X,Y]/(X^2, XY, Y^2) on the basis 1, X, Y needs both X and Y as
+    # algebra generators, so R-linearity written for one of them only
+    # would admit maps that are not R-linear
+    e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    zero = (0, 0, 0)
+    mult = (e, (e[1], zero, zero), (e[2], zero, zero))
+    ring = GradedRing(make_group([]), 2, {(): FpZnModule(2, 3, [])},
+                      {((), ()): mult}, e[0])
+    assert len(ring.algebra_generators) == 2
+    # R/I for I = 0, (X), (Y), (X, Y)
+    mods = [GradedModule(ring, {(): FpZnModule(2, 3, rels)},
+                         {((), ()): mult})
+            for rels in ([], [e[1]], [e[2]], [e[1], e[2]])]
+    ident = GradedRingHom.identity(ring)
+    for m in mods:
+        for n_mod in mods:
+            blocks, _, sq = hom_degree(ident, m, n_mod, ())
+            found = {GradedMorphism(m, n_mod,
+                                    _block_matrices(blocks, sq.lift(c)))
+                     for c in sq.module.elements()}
+            assert len(found) == sq.module.cardinality()
+            assert found == set(reference_homs(m, n_mod))

@@ -1,7 +1,10 @@
 """Shared helpers for the test suite."""
 
+import itertools
+
 from gradedmod import analyze
-from gradedmod.graded import GradedMorphism, _unit_vec, apply_tensor
+from gradedmod.graded import (GradedError, GradedMorphism, _unit_vec,
+                              apply_tensor)
 
 
 def rebase(u: GradedMorphism, source, target) -> GradedMorphism:
@@ -32,6 +35,27 @@ def is_component_epi(u: GradedMorphism) -> bool:
 
 def is_component_mono(u: GradedMorphism) -> bool:
     return analyze.is_mono(u)[0]
+
+
+def reference_homs(m, n_mod):
+    """The elements of Hom(m, n_mod)_0, by brute force.
+
+    Every degreewise Z/n-linear map, given by canonical images of the
+    generators, is tried as a GradedMorphism; those that validate are the
+    elements of Hom(m, n_mod)_0.
+    """
+    degs = sorted(set(m.components) | set(n_mod.components))
+    per_degree = [
+        list(itertools.product(list(n_mod.component(d).elements()),
+                               repeat=m.component(d).ngens))
+        for d in degs]
+    homs = []
+    for combo in itertools.product(*per_degree):
+        try:
+            homs.append(GradedMorphism(m, n_mod, dict(zip(degs, combo))))
+        except GradedError:
+            continue
+    return homs
 
 
 # ---------------------------------------------------------------------------
