@@ -85,7 +85,8 @@ def _unit_vec(k: int, i: int) -> tuple[int, ...]:
 
 
 def _key_eq(self, other):
-    return type(other) is type(self) and self._key() == other._key()
+    return self is other or (type(other) is type(self)
+                             and self._key() == other._key())
 
 
 def _key_hash(self):

@@ -8,8 +8,11 @@ not-iso, and iso.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedmod import analyze as A
 from gradedmod import canonical as C
@@ -20,6 +23,7 @@ from gradedmod.graded import (GradedMorphism, GradedRing, GradedRingHom,
                               ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
 from util import reference_homs as _reference_homs
+from util import reference_is_mono
 
 G0 = make_group([])
 D0 = ()
@@ -52,6 +56,51 @@ def test_morphism_flags_and_witnesses(quot):
     rep = A.analyze_morphism(GradedMorphism.identity(mr))
     assert all(rep.flags.values())
     assert isinstance(rep.witnesses["section_witness"], GradedMorphism)
+
+
+# ---------------------------------------------------------------------------
+# is_mono against the kernel module and against enumeration
+
+
+def _mono_draws(instances, seed):
+    """Seeded `corpus.random_morphism` draws between random modules, over
+    R and over S of every named instance."""
+    rng = random.Random(seed)
+    for name in sorted(instances):
+        h = instances[name]["h"]
+        for ring in (h.source, h.target):
+            m = corpus.random_module(ring, rng)
+            n_mod = corpus.random_module(ring, rng)
+            yield corpus.random_morphism(m, n_mod, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_is_mono_matches_the_kernel_module(instances, seed):
+    for u in _mono_draws(instances, seed):
+        assert A.is_mono(u) == reference_is_mono(u), u
+
+
+def test_is_mono_by_enumerating_the_source(instances):
+    # a degree-zero morphism is injective iff it is injective in every
+    # degree, so homogeneous elements decide; both verdicts occur
+    verdicts = []
+    for seed in range(4):
+        for u in _mono_draws(instances, seed):
+            if u.source.cardinality() > 256:
+                continue
+            killed = [(d, x) for d, c in sorted(u.source.components.items())
+                      for x in c.elements()
+                      if any(x) and not any(u.apply((d, x))[1])]
+            mono, witness = A.is_mono(u)
+            assert mono == (not killed), u
+            assert (mono, witness) == reference_is_mono(u), u
+            if not mono:
+                d, x = witness
+                assert any(u.source.component(d).reduce(x))
+                assert not any(u.apply(witness)[1])
+            verdicts.append(mono)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_quotient_is_epi_without_splitting(quot):
@@ -121,6 +170,70 @@ def test_battery_family_precondition(instances):
     inst = instances["frobenius"]
     with pytest.raises(A.AnalyzeError):
         A.d70_battery(inst["h"], [ring_as_module(inst["ring_s"])])
+
+
+def _shift_family(inst):
+    """S and its shifts by the negated support degrees, S first."""
+    s_mod = ring_as_module(inst["ring_s"])
+    group = inst["ring_s"].group
+    return [s_mod] + [shift(s_mod, group.neg(g))
+                      for g in sorted(inst["ring_s"].components) if any(g)]
+
+
+def _log_battery_calls(monkeypatch, family):
+    """Patch the four canonical maps of the battery to log each call as
+    (map name, positions of its modules in `family`)."""
+    log = []
+    for name in ("sigma", "rho_tilde", "gamma", "eta"):
+        def logged(h, *mods, _fn=getattr(C, name), _name=name):
+            log.append((_name, tuple(
+                next(i for i, m in enumerate(family) if m == mod)
+                for mod in mods)))
+            return _fn(h, *mods)
+        monkeypatch.setattr(C, name, logged)
+    return log
+
+
+def test_battery_decides_each_instance_once(instances, monkeypatch):
+    # sigma at S serves (ii) and (iii), and (vii) reads row S of (vi)
+    inst = instances["zgraded"]
+    family = _shift_family(inst)
+    assert len(family) == 3
+    log = _log_battery_calls(monkeypatch, family)
+    rep = A.d70_battery(inst["h"], family)
+    assert rep.decisive and all(rep.verdicts.values())
+    assert Counter(name for name, _ in log) == {"sigma": 3, "rho_tilde": 3,
+                                                "gamma": 9, "eta": 9}
+    assert len(set(log)) == len(log)
+
+
+def test_battery_stops_at_the_first_false_instance(instances, monkeypatch):
+    # every statement fails at its first instance, which is on S
+    inst = instances["frobenius"]
+    family = _shift_family(inst)
+    assert len(family) == 2
+    log = _log_battery_calls(monkeypatch, family)
+    rep = A.d70_battery(inst["h"], family)
+    assert not rep.decisive and not any(rep.verdicts.values())
+    assert log == [("sigma", (0,)), ("rho_tilde", (0,)), ("gamma", (0, 0)),
+                   ("eta", (0, 0))]
+
+
+# a surjective ring map is an epimorphism; F_2 -> F_2[t]/(t^2) is not
+EXPECTED_EPI = {"z4_to_z2": True, "frobenius": False,
+                "frobenius_ungraded": False, "d25e": True, "d25e_z3": True,
+                "zgraded": True}
+
+
+@pytest.mark.parametrize("name", sorted(corpus.named_instances()))
+def test_battery_verdicts_on_every_instance(instances, name):
+    inst = instances[name]
+    family = _shift_family(inst)
+    for fam in (family, family[::-1], family + family[:1],
+                family[1:] + family):
+        rep = A.d70_battery(inst["h"], fam)
+        assert rep.decisive is EXPECTED_EPI[name]
+        assert set(rep.verdicts.values()) == {EXPECTED_EPI[name]}
 
 
 def test_d80_coarsening_stability(instances):

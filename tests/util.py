@@ -4,7 +4,7 @@ import itertools
 
 from gradedmod import analyze
 from gradedmod.graded import (GradedError, GradedMorphism, _unit_vec,
-                              apply_tensor)
+                              apply_tensor, graded_kernel)
 
 
 def rebase(u: GradedMorphism, source, target) -> GradedMorphism:
@@ -35,6 +35,20 @@ def is_component_epi(u: GradedMorphism) -> bool:
 
 def is_component_mono(u: GradedMorphism) -> bool:
     return analyze.is_mono(u)[0]
+
+
+def reference_is_mono(u: GradedMorphism):
+    """`analyze.is_mono` through the kernel module: (verdict, witness), the
+    witness being the first basis generator of `graded_kernel(u)`, in
+    sorted degree order, whose image under the inclusion is nonzero."""
+    ker, incl = graded_kernel(u)
+    for deg in sorted(ker.components):
+        comp = ker.components[deg]
+        for i in range(comp.ngens):
+            _, vec = incl.apply((deg, _unit_vec(comp.ngens, i)))
+            if any(vec):
+                return False, (deg, vec)
+    return True, None
 
 
 def reference_homs(m, n_mod):
