@@ -360,7 +360,8 @@ def d70_battery(h: GradedRingHom, family) -> EpiBatteryReport:
     divergence is an implementation bug, reported as InconsistentBattery.
     Each instance, a canonical map on family members, is decided once, on
     first use: (ii) and (iii) share sigma at S, and (vii) is row S of the
-    eta table of (vi).
+    eta table of (vi).  Each member N is restricted once, and every
+    instance is built on that h_*(N).
     """
     family = list(family)
     group = h.target.group
@@ -373,24 +374,26 @@ def d70_battery(h: GradedRingHom, family) -> EpiBatteryReport:
                 "battery family must contain S and all its support shifts")
         if g == group.zero():
             s_at = at
+    restricted = [restrict(h, m) for m in family]
     decided = {}
 
     def iso(fn, *at):
-        """Whether fn(h, *(family members at `at`)) is an isomorphism."""
+        """Whether the builder fn on the family members at `at`, given
+        their restrictions, is an isomorphism."""
         if (fn, at) not in decided:
-            mods = [family[i] for i in at]
+            mods = [family[i] for i in at] + [restricted[i] for i in at]
             decided[(fn, at)] = is_iso(fn(h, *mods).morphism)[0]
         return decided[(fn, at)]
 
     members = range(len(family))
     pairs = list(itertools.product(members, repeat=2))
-    decisive = iso(canonical.sigma, s_at)
+    decisive = iso(canonical._sigma, s_at)
     verdicts = {"i": decisive, "ii": decisive}
-    verdicts["iii"] = all(iso(canonical.sigma, i) for i in members)
-    verdicts["iv"] = all(iso(canonical.rho_tilde, i) for i in members)
-    verdicts["v"] = all(iso(canonical.gamma, i, j) for i, j in pairs)
-    verdicts["vi"] = all(iso(canonical.eta, i, j) for i, j in pairs)
-    verdicts["vii"] = all(iso(canonical.eta, s_at, j) for j in members)
+    verdicts["iii"] = all(iso(canonical._sigma, i) for i in members)
+    verdicts["iv"] = all(iso(canonical._rho_tilde, i) for i in members)
+    verdicts["v"] = all(iso(canonical._gamma, i, j) for i, j in pairs)
+    verdicts["vi"] = all(iso(canonical._eta, i, j) for i, j in pairs)
+    verdicts["vii"] = all(iso(canonical._eta, s_at, j) for j in members)
     if len(set(verdicts.values())) > 1:
         raise InconsistentBattery(f"verdicts diverge: {verdicts}")
     return EpiBatteryReport(decisive, verdicts)

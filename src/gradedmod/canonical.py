@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .abelian import GroupEpi
 from .graded import (GradedModule, GradedMorphism, GradedRingHom,
-                     GradedError, _coarse_components, _unit_vec,
+                     GradedError, RingMismatch, _coarse_components, _unit_vec,
                      coarsen_module, coarsen_ring, coarsen_ring_hom,
                      direct_sum, ring_as_module)
 from .functors import (HomWitness, TensorWitness, coextend, extend,
@@ -85,7 +85,12 @@ def rho(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
 
 def sigma(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
     """The counit h^*(h_*(N)) -> N, s (x) x -> sx."""
-    tw = extend(h, restrict(h, module))
+    return _sigma(h, module, restrict(h, module))
+
+
+def _sigma(h, module, restricted) -> CanonicalMap:
+    """`sigma` on N = `module`, given h_*(N) as `restricted`."""
+    tw = extend(h, restricted)
     maps = {}
     for d, pairs in tw.index.items():
         rows = []
@@ -100,7 +105,12 @@ def sigma(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
 
 def rho_tilde(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
     """The unit N -> coextend(h, h_*(N)), x -> (s -> sx)."""
-    hw = coextend(h, restrict(h, module))
+    return _rho_tilde(h, module, restrict(h, module))
+
+
+def _rho_tilde(h, module, restricted) -> CanonicalMap:
+    """`rho_tilde` on N = `module`, given h_*(N) as `restricted`."""
+    hw = coextend(h, restricted)
     ring_s = h.target
     grp = ring_s.group
     maps = {}
@@ -178,7 +188,13 @@ def delta(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
 
 def gamma(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
     """h_*(M) (x)_R h_*(N) -> h_*(M (x)_S N), x (x) y -> x (x) y."""
-    src = tensor(restrict(h, m), restrict(h, n))
+    return _gamma(h, m, n, restrict(h, m), restrict(h, n))
+
+
+def _gamma(h, m, n, rm, rn) -> CanonicalMap:
+    """`gamma` on M = `m` and N = `n`, given h_*(M) and h_*(N) as `rm`
+    and `rn`."""
+    src = tensor(rm, rn)
     ttw = tensor(m, n)
     target = restrict(h, ttw.module)
     maps = {}
@@ -237,10 +253,18 @@ def epsilon(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
 
 def eta(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
     """h_*(Hom^G_S(M, N)) -> Hom^G_R(h_*(M), h_*(N)), u -> h_*(u)."""
+    if m.ring != n.ring:
+        # the error of Hom^G_S(M, N), which comes before the restrictions
+        raise RingMismatch("Hom endpoints live over different rings")
+    return _eta(h, m, n, restrict(h, m), restrict(h, n))
+
+
+def _eta(h, m, n, rm, rn) -> CanonicalMap:
+    """`eta` on M = `m` and N = `n`, given h_*(M) and h_*(N) as `rm` and
+    `rn`."""
     hw_s = hom_graded(m, n)
     src = restrict(h, hw_s.module)
-    target = mixed_hom(GradedRingHom.identity(h.source),
-                       restrict(h, m), restrict(h, n))
+    target = mixed_hom(GradedRingHom.identity(h.source), rm, rn)
     maps = {}
     for g, comp in hw_s.module.components.items():
         rows = []

@@ -101,13 +101,7 @@ def build_environment(inputs, names) -> tuple[Workspace, dict]:
 
 
 def _get(env, name, what):
-    if name not in env:
-        raise CliError(f"unknown {what} {name!r}")
-    value = env[name]
-    kind = scenarios.KINDS.get(what)
-    if kind is not None and not isinstance(value, kind):
-        raise CliError(f"{name!r} is not a {what}")
-    return value
+    return scenarios._get(env, name, None, what)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +283,7 @@ def _cmd_change_of_ring(args, ws, env):
 def _cmd_canon(args, ws, env):
     tokens = [args.name] + args.args
     try:
-        cmap, used = scenarios.build_canon(env, tokens, 0)
+        cmap, used = scenarios.build_canon(env, tokens, None)
     except scenarios.ScenarioError as exc:
         raise CliError(str(exc))
     except IndexError:

@@ -10,6 +10,20 @@ Hom elements and the matrix families they encode; every element-level
 canonical map downstream is built on these witnesses.  Tensor components
 are minimal in the sense of `znlinalg.prune`: no relation has pivot 1, so
 no generator is a combination of the others by a unit-pivot relation.
+
+Balance and linearity over R run r over the homogeneous algebra
+generators of R (`GradedRing.algebra_generators`), not over a Z/n-basis,
+by the argument of Light's test in `graded`.  For the tensor, the r with
+x.h(r) (x) y = x (x) r.y for all x and y form a Z/n-submodule, since the
+relation is linear in r; it holds 1, as the actions are unital and h is
+a ring map; and it is closed under products, as the actions are
+associative:
+x.h(r1 r2) (x) y = (x.h(r1)).h(r2) (x) y = x.h(r1) (x) r2.y
+= x (x) r1.(r2.y) = x (x) (r1 r2).y.
+So the relations written for the generators span those for every r, and
+the Howell forms, the pruned presentations and every report are those
+of the relations over a basis.  Hom's R-linearity is the same argument
+(`hom_degree`).
 """
 
 from __future__ import annotations
@@ -123,8 +137,10 @@ def mixed_tensor(h: GradedRingHom, left: GradedModule,
                  right: GradedModule) -> TensorWitness:
     """left (x)_R right for left over S and right over R, as an S-module.
 
-    Each component is presented on all generator pairs and then pruned
-    (`znlinalg.prune`), so no relation of the result has pivot 1.
+    Each component is presented on all generator pairs, with the balance
+    relations for r over the algebra generators of R (module docstring),
+    and then pruned (`znlinalg.prune`), so no relation of the result has
+    pivot 1.
     """
     ring_s, ring_r = h.target, h.source
     if left.ring != ring_s:
@@ -166,46 +182,43 @@ def mixed_tensor(h: GradedRingHom, left: GradedModule,
                     for j in range(cb.ngens):
                         vec[atd[(a, i, b, j)]] = s[j]
                     rels[d].append(vec)
-    # balance relations (x . h(r)) (x) y = x (x) (r . y) on generators
-    for c in sorted(ring_r.components):
-        rc = ring_r.components[c]
-        hr_rows = [h.apply((c, _unit_vec(rc.ngens, p)))[1] for p in range(rc.ngens)]
+    # balance relations (x . h(r)) (x) y = x (x) (r . y) on generators x
+    # and y, for r over the algebra generators of R (module docstring)
+    for c, r in ring_r.algebra_generators:
+        p = r.index(1)
+        _, hr = h.apply((c, r))
         for a in sorted(left.components):
             ca = left.components[a]
             ta = left.action.get((c, a))
             a2 = grp.add(c, a)
             ca2 = left.component(a2)
+            lx = [apply_tensor(ta, hr, _unit_vec(ca.ngens, i), ca2)
+                  for i in range(ca.ngens)]
             for b in sorted(right.components):
                 cb = right.components[b]
+                # r . y_j is the stored (reduced) entry tb[p][j]
                 tb = right.action.get((c, b))
                 b2 = grp.add(c, b)
-                cb2 = right.component(b2)
                 d = grp.add(grp.add(a, b), c)
                 atd = at.get(d)
                 if atd is None:
                     continue
                 dim = len(pairs[d])
-                for p in range(rc.ngens):
-                    lx = [apply_tensor(ta, hr_rows[p], _unit_vec(ca.ngens, i),
-                                       ca2) if ta is not None else ca2.zero()
-                          for i in range(ca.ngens)]
-                    for i in range(ca.ngens):
-                        for j in range(cb.ngens):
-                            vec = [0] * dim
-                            any_entry = False
-                            for k, v in enumerate(lx[i]):
-                                if v:
-                                    vec[atd[(a2, k, b, j)]] += v
-                                    any_entry = True
-                            ry = apply_tensor(tb, _unit_vec(rc.ngens, p),
-                                              _unit_vec(cb.ngens, j), cb2) \
-                                if tb is not None else cb2.zero()
-                            for l, v in enumerate(ry):
+                for i in range(ca.ngens):
+                    for j in range(cb.ngens):
+                        vec = [0] * dim
+                        any_entry = False
+                        for k, v in enumerate(lx[i]):
+                            if v:
+                                vec[atd[(a2, k, b, j)]] += v
+                                any_entry = True
+                        if tb is not None:
+                            for l, v in enumerate(tb[p][j]):
                                 if v:
                                     vec[atd[(a, i, b2, l)]] -= v
                                     any_entry = True
-                            if any_entry:
-                                rels[d].append(vec)
+                        if any_entry:
+                            rels[d].append(vec)
     comps, index, pos = {}, {}, {}
     for d, lst in pairs.items():
         comps[d], kept, proj = prune(FpZnModule(n, len(lst), rels[d]))
@@ -215,6 +228,7 @@ def mixed_tensor(h: GradedRingHom, left: GradedModule,
     action = {}
     for c in sorted(ring_s.components):
         sc = ring_s.components[c]
+        moved = {a: grp.add(c, a) for a in left.components}
         for d in sorted(index):
             if not comps[d].ngens:
                 continue
@@ -231,11 +245,9 @@ def mixed_tensor(h: GradedRingHom, left: GradedModule,
                     ta = left.action.get((c, a))
                     vec = [0] * out.ngens
                     if ta is not None:
-                        a2 = grp.add(c, a)
-                        sx = apply_tensor(ta, _unit_vec(sc.ngens, p),
-                                          _unit_vec(left.components[a].ngens, i),
-                                          left.component(a2))
-                        for k, v in enumerate(sx):
+                        # s_p . x_i is the stored entry ta[p][i]
+                        a2 = moved[a]
+                        for k, v in enumerate(ta[p][i]):
                             if v:
                                 _add_image(vec, v, posd[(a2, k, b, j)])
                     coords = out.reduce(vec)
@@ -545,11 +557,8 @@ def mixed_hom(h: GradedRingHom, source: GradedModule,
                         for i in range(ca.ngens):
                             acc = [0] * cols
                             if tm is not None and u2 is not None:
-                                sx = apply_tensor(
-                                    tm, _unit_vec(sc.ngens, p),
-                                    _unit_vec(ca.ngens, i),
-                                    source.component(a2))
-                                for kk, vv in enumerate(sx):
+                                # s_p . x_i is the stored entry tm[p][i]
+                                for kk, vv in enumerate(tm[p][i]):
                                     if vv:
                                         for m in range(cols):
                                             acc[m] += vv * u2[kk][m]

@@ -116,13 +116,19 @@ KINDS = {
 }
 
 
+def _at(lineno):
+    """The prefix that places an error at line `lineno` of a scenario;
+    None (a command-line argument) has no line."""
+    return "" if lineno is None else f"line {lineno}: "
+
+
 def _get(env, name, lineno, what="object"):
     if name not in env:
-        raise ScenarioError(f"line {lineno}: unknown {what} {name!r}")
+        raise ScenarioError(f"{_at(lineno)}unknown {what} {name!r}")
     value = env[name]
     kind = KINDS.get(what)
     if kind is not None and not isinstance(value, kind):
-        raise ScenarioError(f"line {lineno}: {name!r} is not a {what}")
+        raise ScenarioError(f"{_at(lineno)}{name!r} is not a {what}")
     return value
 
 
@@ -210,10 +216,11 @@ def _run_check(env, tokens, lineno):
 
 
 def build_canon(env, tokens, lineno):
-    """Construct a canonical map from `<name> <args...>` tokens."""
+    """Construct a canonical map from `<name> <args...>` tokens, found at
+    line `lineno` of a scenario, or on the command line for None."""
     name = tokens[0]
     if name not in CANON_SPECS:
-        raise ScenarioError(f"line {lineno}: unknown canonical map {name!r}")
+        raise ScenarioError(f"{_at(lineno)}unknown canonical map {name!r}")
     ctor, takes_h, nmods = CANON_SPECS[name]
     args = []
     pos = 1
@@ -226,7 +233,7 @@ def build_canon(env, tokens, lineno):
     try:
         return ctor(*args), pos
     except GradedError as exc:
-        raise ScenarioError(f"line {lineno}: {name}: {exc}")
+        raise ScenarioError(f"{_at(lineno)}{name}: {exc}")
 
 
 def _run_canon_check(env, tokens, lineno):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from gradedmod import analyze as A
 from gradedmod import canonical as C
 from gradedmod import corpus
+from gradedmod import functors as F
 from gradedmod.abelian import make_epi, make_group
 from gradedmod.functors import coextend, extend, restrict
 from gradedmod.graded import (GradedMorphism, GradedRing, GradedRingHom,
@@ -181,16 +182,17 @@ def _shift_family(inst):
 
 
 def _log_battery_calls(monkeypatch, family):
-    """Patch the four canonical maps of the battery to log each call as
-    (map name, positions of its modules in `family`)."""
+    """Patch the builders of the four canonical maps of the battery to log
+    each call as (map name, positions of its modules in `family`).  A
+    builder takes the family members, then their restrictions."""
     log = []
     for name in ("sigma", "rho_tilde", "gamma", "eta"):
-        def logged(h, *mods, _fn=getattr(C, name), _name=name):
+        def logged(h, *mods, _fn=getattr(C, "_" + name), _name=name):
             log.append((_name, tuple(
                 next(i for i, m in enumerate(family) if m == mod)
-                for mod in mods)))
+                for mod in mods[:len(mods) // 2])))
             return _fn(h, *mods)
-        monkeypatch.setattr(C, name, logged)
+        monkeypatch.setattr(C, "_" + name, logged)
     return log
 
 
@@ -205,6 +207,23 @@ def test_battery_decides_each_instance_once(instances, monkeypatch):
     assert Counter(name for name, _ in log) == {"sigma": 3, "rho_tilde": 3,
                                                 "gamma": 9, "eta": 9}
     assert len(set(log)) == len(log)
+
+
+def test_battery_restricts_each_member_once(instances, monkeypatch):
+    # every instance is built on the one h_*(N) of each member N
+    inst = instances["zgraded"]
+    family = _shift_family(inst)
+    assert len(family) == 3
+    restricted = []
+    for mod in (A, C, F):
+        def logged(h, module, _fn=mod.restrict):
+            restricted.append(module)
+            return _fn(h, module)
+        monkeypatch.setattr(mod, "restrict", logged)
+    rep = A.d70_battery(inst["h"], family)
+    assert rep.decisive and all(rep.verdicts.values())
+    assert [sum(m is member for m in restricted) for member in family] == \
+        [1, 1, 1]
 
 
 def test_battery_stops_at_the_first_false_instance(instances, monkeypatch):

@@ -323,6 +323,22 @@ def test_wrong_kind_of_object_is_an_input_error(capsys):
     assert (code, out) == (2, "error: 'd25e.RR' is not a ring morphism\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["canon", "nosuch", "zgraded"], "unknown canonical map 'nosuch'"),
+    (["canon", "delta", "zgraded", "nosuch.RR", "zgraded.SS"],
+     "unknown module 'nosuch.RR'"),
+    (["canon", "delta", "zgraded", "zgraded", "zgraded.SS"],
+     "'zgraded' is not a module"),
+    (["canon", "delta", "frobenius", "zgraded.RR", "zgraded.RR"],
+     "delta: extension expects a module over the source ring"),
+])
+def test_canon_errors_name_no_scenario_line(capsys, argv, message):
+    # a scenario's canon check reports its line; a command line has none
+    assert _run(capsys, argv) == (2, f"error: {message}\n")
+    code, out = _run(capsys, ["--format", "json"] + argv)
+    assert (code, json.loads(out)["error"]) == (2, message)
+
+
 # tokens for the name-resolution fuzz: built-in names and members, members
 # that do not exist, malformed names, and the names WORKSPACE defines
 _FUZZ_BASES = sorted(corpus.INSTANCE_BUILDERS) + ["", "nosuch"]

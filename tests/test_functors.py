@@ -11,6 +11,8 @@ pruned, with a bilinear, well-defined and balanced pure-tensor locator.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedmod import analyze
 from gradedmod import canonical as C
@@ -18,12 +20,13 @@ from gradedmod import corpus
 from gradedmod.abelian import make_group
 from gradedmod.functors import (_block_matrices, coextend,
                                 coextend_morphism, extend, extend_morphism,
-                                hom_degree, hom_graded, hom_map, restrict,
-                                restrict_morphism, tensor, tensor_map)
+                                hom_degree, hom_graded, hom_map,
+                                mixed_tensor, restrict, restrict_morphism,
+                                tensor, tensor_map)
 from gradedmod.graded import (GradedModule, GradedMorphism, GradedRing,
                               GradedRingHom, ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
-from util import reference_homs
+from util import reference_homs, reference_mixed_tensor
 
 ALL = ["z4_to_z2", "frobenius", "frobenius_ungraded", "d25e", "d25e_z3",
        "zgraded"]
@@ -219,21 +222,30 @@ def test_pruned_tensor_with_a_sign_sensitive_relation(instances):
     _check_pruned_tensor(tensor(m, m), rng)
 
 
-def test_hom_degree_matches_brute_force_over_two_algebra_generators():
-    # F_2[X,Y]/(X^2, XY, Y^2) on the basis 1, X, Y needs both X and Y as
-    # algebra generators, so R-linearity written for one of them only
-    # would admit maps that are not R-linear
+def _two_generator_quotients():
+    """The R-modules R/I of F_2[X,Y]/(X^2, XY, Y^2), for I = 0, (X), (Y)
+    and (X, Y), each with the relations spanning I.
+
+    R on the basis 1, X, Y needs both X and Y as algebra generators, so a
+    linearity or balance condition written for one of them only misses
+    the other.
+    """
     e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     zero = (0, 0, 0)
     mult = (e, (e[1], zero, zero), (e[2], zero, zero))
     ring = GradedRing(make_group([]), 2, {(): FpZnModule(2, 3, [])},
                       {((), ()): mult}, e[0])
     assert len(ring.algebra_generators) == 2
-    # R/I for I = 0, (X), (Y), (X, Y)
-    mods = [GradedModule(ring, {(): FpZnModule(2, 3, rels)},
-                         {((), ()): mult})
+    return [(GradedModule(ring, {(): FpZnModule(2, 3, rels)},
+                          {((), ()): mult}), rels)
             for rels in ([], [e[1]], [e[2]], [e[1], e[2]])]
-    ident = GradedRingHom.identity(ring)
+
+
+def test_hom_degree_matches_brute_force_over_two_algebra_generators():
+    # R-linearity written for one generator only would admit maps that
+    # are not R-linear
+    mods = [m for m, _ in _two_generator_quotients()]
+    ident = GradedRingHom.identity(mods[0].ring)
     for m in mods:
         for n_mod in mods:
             blocks, _, sq = hom_degree(ident, m, n_mod, ())
@@ -242,3 +254,30 @@ def test_hom_degree_matches_brute_force_over_two_algebra_generators():
                      for c in sq.module.elements()}
             assert len(found) == sq.module.cardinality()
             assert found == set(reference_homs(m, n_mod))
+
+
+def test_tensor_order_over_two_algebra_generators():
+    # R/I (x)_R R/J = R/(I + J); balancing over one generator only leaves
+    # the tensor too large
+    quotients = _two_generator_quotients()
+    for m, rels_i in quotients:
+        for n_mod, rels_j in quotients:
+            expected = FpZnModule(2, 3, rels_i + rels_j).cardinality()
+            assert tensor(m, n_mod).module.cardinality() == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_mixed_tensor_matches_balance_over_every_basis_element(instances,
+                                                               seed):
+    # balance over the algebra generators presents the same tensor as
+    # balance over a Z/n-basis: equal module, pair index and pair images
+    rng = random.Random(seed)
+    for name in ALL:
+        h = instances[name]["h"]
+        left = corpus.random_module(h.target, rng)
+        right = corpus.random_module(h.source, rng)
+        other = corpus.random_module(h.source, rng)
+        for tw in (mixed_tensor(h, left, right), tensor(right, other)):
+            assert (tw.module, tw.index, tw.pos) == \
+                reference_mixed_tensor(tw.h, tw.left, tw.right), name

@@ -65,3 +65,25 @@ check ringepi h true tag:stated
     ws = parse_workspace(text)
     report = scenarios.run_checks(ws)
     assert report[0].ok and report[0].tag == "stated"
+
+
+@pytest.mark.parametrize("check, message", [
+    ("check canon nosuch h is_iso true", "unknown canonical map 'nosuch'"),
+    ("check canon rho h M is_iso true", "unknown module 'M'"),
+    ("check canon rho h h is_iso true", "'h' is not a module"),
+])
+def test_canon_check_errors_name_their_line(check, message):
+    text = """modulus 4
+group G moduli
+ring R G
+  component 1
+  one 1
+  mult 0 0 1
+end
+ringhom h R R
+  map 0 1
+end
+""" + check + "\n"
+    with pytest.raises(scenarios.ScenarioError,
+                       match=f"^line 11: {message}$"):
+        scenarios.run_checks(parse_workspace(text))

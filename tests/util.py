@@ -3,8 +3,9 @@
 import itertools
 
 from gradedmod import analyze
-from gradedmod.graded import (GradedError, GradedMorphism, _unit_vec,
-                              apply_tensor, graded_kernel)
+from gradedmod.graded import (GradedError, GradedModule, GradedMorphism,
+                              _unit_vec, apply_tensor, graded_kernel)
+from gradedmod.znlinalg import FpZnModule, prune
 
 
 def rebase(u: GradedMorphism, source, target) -> GradedMorphism:
@@ -70,6 +71,79 @@ def reference_homs(m, n_mod):
         except GradedError:
             continue
     return homs
+
+
+def reference_mixed_tensor(h, left, right):
+    """`functors.mixed_tensor` with the balance relations
+    x.h(r) (x) y = x (x) r.y written for every Z/n-generator r of every
+    component of R, not only for the algebra generators.
+
+    Returns (module, index, pos) as a `TensorWitness` holds them.  The
+    ambient generators of degree d are the pairs (a, i, b, j) with
+    a + b = d, in the order of `mixed_tensor`; products come from
+    `act` and `apply`, not from the structure tensors.
+    """
+    ring_s = h.target
+    grp, n = ring_s.group, ring_s.n
+    pairs = {}
+    for a in sorted(left.components):
+        for b in sorted(right.components):
+            pairs.setdefault(grp.add(a, b), []).extend(
+                (a, i, b, j) for i in range(left.components[a].ngens)
+                for j in range(right.components[b].ngens))
+    at = {d: {pair: k for k, pair in enumerate(lst)}
+          for d, lst in pairs.items()}
+
+    def ambient(x, y):
+        """The pure tensor x (x) y on the ambient pairs of its degree."""
+        (a, xv), (b, yv) = x, y
+        atd = at[grp.add(a, b)]
+        vec = [0] * len(atd)
+        for i, xi in enumerate(xv):
+            for j, yj in enumerate(yv):
+                if xi * yj:
+                    vec[atd[(a, i, b, j)]] += xi * yj
+        return vec
+
+    rels = {d: [] for d in pairs}
+    lbasis, rbasis = list(_basis(left.components)), list(_basis(right.components))
+    for (a, xv), (b, yv) in itertools.product(lbasis, rbasis):
+        d = grp.add(a, b)
+        for r in left.components[a].rels:
+            rels[d].append(ambient((a, r), (b, yv)))
+        for s in right.components[b].rels:
+            rels[d].append(ambient((a, xv), (b, s)))
+        for r in _basis(h.source.components):
+            if grp.add(d, r[0]) in at:
+                lhs = ambient(left.act(h.apply(r), (a, xv)), (b, yv))
+                rhs = ambient((a, xv), right.act(r, (b, yv)))
+                rels[grp.add(d, r[0])].append(
+                    [u - v for u, v in zip(lhs, rhs)])
+    comps, index, pos = {}, {}, {}
+    for d, lst in pairs.items():
+        comps[d], kept, proj = prune(FpZnModule(n, len(lst), rels[d]))
+        index[d] = [lst[k] for k in kept]
+        pos[d] = dict(zip(lst, proj))
+    action = {}
+    for c in sorted(ring_s.components):
+        for d in sorted(index):
+            out = comps.get(grp.add(c, d))
+            if out is None:
+                continue
+            tensor = []
+            for s in _basis({c: ring_s.components[c]}):
+                block = []
+                for (a, i, b, j) in index[d]:
+                    a2, sx = left.act(s, (a, _unit_vec(
+                        left.components[a].ngens, i)))
+                    vec = [0] * out.ngens
+                    for k, v in enumerate(sx):
+                        for m, w in enumerate(pos[grp.add(c, d)][(a2, k, b, j)]):
+                            vec[m] += v * w
+                    block.append(out.reduce(vec))
+                tensor.append(block)
+            action[(c, d)] = tensor
+    return GradedModule(ring_s, comps, action), index, pos
 
 
 # ---------------------------------------------------------------------------
