@@ -12,6 +12,7 @@ extension with coextension.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .abelian import GroupEpi
@@ -21,7 +22,7 @@ from .graded import (GradedError, GradedModule, GradedMorphism,
 from .functors import (_block_layout, _block_matrices, _flat_vector, coextend,
                        hom_degree, restrict)
 from .znlinalg import (howell, identity_matrix, mat_mul, preimage_gens,
-                       solve_row, span_contains)
+                       solve_row, solve_rows, span_contains)
 from . import canonical
 
 
@@ -216,17 +217,68 @@ def _nonzero_support(module: GradedModule):
     return sorted(d for d, c in module.components.items() if not c.is_zero)
 
 
+def _cardinality(ring) -> int:
+    return math.prod(c.cardinality() for c in ring.components.values())
+
+
+def _unit_degrees(ring):
+    """The degrees of the homogeneous units of a *local ring: those d with
+    m_d short of R_d, whose Howell form is then not the identity (Howell
+    forms are unique).  They form a subgroup U, and R(-d) ~ R(-d-u) for u
+    in U, by multiplication with a unit of degree u."""
+    m = ring.nilpotent_ideal
+    return {d for d, c in ring.components.items()
+            if m[d] != identity_matrix(c.ngens)}
+
+
+def _free_by_count(module: GradedModule) -> bool:
+    """Whether a module over a *local ring is free, by graded Nakayama.
+
+    The cover F = (+)_i R(-d_i) on the s minimal generators x_i of
+    degrees d_i maps onto M, so M is free iff |F| = |R|^s = |M|: a
+    surjection between finite sets of equal size is a bijection, and a
+    free M has a basis of s elements, as every minimal generating set has
+    s elements.
+    """
+    return (_cardinality(module.ring) ** len(module.minimal_generators)
+            == module.cardinality())
+
+
+def _local_free_shifts(module: GradedModule):
+    """`is_free` over a *local ring.
+
+    The degree multiset of a minimal generating set is an invariant up to
+    the unit degrees U, and R(-d) ~ R(-e) iff d - e lies in U.  The shifts
+    returned are those of the sorted multiset that picks, for each d_i,
+    the least degree of the nonzero support in d_i + U: the first
+    isomorphic candidate in `combinations_with_replacement` order over the
+    sorted support, as the search over candidates on other rings finds.
+    """
+    if not _free_by_count(module):
+        return None
+    grp = module.ring.group
+    units = _unit_degrees(module.ring)
+    supp = _nonzero_support(module)
+    least = [next(e for e in supp if grp.sub(e, d) in units)
+             for d, _ in module.minimal_generators]
+    return [grp.neg(e) for e in sorted(least)]
+
+
 def is_free(module: GradedModule, budget: int = DEFAULT_ISO_BUDGET):
     """Shift degrees (g_1..g_k) with module ~ (+)_i R(g_i), or None.
 
-    Candidate generator degrees come from the support; a candidate multiset
-    survives only if every component cardinality matches, after which
-    iso_search looks for an isomorphism among the elements of
-    Hom((+)_i R(g_i), module)_0, at most `budget` of them per candidate.
+    Over a *local ring this counts (`_local_free_shifts`) and `budget` is
+    not used.  Otherwise candidate generator degrees come from the
+    support; a candidate multiset survives only if every component
+    cardinality matches, after which iso_search looks for an isomorphism
+    among the elements of Hom((+)_i R(g_i), module)_0, at most `budget` of
+    them per candidate.
     """
     ring = module.ring
     if module.is_zero:
         return []
+    if ring.is_local:
+        return _local_free_shifts(module)
     supp = _nonzero_support(module)
     max_gens = sum(c.ngens for c in module.components.values())
     for k in range(1, max_gens + 1):
@@ -281,10 +333,69 @@ def free_cover(module: GradedModule):
     return GradedMorphism(cover, module, maps)
 
 
+def _minimal_cover(module: GradedModule) -> GradedMorphism:
+    """The cover (+)_i R(-d_i) -> M, 1 in summand i -> x_i, on the minimal
+    generators x_i of a module over a *local ring.
+
+    Summand i of the cover at degree d is R_{d-d_i}, so the row of its
+    generator r is r x_i, the stored row of the action tensor at
+    (d - d_i, d_i) for the unit vector x_i.
+    """
+    ring = module.ring
+    grp = ring.group
+    gens = module.minimal_generators
+    cover = free_module(ring, [grp.neg(d) for d, _ in gens])
+    maps = {}
+    for d, comp in module.components.items():
+        rows = []
+        for dx, x in gens:
+            c = grp.sub(d, dx)
+            t = module.action.get((c, dx))
+            j = x.index(1)
+            rows += [t[p][j] if t is not None else comp.zero()
+                     for p in range(ring.component(c).ngens)]
+        if rows:
+            maps[d] = rows
+    return GradedMorphism(cover, module, maps, validate=False)
+
+
+def _cover_inverse(p: GradedMorphism) -> GradedMorphism:
+    """The inverse v of a bijective cover p: F -> M, checked: p.v = id.
+
+    At each degree, row j of v solves x p_d = e_j modulo the relations of
+    M_d; with p onto and |F| = |M| the solution is unique in F_d.
+    """
+    module, cover = p.target, p.source
+    n = module.ring.n
+    maps = {}
+    for d, comp in module.components.items():
+        fc = cover.component(d)
+        rows = list(p.matrix(d)) + list(comp.rels)
+        sols = solve_rows(rows, identity_matrix(comp.ngens), comp.ngens, n)
+        if None in sols:
+            raise AnalyzeError("the minimal cover is not onto")
+        maps[d] = [fc.reduce(x[:fc.ngens]) for x in sols]
+    v = GradedMorphism(module, cover, maps, validate=False)
+    if p.compose(v) != GradedMorphism.identity(module):
+        raise AnalyzeError("the minimal cover has no inverse")
+    return v
+
+
 def is_projective(module: GradedModule):
-    """(verdict, witness): witness is a splitting of the free cover."""
+    """(verdict, witness): witness is a splitting of a free cover.
+
+    Over a *local ring a projective module is free (graded Nakayama), so
+    the verdict is that of `is_free`, and the witness is the inverse of
+    the minimal cover (`_minimal_cover`), checked to compose with it to
+    the identity.  Otherwise the witness is a right inverse of
+    `free_cover`, solved for by `is_retraction`.
+    """
     if module.is_zero:
         return True, None
+    if module.ring.is_local:
+        if not _free_by_count(module):
+            return False, None
+        return True, _cover_inverse(_minimal_cover(module))
     p = free_cover(module)
     ok, v = is_retraction(p)
     return (True, v) if ok else (False, None)
@@ -409,11 +520,24 @@ def morita_check(h: GradedRingHom, budget: int = DEFAULT_ISO_BUDGET) -> bool:
     """Extension and coextension agree iff h_*(S) is projective of finite
     type and coextend(h, R) is isomorphic to S.
 
-    The isomorphism is searched for by iso_search among the elements of
+    Over a *local R, h_*(S) is projective iff it is free, which
+    `_free_by_count` decides.  Over a *local S, coextend(h, R) ~ S
+    iff coextend(h, R) has one minimal generator, in a degree d of a
+    homogeneous unit of S, and |coextend(h, R)| = |S|: the cover
+    S(-d) ~ S onto it is then a bijection, and conversely the generator
+    of S sits in degree 0, so that of any module isomorphic to S sits in
+    a unit degree.  On a ring that is not *local, `is_projective` decides
+    the first question, and iso_search the second among the elements of
     Hom_S(coextend(h, R), S)_0, at most `budget` of them.
     """
     hs = restrict(h, ring_as_module(h.target))
-    if not is_projective(hs)[0]:
+    projective = (_free_by_count(hs) if h.source.is_local
+                  else is_projective(hs)[0])
+    if not projective:
         return False
     hr = coextend(h, ring_as_module(h.source)).module
+    if h.target.is_local:
+        gens = hr.minimal_generators
+        return (len(gens) == 1 and gens[0][0] in _unit_degrees(h.target)
+                and hr.cardinality() == _cardinality(h.target))
     return iso_search(hr, ring_as_module(h.target), budget) is not None

@@ -11,6 +11,9 @@ is built only when an argument names it and no workspace defines that
 name.  Reports are deterministic: degrees sorted lexicographically,
 matrices row-major, flags alphabetical.  Exit codes: 0 success, 1 failed
 assertion, 2 input error, 3 undecided within the isomorphism search budget.
+Exit code 3 arises only on rings that are not *local: over a *local ring
+`is_free` in module reports and `check morita` decide by counting, without
+a search.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .graded import (GradedError, GradedModule, GradedMorphism,
 from .functors import coextend, extend, hom_graded, restrict, tensor
 from .textio import ParseError, ValidationError, Workspace, parse_workspace
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1

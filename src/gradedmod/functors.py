@@ -530,31 +530,36 @@ def mixed_hom(h: GradedRingHom, source: GradedModule,
             comps[g] = sq.module
 
     witness = HomWitness(h, source, target, None, layout, sqs, dims)
+    # the matrix family of each generator of each component, lifted once
+    lifted = {g: [witness.matrices(g, _unit_vec(hom_g.ngens, k))
+                  for k in range(hom_g.ngens)]
+              for g, hom_g in comps.items()}
     # S-action: (su)(x) = u(sx)
     action = {}
     for c in sorted(ring_s.components):
         sc = ring_s.components[c]
         for g in sorted(comps):
             g2 = grp.add(c, g)
-            hom_g = comps[g]
             out = comps.get(g2)
+            # per source degree a: its generator count, the degree and the
+            # action tensor of s.x, and the columns of target_{g2+a}
+            blocks = []
+            for a in sorted(source.components):
+                cols = target.component(grp.add(g2, a)).ngens
+                if cols:
+                    blocks.append((a, source.components[a].ngens,
+                                   grp.add(c, a), source.action.get((c, a)),
+                                   cols))
             tensor_rows = []
             nonzero = False
             for p in range(sc.ngens):
                 block = []
-                for k in range(hom_g.ngens):
-                    mats = witness.matrices(g, _unit_vec(hom_g.ngens, k))
+                for mats in lifted[g]:
                     new = {}
-                    for a in sorted(source.components):
-                        ca = source.components[a]
-                        a2 = grp.add(c, a)
-                        tm = source.action.get((c, a))
-                        cols = target.component(grp.add(g2, a)).ngens
-                        if not cols or not ca.ngens:
-                            continue
+                    for a, rows, a2, tm, cols in blocks:
                         u2 = mats.get(a2)
                         mat = []
-                        for i in range(ca.ngens):
+                        for i in range(rows):
                             acc = [0] * cols
                             if tm is not None and u2 is not None:
                                 # s_p . x_i is the stored entry tm[p][i]

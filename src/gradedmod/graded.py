@@ -29,9 +29,12 @@ is spelled out at `_check_module_axioms` and at the `_validate` methods.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .abelian import FgAbelianGroup, GroupEpi
 from .znlinalg import (FpZnModule, howell, identity_matrix, mat_mul,
-                       solve_row, span_contains, vec_mat, zero_matrix)
+                       reduce_mod_span, row_kernel, solve_row, span_contains,
+                       vec_mat, zero_matrix)
 
 
 class GradedError(Exception):
@@ -191,6 +194,162 @@ def _algebra_generators(ring):
     return tuple(gens)
 
 
+# ---------------------------------------------------------------------------
+# *local rings: graded Nakayama
+#
+# A graded ring is *local when its homogeneous non-units span a proper
+# ideal m.  Over such a ring R/m is a graded field, and a homogeneous
+# generating set of a module M is minimal iff it gives a basis of M/mM
+# (graded Nakayama: Bruns-Herzog, *Cohen-Macaulay Rings*, section 1.5).
+
+
+def _prime_of_power(n: int):
+    """p when n = p^a for a prime p, else None."""
+    p = next((q for q in range(2, isqrt(n) + 1) if n % q == 0), n)
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else None
+
+
+def _power(ring, deg, x, e: int):
+    """(deg, coords) of x^e for x homogeneous of canonical degree `deg`,
+    e >= 1, by repeated squaring; a power outside the support is zero."""
+    g, comps, mult = ring.group, ring.components, ring.mult
+    result = None
+    while True:
+        if e & 1:
+            result = (deg, x) if result is None else _product(
+                g, comps, mult, result[0], result[1], deg, x)
+        e >>= 1
+        if not e:
+            return result
+        deg, x = _product(g, comps, mult, deg, x, deg, x)
+
+
+def _is_local(ring) -> bool:
+    """Whether R_0 is local, which makes R *local.
+
+    For n = p^a, p is nilpotent in R_0, so R_0 is local iff A = R_0/pR_0
+    is, iff the Frobenius x -> x^p has a one-dimensional fixed space on A:
+    the Frobenius is F_p-linear on the commutative F_p-algebra A, and its
+    fixed space is the Berlekamp subalgebra, which has one dimension per
+    local factor of A (Berlekamp, "Factoring polynomials over finite
+    fields", 1967).  A ring over a modulus with two prime factors is
+    reported as not *local.  That is exact unless a power of one prime
+    kills R (Z/6 modulo 2, say), and such a ring only keeps the slower
+    procedures.
+
+    If R_0 is local, R is *local: a homogeneous x that is not nilpotent
+    has a degree of finite order o, since R is finite, so x^o lies in R_0
+    and is not nilpotent; it is a unit there, and so is x.  Hence the
+    homogeneous non-units are the homogeneous nilpotents, and they span an
+    ideal m.
+    """
+    p = _prime_of_power(ring.n)
+    if p is None:
+        return False
+    zero = ring.group.zero()
+    k = ring.components[zero].ngens
+    hp = howell([[x % p for x in r] for r in ring.components[zero].rels],
+                k, p)
+    # over F_p the Howell form is reduced echelon, so the unit vectors off
+    # its pivot columns are a basis of A, and a reduced vector is zero on
+    # the pivot columns
+    pivots = {row.index(1) for row in hp}
+    basis = [j for j in range(k) if j not in pivots]
+    rows = []  # the matrix of x -> x^p - x on that basis
+    for j in basis:
+        _, f = _power(ring, zero, _unit_vec(k, j), p)
+        v = list(reduce_mod_span([x % p for x in f], hp, p))
+        v[j] -= 1
+        rows.append([v[c] for c in basis])
+    return len(basis) - len(howell(rows, len(basis), p)) == 1
+
+
+def _nilpotent_ideal(ring):
+    """Per degree d of a *local ring, the Howell form over Z/n of m_d
+    together with the relations of R_d.
+
+    Over n = p^a an element is nilpotent iff it is nilpotent mod p.  The
+    Frobenius power F^N: x -> x^(p^N) is F_p-linear on R/pR, and a
+    nilpotent x of the F_p-algebra R/pR has x^D = 0 for D = dim R/pR,
+    since the ideals x^i R/pR strictly decrease until they vanish.  So with
+    p^N > D, m_d is the preimage in R_d of the kernel of F^N on (R/pR)_d:
+    the lifts of that kernel plus pR_d.  The kernel is one linear solve
+    per degree.
+    """
+    p = _prime_of_power(ring.n)
+    n, comps = ring.n, ring.components
+    hp = {d: howell([[x % p for x in r] for r in c.rels], c.ngens, p)
+          for d, c in comps.items()}
+    dim = sum(c.ngens - len(hp[d]) for d, c in comps.items())
+    q = p
+    while q <= dim:
+        q *= p
+    ideal = {}
+    for d, c in comps.items():
+        k = c.ngens
+        images = [_power(ring, d, _unit_vec(k, j), q) for j in range(k)]
+        out = images[0][0]  # every power lands in degree q*d
+        if out in comps:
+            rows = [reduce_mod_span([x % p for x in v], hp[out], p)
+                    for _, v in images]
+            kernel = row_kernel(rows, comps[out].ngens, p)
+        else:
+            kernel = [_unit_vec(k, j) for j in range(k)]
+        multiples = [[p if i == j else 0 for i in range(k)] for j in range(k)]
+        ideal[d] = howell(list(kernel) + multiples + list(c.rels), k, n)
+    return ideal
+
+
+def _minimal_generators(module):
+    """A minimal homogeneous generating set (deg, unit vector) of a module
+    over a *local ring.
+
+    Degree by degree in sorted order, a unit vector is picked when it lies
+    outside the Z/n span of the relations, of mM and of the R-multiples of
+    the earlier picks.  At the end every unit vector lies in that span, so
+    the picks generate M modulo mM, hence generate M, as m is nilpotent.
+    R/m is a graded field, in which every nonzero homogeneous element is a
+    unit, so a pick outside the span of the earlier ones is independent of
+    them in M/mM: the picks are a basis of M/mM, and no generating set is
+    smaller.
+    """
+    ring = module.ring
+    g, n, comps, action = ring.group, ring.n, module.components, module.action
+    pending = {d: list(c.rels) for d, c in comps.items()}  # rows to span
+    for dr, rows in ring.nilpotent_ideal.items():
+        for dh, ch in comps.items():
+            t = action.get((dr, dh))
+            if t is None:
+                continue
+            out = comps[g.add(dr, dh)]
+            pending[g.add(dr, dh)] += [
+                apply_tensor(t, r, _unit_vec(ch.ngens, j), out)
+                for r in rows for j in range(ch.ngens)]
+    zero = g.zero()
+    picks = []
+    for d in sorted(comps):
+        k = comps[d].ngens
+        span = howell(pending[d], k, n)
+        for j in range(k):
+            if span_contains(_unit_vec(k, j), span, n):
+                continue
+            picks.append((d, _unit_vec(k, j)))
+            # the multiples r e_j for the unit vectors r of R_c are the
+            # stored rows t[p][j] of the action tensor at (c, d)
+            for c in ring.components:
+                t = action.get((c, d))
+                if t is None:
+                    continue
+                multiples = [block[j] for block in t]
+                if c == zero:
+                    span = howell(span + tuple(multiples), k, n)
+                else:
+                    pending[g.add(c, d)] += multiples
+    return tuple(picks)
+
+
 def _check_module_axioms(ring, comps, tensors, words):
     """The module axioms of `ring` acting on `comps` through `tensors`.
 
@@ -268,7 +427,8 @@ def _check_module_axioms(ring, comps, tensors, words):
 class GradedRing:
     """Finitely supported commutative G-graded ring over Z/nZ."""
 
-    __slots__ = ("group", "n", "components", "mult", "one", "_algebra_gens")
+    __slots__ = ("group", "n", "components", "mult", "one", "_algebra_gens",
+                 "_local", "_nilpotents")
 
     def __init__(self, group: FgAbelianGroup, n: int, components, mult, one,
                  validate: bool = True):
@@ -282,7 +442,7 @@ class GradedRing:
         self.one = self.components[zero].reduce(one)
         if not any(self.one):
             raise GradedError("the unit of the ring must be nonzero")
-        self._algebra_gens = None
+        self._algebra_gens = self._local = self._nilpotents = None
         if validate:
             self._validate()
 
@@ -302,6 +462,25 @@ class GradedRing:
         if self._algebra_gens is None:
             self._algebra_gens = _algebra_generators(self)
         return self._algebra_gens
+
+    @property
+    def is_local(self) -> bool:
+        """Whether the ring is *local, decided once; see `_is_local`."""
+        if self._local is None:
+            self._local = _is_local(self)
+        return self._local
+
+    @property
+    def nilpotent_ideal(self):
+        """The ideal m of homogeneous nilpotents of a *local ring, computed
+        once: degree -> Howell rows spanning m_d with the relations of R_d.
+        Its homogeneous elements are the homogeneous non-units; see
+        `_nilpotent_ideal`."""
+        if not self.is_local:
+            raise GradedError("the ring is not *local")
+        if self._nilpotents is None:
+            self._nilpotents = _nilpotent_ideal(self)
+        return self._nilpotents
 
     def multiply(self, a, b):
         """Product of homogeneous elements (deg, coords)."""
@@ -348,13 +527,14 @@ class GradedRing:
 class GradedModule:
     """Finitely supported graded module over a GradedRing."""
 
-    __slots__ = ("ring", "components", "action")
+    __slots__ = ("ring", "components", "action", "_min_gens")
 
     def __init__(self, ring: GradedRing, components, action, validate: bool = True):
         self.ring = ring
         self.components, self.action = _canon_structure(
             ring.group, ring.n, components, action, _MODULE_WORDS[0],
             ring.components)
+        self._min_gens = None
         if validate:
             self._validate()
 
@@ -376,6 +556,15 @@ class GradedModule:
         for c in self.components.values():
             card *= c.cardinality()
         return card
+
+    @property
+    def minimal_generators(self):
+        """A minimal homogeneous generating set (deg, unit vector) over a
+        *local ring, in sorted degree order, computed once; see
+        `_minimal_generators`."""
+        if self._min_gens is None:
+            self._min_gens = _minimal_generators(self)
+        return self._min_gens
 
     def act(self, r, x):
         """Action of homogeneous ring element r = (deg, coords) on x."""

@@ -194,12 +194,23 @@ def solve_row(rows, b, ncols: int, n: int):
     reducing a particular solution modulo the Howell form of the row kernel,
     which makes the choice deterministic.
     """
+    return solve_rows(rows, [b], ncols, n)[0]
+
+
+def solve_rows(rows, targets, ncols: int, n: int) -> list:
+    """`solve_row` for each b in `targets`, factoring A once."""
     k = len(rows)
     h, pivots = _augmented(rows, ncols, n)
-    coeffs = _solve_augmented(h, pivots, b, ncols, k, n)
-    if coeffs is None:
-        return None
-    return reduce_mod_span(coeffs, _kernel_of(h, pivots, ncols, k, n), n)
+    kernel = None
+    out = []
+    for b in targets:
+        coeffs = _solve_augmented(h, pivots, b, ncols, k, n)
+        if coeffs is not None:
+            if kernel is None:
+                kernel = _kernel_of(h, pivots, ncols, k, n)
+            coeffs = reduce_mod_span(coeffs, kernel, n)
+        out.append(coeffs)
+    return out
 
 
 def mat_mul(a, b, n: int) -> tuple[tuple[int, ...], ...]:

@@ -288,4 +288,4 @@ end
         assert code1 == code2 == 0
         assert out1 == out2 and out1
         if "json" in argv:
-            assert json.loads(out1)["format_version"] == "2"
+            assert json.loads(out1)["format_version"] == "3"

@@ -20,11 +20,13 @@ from gradedmod import corpus
 from gradedmod import functors as F
 from gradedmod.abelian import make_epi, make_group
 from gradedmod.functors import coextend, extend, restrict
-from gradedmod.graded import (GradedMorphism, GradedRing, GradedRingHom,
-                              ring_as_module, shift)
+from gradedmod.graded import (GradedError, GradedMorphism, GradedRing,
+                              GradedRingHom, ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
+from util import (group_ring, reference_is_free, reference_is_mono,
+                  reference_is_projective, reference_morita_check,
+                  truncated_ring)
 from util import reference_homs as _reference_homs
-from util import reference_is_mono
 
 G0 = make_group([])
 D0 = ()
@@ -475,3 +477,109 @@ def test_iso_search_cost_does_not_depend_on_generator_order(p, e, seed):
     assert u is not None and u.source == coext and u.target == s_mod
     assert A.is_iso(u)[0]
     assert A.morita_check(h) is True
+
+
+# ---------------------------------------------------------------------------
+# freeness, projectivity and Morita by graded Nakayama on *local rings,
+# against the search over candidates and the free-cover retraction
+
+
+def _nakayama_rings():
+    """The rings of every named instance, (Z/4)[X]/(X^3) and
+    (Z/9)[X]/(X^2) graded trivially, by Z and by Z/2, and group rings
+    (Z/n)[Z/m], whose homogeneous units lie in every degree."""
+    rings = []
+    for inst in corpus.named_instances().values():
+        rings += [inst["ring_r"], inst["ring_s"]]
+    rings += [truncated_ring(n, k, moduli) for n, k in ((4, 3), (9, 2))
+              for moduli in ([], [0], [2])]
+    rings += [group_ring(n, m) for n, m in ((2, 2), (3, 2), (2, 3))]
+    return rings
+
+
+NAKAYAMA_RINGS = _nakayama_rings()
+
+# the reference search gives up after this many Hom elements per
+# candidate; the few modules it cannot decide within it are skipped
+REFERENCE_BUDGET = 2000
+
+
+def _assert_matches_reference(module):
+    try:
+        ref = reference_is_free(module, REFERENCE_BUDGET)
+    except A.IsoSearchExhausted:
+        return False
+    assert A.is_free(module) == ref
+    ok, v = A.is_projective(module)
+    assert ok == reference_is_projective(module)[0] == (ref is not None)
+    if ok and v is not None:
+        if not module.ring.is_local:
+            assert A.free_cover(module).compose(v) == \
+                GradedMorphism.identity(module)
+            return True
+        cover = A._minimal_cover(module)
+        assert cover.compose(v) == GradedMorphism.identity(module)
+        assert v.compose(cover) == GradedMorphism.identity(cover.source)
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(NAKAYAMA_RINGS), st.integers(0, 2**32 - 1),
+       st.integers(1, 3))
+def test_local_freeness_matches_the_search_over_candidates(ring, seed, ops):
+    assert ring.is_local
+    module = corpus.random_module(ring, random.Random(seed), ops)
+    _assert_matches_reference(module)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_non_local_ring_keeps_the_search(seed):
+    # n = 6: R_0 = Z/6 is a product of two fields
+    ring = truncated_ring(6, 2, [])
+    assert not ring.is_local
+    module = corpus.random_module(ring, random.Random(seed))
+    assert _assert_matches_reference(module)
+
+
+def test_locality_and_nilpotents():
+    zg = truncated_ring(9, 2, [0])
+    assert zg.is_local
+    # m = (3, X): 3 in degree 0, all of degree 1
+    assert zg.nilpotent_ideal == {(0,): ((3,),), (1,): ((1,),)}
+    assert group_ring(3, 2).is_local
+    assert group_ring(3, 2).nilpotent_ideal == {(0,): (), (1,): ()}
+    assert not GradedRing(G0, 2, {D0: FpZnModule(2, 2)},
+                          {(D0, D0): (((1, 0), (0, 0)), ((0, 0), (0, 1)))},
+                          (1, 1)).is_local  # F_2 x F_2
+    with pytest.raises(GradedError):
+        truncated_ring(6, 2, []).nilpotent_ideal
+
+
+def test_free_shifts_up_to_unit_degrees():
+    # over F_3[Z/2], R(-1) ~ R: the shift found is the least support degree
+    ring = group_ring(3, 2)
+    r = ring_as_module(ring)
+    assert A.is_free(shift(r, (1,))) == [(0,)]
+    assert reference_is_free(shift(r, (1,))) == [(0,)]
+
+
+@pytest.mark.parametrize("moduli", [[0], [2]])
+def test_order_9_to_the_6_modules_are_free_of_rank_3(moduli):
+    # the search over candidates gave up on these at its default budget
+    ring = truncated_ring(9, 2, moduli)
+    module = corpus.random_module(ring, random.Random(11))
+    assert module.cardinality() == 9 ** 6
+    free = A.is_free(module)
+    assert free is not None and len(free) == 3
+    ok, v = A.is_projective(module)
+    assert ok and A.is_iso(v)[0]
+
+
+def test_morita_matches_the_reference(instances):
+    homs = [inst["h"] for inst in instances.values()]
+    for p, e in ((2, 4), (3, 2)):
+        homs.append(_frobenius_truncated(p, e, random.Random(0)))
+    ring = group_ring(3, 2)
+    homs.append(GradedRingHom.identity(ring))
+    for h in homs:
+        assert A.morita_check(h) == reference_morita_check(h), h

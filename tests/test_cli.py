@@ -73,7 +73,7 @@ def test_json_format_version(capsys, ws_file):
                               "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["format_version"] == "2"
+    assert payload["format_version"] == "3"
     assert payload["command"] == "analyze"
 
 
@@ -165,15 +165,35 @@ def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text):
     assert out.startswith("error: ") and out.count("\n") == 1
 
 
-def test_exhausted_search_is_undecided_not_an_input_error(capsys,
+# Z/6 presented on two generators a, b with a = b: R itself, presented
+# differently, over a ring that is not *local
+NON_LOCAL = """modulus 6
+group G moduli
+ring R G
+  component 1
+  one 1
+  mult 0 0 1
+end
+module M R
+  component 2
+  rel 1 5
+  act 0 0 1 0
+  act 0 1 0 1
+end
+"""
+
+
+def test_exhausted_search_is_undecided_not_an_input_error(capsys, tmp_path,
                                                           monkeypatch):
-    # with a budget of one Hom element, is_free on the coextension (which
-    # is S, presented differently) cannot decide: the first element of
-    # Hom(S, coextend(h, R))_0 is the zero map
+    # with a budget of one Hom element, is_free on M cannot decide: the
+    # first element of Hom(R, M)_0 is the zero map.  Over a *local ring
+    # is_free does not search.
+    p = tmp_path / "non_local.txt"
+    p.write_text(NON_LOCAL)
     search = analyze.iso_search
     monkeypatch.setattr(analyze, "iso_search",
                         lambda m, n, budget=None: search(m, n, 1))
-    argv = ["coextend", "--h", "frobenius_ungraded", "frobenius_ungraded.RR"]
+    argv = ["--input", str(p), "analyze", "M"]
     code, out = _run(capsys, argv)
     assert code == 3
     assert out.startswith("error: undecided within budget 1")
@@ -181,7 +201,7 @@ def test_exhausted_search_is_undecided_not_an_input_error(capsys,
     code, out = _run(capsys, argv + ["--format", "json"])
     assert code == 3
     payload = json.loads(out)
-    assert payload["format_version"] == "2"
+    assert payload["format_version"] == "3"
     assert payload["error"].startswith("undecided within budget 1")
     assert set(payload) == {"format_version", "error"}
 

@@ -3,8 +3,11 @@
 import itertools
 
 from gradedmod import analyze
+from gradedmod.abelian import make_group
+from gradedmod.functors import coextend, restrict
 from gradedmod.graded import (GradedError, GradedModule, GradedMorphism,
-                              _unit_vec, apply_tensor, graded_kernel)
+                              GradedRing, _unit_vec, apply_tensor,
+                              free_module, graded_kernel, ring_as_module)
 from gradedmod.znlinalg import FpZnModule, prune
 
 
@@ -50,6 +53,81 @@ def reference_is_mono(u: GradedMorphism):
             if any(vec):
                 return False, (deg, vec)
     return True, None
+
+
+def reference_is_free(module, budget=analyze.DEFAULT_ISO_BUDGET):
+    """`analyze.is_free` by a search over candidates, on any ring: the
+    first shift multiset, in `combinations_with_replacement` order over the
+    sorted nonzero support, whose free module has the component orders of
+    `module` and is isomorphic to it by `analyze.iso_search`."""
+    ring = module.ring
+    if module.is_zero:
+        return []
+    supp = analyze._nonzero_support(module)
+    max_gens = sum(c.ngens for c in module.components.values())
+    for k in range(1, max_gens + 1):
+        for gens in itertools.combinations_with_replacement(supp, k):
+            shifts = [ring.group.neg(a) for a in gens]
+            cand = free_module(ring, shifts)
+            if analyze._nonzero_support(cand) != supp:
+                continue
+            if any(cand.components[d].cardinality()
+                   != module.components[d].cardinality() for d in supp):
+                continue
+            if analyze.iso_search(cand, module, budget) is not None:
+                return list(shifts)
+    return None
+
+
+def reference_is_projective(module):
+    """`analyze.is_projective` on any ring: (verdict, witness), the witness
+    a right inverse of `analyze.free_cover`, the cover with one generator
+    per Z/n generator, solved for by `analyze.is_retraction`."""
+    if module.is_zero:
+        return True, None
+    ok, v = analyze.is_retraction(analyze.free_cover(module))
+    return (True, v) if ok else (False, None)
+
+
+def reference_morita_check(h, budget=analyze.DEFAULT_ISO_BUDGET):
+    """`analyze.morita_check` on any rings: `reference_is_projective` of
+    h_*(S), then `analyze.iso_search` for coextend(h, R) -> S."""
+    hs = restrict(h, ring_as_module(h.target))
+    if not reference_is_projective(hs)[0]:
+        return False
+    hr = coextend(h, ring_as_module(h.source)).module
+    return analyze.iso_search(hr, ring_as_module(h.target), budget) \
+        is not None
+
+
+def truncated_ring(n, k, moduli):
+    """(Z/n)[X]/(X^k) graded by the group with these moduli (none, [0]
+    for Z, [m] for Z/m), with deg X = 1 in each coordinate.  Each
+    component is free on the monomials X^i of its degree, in order."""
+    grp = make_group(moduli)
+    deg = [grp.canon([i] * len(moduli)) for i in range(k)]
+    slot = [deg[:i].count(d) for i, d in enumerate(deg)]
+    size = {d: deg.count(d) for d in deg}
+    mult = {}
+    for i, j in itertools.product(range(k), repeat=2):
+        da, db = deg[i], deg[j]
+        t = mult.setdefault((da, db), [
+            [[0] * size.get(grp.add(da, db), 0) for _ in range(size[db])]
+            for _ in range(size[da])])
+        if i + j < k:
+            t[slot[i]][slot[j]][slot[i + j]] = 1
+    one = [int(s == 0) for s in range(size[deg[0]])]
+    return GradedRing(grp, n, {d: FpZnModule(n, s) for d, s in size.items()},
+                      mult, one)
+
+
+def group_ring(n, m):
+    """The group ring (Z/n)[Z/m] graded by Z/m, deg x = 1.  As x^m = 1,
+    x is a unit, and every degree holds a homogeneous unit."""
+    grp = make_group([m])
+    comps = {(i,): FpZnModule(n, 1) for i in range(m)}
+    mult = {((i,), (j,)): (((1,),),) for i in range(m) for j in range(m)}
+    return GradedRing(grp, n, comps, mult, (1,))
 
 
 def reference_homs(m, n_mod):
