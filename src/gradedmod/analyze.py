@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 
 from .abelian import GroupEpi
 from .graded import (GradedError, GradedModule, GradedMorphism,
-                     GradedRingHom, _unit_vec, coarsen_ring_hom, free_module,
-                     ring_as_module, shift)
+                     GradedRingHom, _unit_vec, apply_tensor, coarsen_ring_hom,
+                     free_module, ring_as_module, shift)
 from .functors import (_block_layout, _block_matrices, _flat_vector, coextend,
                        hom_degree, restrict)
-from .znlinalg import (howell, identity_matrix, mat_mul, preimage_gens,
-                       solve_row, solve_rows, span_contains)
+from .znlinalg import (FpZnModule, howell, identity_matrix, mat_mul,
+                       preimage_gens, solve_row, solve_rows, span_contains,
+                       vec_mat)
 from . import canonical
 
 
@@ -32,10 +33,6 @@ class AnalyzeError(GradedError):
 
 class InconsistentBattery(AnalyzeError):
     """The battery's statements disagreed; this signals a bug, never math."""
-
-
-class IsoSearchExhausted(AnalyzeError):
-    """The isomorphism search ran out of budget before deciding."""
 
 
 @dataclass
@@ -167,46 +164,6 @@ def is_pure(u: GradedMorphism) -> bool:
     return is_mono(u)[0] and is_section(u)[0]
 
 
-DEFAULT_ISO_BUDGET = 200000
-
-
-def iso_search(m: GradedModule, n_mod: GradedModule,
-               budget: int = DEFAULT_ISO_BUDGET):
-    """A degree-respecting isomorphism m -> n_mod, or None if none exists.
-
-    The candidates are the elements of Hom_R(m, n_mod)_0, the degree-zero
-    component of the graded Hom module, enumerated from its presentation.
-    Each is a morphism by construction and is accepted when it is
-    bijective.  Modules with different nonzero supports or component
-    cardinalities are rejected first.  The budget counts Hom elements;
-    IsoSearchExhausted is raised when it runs out before a decision.
-    """
-    if m.ring != n_mod.ring:
-        return None
-    degs = _nonzero_support(m)
-    if degs != _nonzero_support(n_mod):
-        return None
-    for d in degs:
-        if m.components[d].cardinality() != n_mod.components[d].cardinality():
-            return None
-    if m == n_mod:
-        return GradedMorphism.identity(m)
-    if not degs:  # both modules are zero
-        return GradedMorphism.zero(m, n_mod)
-    ring = m.ring
-    blocks, _, sq = hom_degree(GradedRingHom.identity(ring), m, n_mod,
-                               ring.group.zero())
-    for tried, coords in enumerate(sq.module.elements(), 1):
-        if tried > budget:
-            raise IsoSearchExhausted(
-                f"undecided within budget {budget}: no isomorphism among "
-                f"the first {budget} elements of Hom(M, N)_0")
-        u = GradedMorphism(m, n_mod, _block_matrices(blocks, sq.lift(coords)))
-        if is_iso(u)[0]:
-            return u
-    return None
-
-
 def _nonzero_support(module: GradedModule):
     """The sorted degrees whose component is a nonzero module.
 
@@ -221,194 +178,202 @@ def _cardinality(ring) -> int:
     return math.prod(c.cardinality() for c in ring.components.values())
 
 
+def _factor_orders(ring):
+    """|eR| for each factor e of the ring: |eR_d| = |R_d/(1 - e)R_d|."""
+    zero = ring.group.zero()
+    orders = []
+    for e, _ in ring.factors:
+        if e == ring.one:
+            orders.append(_cardinality(ring))
+            continue
+        order = 1
+        for d, c in ring.components.items():
+            t = ring.mult.get((zero, d))
+            units = [_unit_vec(c.ngens, j) for j in range(c.ngens)]
+            rest = [[u - v for u, v in zip(x, apply_tensor(t, e, x, c))]
+                    for x in units]
+            order *= FpZnModule(ring.n, c.ngens, c.rels + tuple(rest)) \
+                .cardinality()
+        orders.append(order)
+    return orders
+
+
 def _unit_degrees(ring):
-    """The degrees of the homogeneous units of a *local ring: those d with
-    m_d short of R_d, whose Howell form is then not the identity (Howell
-    forms are unique).  They form a subgroup U, and R(-d) ~ R(-d-u) for u
-    in U, by multiplication with a unit of degree u."""
-    m = ring.nilpotent_ideal
-    return {d for d, c in ring.components.items()
-            if m[d] != identity_matrix(c.ngens)}
+    """Per factor e of the ring, the degrees of the homogeneous units of
+    eR: those d with (J_e)_d short of R_d, whose Howell form is then not
+    the identity (Howell forms are unique).  They form a subgroup U_e,
+    and eR(-d) ~ eR(-d-u) for u in U_e, by multiplication with a unit of
+    degree u."""
+    return tuple({d for d, c in ring.components.items()
+                  if ideal[d] != identity_matrix(c.ngens)}
+                 for ideal in ring.nilpotent_ideals)
 
 
-def _free_by_count(module: GradedModule) -> bool:
-    """Whether a module over a *local ring is free, by graded Nakayama.
+def _projective_by_count(module: GradedModule) -> bool:
+    """Whether a module is projective, by graded Nakayama on each factor.
 
-    The cover F = (+)_i R(-d_i) on the s minimal generators x_i of
-    degrees d_i maps onto M, so M is free iff |F| = |R|^s = |M|: a
-    surjection between finite sets of equal size is a bijection, and a
-    free M has a basis of s elements, as every minimal generating set has
-    s elements.
+    M is projective iff every eM is projective over the *local eR, iff
+    every eM is free.  The cover (+)_i eR(-d_i) on the s_e minimal
+    generators e x_i of degrees d_i maps onto eM, so eM is free iff
+    |eR|^(s_e) = |eM|: a surjection between finite sets of equal size is
+    a bijection, and a free eM has a basis of s_e elements, as every
+    minimal generating set has s_e elements.  As |eR|^(s_e) >= |eM| for
+    every e, and |M| is the product of the |eM|, M is projective iff
+    prod_e |eR|^(s_e) = |M|.
     """
-    return (_cardinality(module.ring) ** len(module.minimal_generators)
-            == module.cardinality())
+    return math.prod(order ** len(gens) for order, gens in zip(
+        _factor_orders(module.ring), module.minimal_generators)) \
+        == module.cardinality()
 
 
-def _local_free_shifts(module: GradedModule):
-    """`is_free` over a *local ring.
-
-    The degree multiset of a minimal generating set is an invariant up to
-    the unit degrees U, and R(-d) ~ R(-e) iff d - e lies in U.  The shifts
-    returned are those of the sorted multiset that picks, for each d_i,
-    the least degree of the nonzero support in d_i + U: the first
-    isomorphic candidate in `combinations_with_replacement` order over the
-    sorted support, as the search over candidates on other rings finds.
-    """
-    if not _free_by_count(module):
-        return None
-    grp = module.ring.group
-    units = _unit_degrees(module.ring)
-    supp = _nonzero_support(module)
-    least = [next(e for e in supp if grp.sub(e, d) in units)
-             for d, _ in module.minimal_generators]
-    return [grp.neg(e) for e in sorted(least)]
-
-
-def is_free(module: GradedModule, budget: int = DEFAULT_ISO_BUDGET):
+def is_free(module: GradedModule):
     """Shift degrees (g_1..g_k) with module ~ (+)_i R(g_i), or None.
 
-    Over a *local ring this counts (`_local_free_shifts`) and `budget` is
-    not used.  Otherwise candidate generator degrees come from the
-    support; a candidate multiset survives only if every component
-    cardinality matches, after which iso_search looks for an isomorphism
-    among the elements of Hom((+)_i R(g_i), module)_0, at most `budget` of
-    them per candidate.
+    M is free iff it is projective (`_projective_by_count`), every factor
+    e of the ring has the same number s of minimal generators, and one
+    multiset of degrees a_1..a_s matches the generator degrees d of every
+    factor up to its unit degrees U_e: then eM ~ (+)_i eR(-a_i) for each
+    e, and their sum is (+)_i R(-a_i); conversely a basis of M gives each
+    factor such generators.  The shifts returned are those of the sorted
+    multiset that comes first in `combinations_with_replacement` order
+    over the sorted nonzero support, which holds every a_i: the first
+    isomorphic candidate of a search over free modules.  A depth-first
+    walk over the support finds it; on a *local ring it takes, for each
+    d, the least support degree in d + U.  The walk stops as soon as it
+    has passed the last support degree in d + U_e of a generator degree
+    d still unmatched, which no later degree can match.
     """
-    ring = module.ring
-    if module.is_zero:
-        return []
-    if ring.is_local:
-        return _local_free_shifts(module)
+    gens = module.minimal_generators
+    if len({len(g) for g in gens}) > 1 or not _projective_by_count(module):
+        return None
+    grp = module.ring.group
     supp = _nonzero_support(module)
-    max_gens = sum(c.ngens for c in module.components.values())
-    for k in range(1, max_gens + 1):
-        for gens in itertools.combinations_with_replacement(supp, k):
-            shifts = [ring.group.neg(a) for a in gens]
-            cand = free_module(ring, shifts)
-            if _nonzero_support(cand) != supp:
+    units = _unit_degrees(module.ring)
+    # per factor, the generator degrees d to match, each with the index of
+    # the last support degree in d + U_e (-1 if none)
+    left = [[(d, max((i for i, a in enumerate(supp) if grp.sub(a, d) in u),
+                     default=-1)) for d, _ in g]
+            for g, u in zip(gens, units)]
+
+    def walk(start, picked):
+        if len(picked) == len(gens[0]):
+            return picked
+        for at in range(start, len(supp)):
+            if any(last < at for ds in left for _, last in ds):
+                return None
+            a = supp[at]
+            hits = [next((i for i, (d, _) in enumerate(ds)
+                          if grp.sub(a, d) in u), None)
+                    for ds, u in zip(left, units)]
+            if None in hits:
                 continue
-            if any(cand.components[d].cardinality()
-                   != module.components[d].cardinality() for d in supp):
-                continue
-            if iso_search(cand, module, budget) is not None:
-                return list(shifts)
-    return None
+            taken = [ds.pop(i) for ds, i in zip(left, hits)]
+            found = walk(at, picked + [a])
+            if found is not None:
+                return found
+            for ds, i, d in zip(left, hits, taken):
+                ds.insert(i, d)
+        return None
+
+    found = walk(0, [])
+    return None if found is None else [grp.neg(a) for a in found]
 
 
-def finite_presentation(module: GradedModule):
-    """The explicit presentation record; always available here."""
-    return {d: (c.ngens, len(c.rels)) for d, c in module.components.items()}
-
-
-def free_cover(module: GradedModule):
-    """The canonical epimorphism from a free module onto the module."""
-    ring = module.ring
-    shifts = []
-    for d in sorted(module.components):
-        shifts.extend([ring.group.neg(d)] * module.components[d].ngens)
-    cover = free_module(ring, shifts)
-    # row order of the cover's degree-d component: one block per generator
-    # (in sorted degree order), each block listing the ring component's
-    # generators at the complementary degree; map each row through the action
-    maps = {}
-    for d in sorted(set(cover.components) | set(module.components)):
-        cov = cover.component(d)
-        comp = module.component(d)
-        if not cov.ngens:
-            continue
-        rows = []
-        gen_list = []
-        for dd in sorted(module.components):
-            for i in range(module.components[dd].ngens):
-                gen_list.append((dd, i))
-        for (dd, i) in gen_list:
-            g = ring.group.neg(dd)
-            rc = ring.component(ring.group.add(g, d))
-            for p in range(rc.ngens):
-                # ring element of degree g+d acting on generator (dd, i)
-                r = (ring.group.add(g, d), _unit_vec(rc.ngens, p))
-                x = (dd, _unit_vec(module.components[dd].ngens, i))
-                rows.append(module.act(r, x)[1])
-        maps[d] = tuple(rows)
-    return GradedMorphism(cover, module, maps)
+def _cover_generators(module: GradedModule):
+    """(e, deg, x) for the minimal generators x of every factor e of the
+    ring, factor by factor."""
+    return [(e, d, x) for (e, _), gens in zip(module.ring.factors,
+                                              module.minimal_generators)
+            for d, x in gens]
 
 
 def _minimal_cover(module: GradedModule) -> GradedMorphism:
-    """The cover (+)_i R(-d_i) -> M, 1 in summand i -> x_i, on the minimal
-    generators x_i of a module over a *local ring.
+    """The cover (+)_i R(-d_i) -> M, 1 in summand i -> e x_i, on the
+    minimal generators x_i of degree d_i of each factor e of the ring.
 
     Summand i of the cover at degree d is R_{d-d_i}, so the row of its
-    generator r is r x_i, the stored row of the action tensor at
-    (d - d_i, d_i) for the unit vector x_i.
+    generator r is r e x_i.  For e = 1 that is r x_i, the stored row of
+    the action tensor at (d - d_i, d_i) for the unit vector x_i.
     """
     ring = module.ring
-    grp = ring.group
-    gens = module.minimal_generators
-    cover = free_module(ring, [grp.neg(d) for d, _ in gens])
+    grp, n = ring.group, ring.n
+    gens = _cover_generators(module)
+    cover = free_module(ring, [grp.neg(d) for _, d, _ in gens])
     maps = {}
     for d, comp in module.components.items():
         rows = []
-        for dx, x in gens:
+        for e, dx, x in gens:
             c = grp.sub(d, dx)
             t = module.action.get((c, dx))
-            j = x.index(1)
-            rows += [t[p][j] if t is not None else comp.zero()
-                     for p in range(ring.component(c).ngens)]
+            k = ring.component(c).ngens
+            if t is None:
+                rows += [comp.zero()] * k
+            elif e == ring.one:
+                j = x.index(1)
+                rows += [t[p][j] for p in range(k)]
+            else:
+                ex = module.act((grp.zero(), e), (dx, x))[1]
+                rows += [comp.reduce(vec_mat(ex, t[p], n)) for p in range(k)]
         if rows:
             maps[d] = rows
     return GradedMorphism(cover, module, maps, validate=False)
 
 
-def _cover_inverse(p: GradedMorphism) -> GradedMorphism:
-    """The inverse v of a bijective cover p: F -> M, checked: p.v = id.
+def _cover_section(p: GradedMorphism) -> GradedMorphism:
+    """A section v of the minimal cover p: F -> M of a projective M,
+    checked: p.v = id.
 
-    At each degree, row j of v solves x p_d = e_j modulo the relations of
-    M_d; with p onto and |F| = |M| the solution is unique in F_d.
+    Let E be the sum of the parts eR(-d_i) of the summands of F, each
+    for the factor e of its generator.  p vanishes off E, and maps E onto
+    M bijectively, as M is the sum of the free eM.  At each degree, row j
+    of v solves x p_d = e_j modulo the relations of M_d, and the part of
+    x in E, each summand's block multiplied by its e, is the unique
+    solution in E; on a *local ring E = F.
     """
     module, cover = p.target, p.source
-    n = module.ring.n
+    ring = module.ring
+    grp, zero = ring.group, ring.group.zero()
+    gens = _cover_generators(module)
+
+    def part_in_e(d, x):
+        out = []
+        for e, dx, _ in gens:
+            c = grp.sub(d, dx)
+            rc = ring.component(c)
+            block, x = x[:rc.ngens], x[rc.ngens:]
+            out += block if e == ring.one else apply_tensor(
+                ring.mult.get((zero, c)), e, block, rc)
+        return out
+
     maps = {}
     for d, comp in module.components.items():
         fc = cover.component(d)
         rows = list(p.matrix(d)) + list(comp.rels)
-        sols = solve_rows(rows, identity_matrix(comp.ngens), comp.ngens, n)
+        sols = solve_rows(rows, identity_matrix(comp.ngens), comp.ngens,
+                          ring.n)
         if None in sols:
             raise AnalyzeError("the minimal cover is not onto")
-        maps[d] = [fc.reduce(x[:fc.ngens]) for x in sols]
+        maps[d] = [fc.reduce(part_in_e(d, x[:fc.ngens])) for x in sols]
     v = GradedMorphism(module, cover, maps, validate=False)
     if p.compose(v) != GradedMorphism.identity(module):
-        raise AnalyzeError("the minimal cover has no inverse")
+        raise AnalyzeError("the minimal cover has no section")
     return v
 
 
 def is_projective(module: GradedModule):
-    """(verdict, witness): witness is a splitting of a free cover.
+    """(verdict, witness): witness is a section of the minimal cover.
 
-    Over a *local ring a projective module is free (graded Nakayama), so
-    the verdict is that of `is_free`, and the witness is the inverse of
-    the minimal cover (`_minimal_cover`), checked to compose with it to
-    the identity.  Otherwise the witness is a right inverse of
-    `free_cover`, solved for by `is_retraction`.
+    A module is projective iff each factor eM is free over the *local eR
+    (graded Nakayama), which `_projective_by_count` decides.  The witness
+    is a section v of the minimal cover p (`_minimal_cover`, on the
+    minimal generators of every factor), checked by p.v = id; on a
+    *local ring it is the inverse of p.
     """
     if module.is_zero:
         return True, None
-    if module.ring.is_local:
-        if not _free_by_count(module):
-            return False, None
-        return True, _cover_inverse(_minimal_cover(module))
-    p = free_cover(module)
-    ok, v = is_retraction(p)
-    return (True, v) if ok else (False, None)
-
-
-def is_flat(module: GradedModule) -> bool:
-    """Flat coincides with projective for finitely presented modules."""
-    return is_projective(module)[0]
-
-
-def is_small(module: GradedModule) -> bool:
-    """Finite type implies small; every module here is of finite type."""
-    return True
+    if not _projective_by_count(module):
+        return False, None
+    return True, _cover_section(_minimal_cover(module))
 
 
 def analyze_morphism(u: GradedMorphism, subject: str = "morphism"):
@@ -435,9 +400,8 @@ def analyze_morphism(u: GradedMorphism, subject: str = "morphism"):
     return report
 
 
-def analyze_module(module: GradedModule, subject: str = "module",
-                   budget: int = DEFAULT_ISO_BUDGET):
-    free = is_free(module, budget)
+def analyze_module(module: GradedModule, subject: str = "module"):
+    free = is_free(module)
     proj, wp = is_projective(module)
     report = AnalysisReport(subject)
     report.flags = {
@@ -450,7 +414,8 @@ def analyze_module(module: GradedModule, subject: str = "module",
     }
     report.witnesses = {
         "free_shifts": free,
-        "presentation": finite_presentation(module),
+        "presentation": {d: (c.ngens, len(c.rels))
+                         for d, c in module.components.items()},
         "splitting": wp,
     }
     return report
@@ -516,28 +481,23 @@ def d80_check(h: GradedRingHom, psi: GroupEpi):
             is_ring_epimorphism(coarsen_ring_hom(h, psi)))
 
 
-def morita_check(h: GradedRingHom, budget: int = DEFAULT_ISO_BUDGET) -> bool:
+def morita_check(h: GradedRingHom) -> bool:
     """Extension and coextension agree iff h_*(S) is projective of finite
     type and coextend(h, R) is isomorphic to S.
 
-    Over a *local R, h_*(S) is projective iff it is free, which
-    `_free_by_count` decides.  Over a *local S, coextend(h, R) ~ S
-    iff coextend(h, R) has one minimal generator, in a degree d of a
-    homogeneous unit of S, and |coextend(h, R)| = |S|: the cover
-    S(-d) ~ S onto it is then a bijection, and conversely the generator
-    of S sits in degree 0, so that of any module isomorphic to S sits in
-    a unit degree.  On a ring that is not *local, `is_projective` decides
-    the first question, and iso_search the second among the elements of
-    Hom_S(coextend(h, R), S)_0, at most `budget` of them.
+    `_projective_by_count` decides the first question.  coextend(h, R) ~ S
+    iff for every factor e of S, e coextend(h, R) ~ eS, iff
+    e coextend(h, R) has one minimal generator, in a degree d of a
+    homogeneous unit of eS, and the orders agree: the cover eS(-d) ~ eS
+    onto it is then a bijection, and conversely the generator of eS sits
+    in degree 0, so that of any module isomorphic to eS sits in a unit
+    degree.  With one such generator for every factor, the covers make
+    |e coextend(h, R)| <= |eS| for each e, so |coextend(h, R)| = |S|
+    decides the orders of all factors at once.
     """
-    hs = restrict(h, ring_as_module(h.target))
-    projective = (_free_by_count(hs) if h.source.is_local
-                  else is_projective(hs)[0])
-    if not projective:
+    if not _projective_by_count(restrict(h, ring_as_module(h.target))):
         return False
     hr = coextend(h, ring_as_module(h.source)).module
-    if h.target.is_local:
-        gens = hr.minimal_generators
-        return (len(gens) == 1 and gens[0][0] in _unit_degrees(h.target)
-                and hr.cardinality() == _cardinality(h.target))
-    return iso_search(hr, ring_as_module(h.target), budget) is not None
+    return (all(len(gens) == 1 and gens[0][0] in units for gens, units in
+                zip(hr.minimal_generators, _unit_degrees(h.target)))
+            and hr.cardinality() == _cardinality(h.target))

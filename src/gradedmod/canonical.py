@@ -17,8 +17,9 @@ from .graded import (GradedModule, GradedMorphism, GradedRingHom,
                      GradedError, RingMismatch, _coarse_components, _unit_vec,
                      coarsen_module, coarsen_ring, coarsen_ring_hom,
                      direct_sum, ring_as_module)
-from .functors import (HomWitness, TensorWitness, coextend, extend,
-                       hom_graded, mixed_hom, mixed_tensor, restrict, tensor)
+from .functors import (HomWitness, TensorWitness, _lift_generators,
+                       coextend, extend, hom_graded, mixed_hom, mixed_tensor,
+                       restrict, tensor)
 
 
 class CanonicalMapError(GradedError):
@@ -387,6 +388,7 @@ def mu(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
     inner = mixed_hom(h, m, ring_as_module(h.source))
     target = mixed_hom(h, inner.module, n)
     grp = h.target.group
+    lifted = _lift_generators(inner, inner.module.components)
     maps = {}
     for d, pairs in src.index.items():
         rows = []
@@ -395,15 +397,11 @@ def mu(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
             yj = (b, _unit_vec(n.component(b).ngens, j))
             mats = {}
             for g in sorted(inner.module.components):
-                comp = inner.module.components[g]
                 cols = n.component(grp.add(grp.add(a, b), g)).ngens
                 if not cols:
                     continue
-                rows_g = []
-                for k in range(comp.ngens):
-                    ux = inner.evaluate((g, _unit_vec(comp.ngens, k)), xi)
-                    rows_g.append(n.act(ux, yj)[1])
-                mats[g] = tuple(rows_g)
+                mats[g] = tuple(n.act(inner.apply(g, u, xi), yj)[1]
+                                for u in lifted[g])
             rows.append(_coords_or_fail(target, grp.add(a, b), mats, "mu"))
         maps[d] = rows
     return CanonicalMap("mu", GradedMorphism(src.module, target.module, maps),
@@ -417,24 +415,21 @@ def tau3(l: GradedModule, m: GradedModule, n: GradedModule) -> CanonicalMap:
     homlm = hom_graded(l, m)
     target = hom_graded(homlm.module, n)
     grp = l.ring.group
+    lifted_lm = _lift_generators(homlm, homlm.module.components)
+    lifted_mn = _lift_generators(hommn, hommn.module.components)
     maps = {}
     for d, pairs in src.index.items():
         rows = []
         for (a, i, g, k) in pairs:
             xi = (a, _unit_vec(l.component(a).ngens, i))
-            hom_comp = hommn.module.component(g)
+            u = lifted_mn[g][k]
             mats = {}
             for g1 in sorted(homlm.module.components):
-                comp = homlm.module.components[g1]
                 cols = n.component(grp.add(grp.add(a, g), g1)).ngens
                 if not cols:
                     continue
-                rows_g = []
-                for t in range(comp.ngens):
-                    vx = homlm.evaluate((g1, _unit_vec(comp.ngens, t)), xi)
-                    rows_g.append(hommn.evaluate(
-                        (g, _unit_vec(hom_comp.ngens, k)), vx)[1])
-                mats[g1] = tuple(rows_g)
+                mats[g1] = tuple(hommn.apply(g, u, homlm.apply(g1, v, xi))[1]
+                                 for v in lifted_lm[g1])
             rows.append(_coords_or_fail(target, grp.add(a, g), mats, "tau3"))
         maps[d] = rows
     return CanonicalMap("tau3", GradedMorphism(src.module, target.module,
@@ -449,6 +444,7 @@ def tau(l: GradedModule) -> CanonicalMap:
     homlr = hom_graded(l, rm)
     target = hom_graded(homlr.module, rm)
     grp = ring.group
+    lifted = _lift_generators(homlr, homlr.module.components)
     maps = {}
     for a, comp in l.components.items():
         rows = []
@@ -456,13 +452,10 @@ def tau(l: GradedModule) -> CanonicalMap:
             xi = (a, _unit_vec(comp.ngens, i))
             mats = {}
             for g in sorted(homlr.module.components):
-                hcomp = homlr.module.components[g]
                 cols = ring.component(grp.add(a, g)).ngens
                 if not cols:
                     continue
-                mats[g] = tuple(
-                    homlr.evaluate((g, _unit_vec(hcomp.ngens, k)), xi)[1]
-                    for k in range(hcomp.ngens))
+                mats[g] = tuple(homlr.apply(g, u, xi)[1] for u in lifted[g])
             rows.append(_coords_or_fail(target, a, mats, "tau"))
         maps[a] = rows
     return CanonicalMap("tau", GradedMorphism(l, target.module, maps),

@@ -10,10 +10,9 @@ copy ``<name>.SS_<g>`` of S per support degree g).  A built-in instance
 is built only when an argument names it and no workspace defines that
 name.  Reports are deterministic: degrees sorted lexicographically,
 matrices row-major, flags alphabetical.  Exit codes: 0 success, 1 failed
-assertion, 2 input error, 3 undecided within the isomorphism search budget.
-Exit code 3 arises only on rings that are not *local: over a *local ring
-`is_free` in module reports and `check morita` decide by counting, without
-a search.
+assertion, 2 input error.  Every question is decided: `is_free` in module
+reports and `check morita` count on the *local factors of the ring
+(graded Nakayama), without a search.
 """
 
 from __future__ import annotations
@@ -28,12 +27,11 @@ from .graded import (GradedError, GradedModule, GradedMorphism,
 from .functors import coextend, extend, hom_graded, restrict, tensor
 from .textio import ParseError, ValidationError, Workspace, parse_workspace
 
-FORMAT_VERSION = "3"
+FORMAT_VERSION = "4"
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_INPUT = 2
-EXIT_UNDECIDED = 3
 
 
 class CliError(Exception):
@@ -454,8 +452,6 @@ def main(argv=None) -> int:
                 indent=2) + "\n")
         else:
             sys.stdout.write(message + "\n")
-        if isinstance(exc, analyze.IsoSearchExhausted):
-            return EXIT_UNDECIDED
         return EXIT_INPUT
     report = {"format_version": FORMAT_VERSION, "command": args.cmd,
               "seed": args.seed}

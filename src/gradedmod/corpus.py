@@ -5,7 +5,7 @@ the inclusion of F_2 into F_2[t]/(t^2) (graded by Z/2 with deg t = 1 and
 ungraded), the truncated polynomial ring F_2[X]/(X^3) with its quotient by
 (X^2) (ungraded, Z/3-graded, and Z-graded), and the coarsening maps between
 their grading groups.  The random generators draw modules from shifts, sums
-and quotients of the ring with a bounded size budget, and morphisms
+and quotients of the ring, up to a bounded size, and morphisms
 uniformly from the presentation of Hom(M, N)_0, so properties quantified
 over "all modules/morphisms" are exercised on a reproducible sample.
 """

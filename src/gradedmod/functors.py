@@ -392,15 +392,29 @@ class HomWitness:
 
     def evaluate(self, u, x):
         """Apply the Hom element u = (g, coords) to x = (a, xv)."""
-        (g, coords), (a, xv) = u, x
+        g, coords = u
+        return self.apply(g, self.matrices(g, coords), x)
+
+    def apply(self, g, mats, x):
+        """Apply the Hom element of degree g with the matrix family `mats`
+        (from `matrices`) to x = (a, xv)."""
+        a, xv = x
         grp = self.source.ring.group
         out_deg = grp.add(g, a)
         out = self.target.component(out_deg)
-        mats = self.matrices(g, coords)
         mat = mats.get(grp.canon(a))
         if mat is None or not mat:
             return out_deg, out.zero()
         return out_deg, out.reduce(vec_mat(xv, mat, out.n))
+
+
+def _lift_generators(witness: HomWitness, comps):
+    """The matrix family of each generator of each component in `comps`
+    (those of `witness.module`), lifted once: degree -> one family per
+    generator."""
+    return {g: [witness.matrices(g, _unit_vec(c.ngens, k))
+                for k in range(c.ngens)]
+            for g, c in comps.items()}
 
 
 def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
@@ -530,10 +544,7 @@ def mixed_hom(h: GradedRingHom, source: GradedModule,
             comps[g] = sq.module
 
     witness = HomWitness(h, source, target, None, layout, sqs, dims)
-    # the matrix family of each generator of each component, lifted once
-    lifted = {g: [witness.matrices(g, _unit_vec(hom_g.ngens, k))
-                  for k in range(hom_g.ngens)]
-              for g, hom_g in comps.items()}
+    lifted = _lift_generators(witness, comps)
     # S-action: (su)(x) = u(sx)
     action = {}
     for c in sorted(ring_s.components):

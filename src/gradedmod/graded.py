@@ -29,8 +29,6 @@ is spelled out at `_check_module_axioms` and at the `_validate` methods.
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .abelian import FgAbelianGroup, GroupEpi
 from .znlinalg import (FpZnModule, howell, identity_matrix, mat_mul,
                        reduce_mod_span, row_kernel, solve_row, span_contains,
@@ -195,20 +193,36 @@ def _algebra_generators(ring):
 
 
 # ---------------------------------------------------------------------------
-# *local rings: graded Nakayama
+# *local factors: graded Nakayama
 #
 # A graded ring is *local when its homogeneous non-units span a proper
 # ideal m.  Over such a ring R/m is a graded field, and a homogeneous
 # generating set of a module M is minimal iff it gives a basis of M/mM
 # (graded Nakayama: Bruns-Herzog, *Cohen-Macaulay Rings*, section 1.5).
+# Every finite graded ring is a product of *local rings eR, one for each
+# primitive idempotent e of R_0 (homogeneous idempotents live in degree
+# 0), and every module M splits as the sum of the eM.  The factors stay
+# inside the presentation of R: each is an idempotent e with its prime p,
+# and the ideal J_e of the r with er nilpotent stands in for m, since
+# R/J_e is the graded field of eR.  A *local ring has the one factor 1.
+#
+# eR is *local when eR_0 is local: a homogeneous x of eR that is not
+# nilpotent has a degree of finite order o, since R is finite, so x^o lies
+# in eR_0 and is not nilpotent; it is a unit there, and so is x.  Hence
+# the homogeneous non-units of eR are its homogeneous nilpotents, and they
+# span an ideal.
 
 
-def _prime_of_power(n: int):
-    """p when n = p^a for a prime p, else None."""
-    p = next((q for q in range(2, isqrt(n) + 1) if n % q == 0), n)
-    while n % p == 0:
-        n //= p
-    return p if n == 1 else None
+def _primes(n: int):
+    """The prime factors of n, in increasing order."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] if n > 1 else primes
 
 
 def _power(ring, deg, x, e: int):
@@ -226,60 +240,110 @@ def _power(ring, deg, x, e: int):
         deg, x = _product(g, comps, mult, deg, x, deg, x)
 
 
-def _is_local(ring) -> bool:
-    """Whether R_0 is local, which makes R *local.
+def _factors(ring):
+    """The *local factors (e, p) of R: orthogonal idempotents e of R_0,
+    each with its prime p, that sum to 1 and each make eR *local.
 
-    For n = p^a, p is nilpotent in R_0, so R_0 is local iff A = R_0/pR_0
-    is, iff the Frobenius x -> x^p has a one-dimensional fixed space on A:
-    the Frobenius is F_p-linear on the commutative F_p-algebra A, and its
-    fixed space is the Berlekamp subalgebra, which has one dimension per
-    local factor of A (Berlekamp, "Factoring polynomials over finite
-    fields", 1967).  A ring over a modulus with two prime factors is
-    reported as not *local.  That is exact unless a power of one prime
-    kills R (Z/6 modulo 2, say), and such a ring only keeps the slower
-    procedures.
-
-    If R_0 is local, R is *local: a homogeneous x that is not nilpotent
-    has a degree of finite order o, since R is finite, so x^o lies in R_0
-    and is not nilpotent; it is a unit there, and so is x.  Hence the
-    homogeneous non-units are the homogeneous nilpotents, and they span an
-    ideal m.
+    First the Chinese remainder theorem: for each prime power q of n, the
+    integer c = 1 mod q, 0 mod n/q gives an idempotent c*1, which is
+    nonzero iff p divides the additive order of 1.  Then each nonzero c*1
+    splits by `_split`.  A *local ring has the one factor (1, p).
     """
-    p = _prime_of_power(ring.n)
-    if p is None:
-        return False
-    zero = ring.group.zero()
-    k = ring.components[zero].ngens
-    hp = howell([[x % p for x in r] for r in ring.components[zero].rels],
-                k, p)
+    n = ring.n
+    comp = ring.components[ring.group.zero()]
+    factors = []
+    for p in _primes(n):
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        c = n // q * pow(n // q, -1, q)
+        e = comp.reduce([c * x for x in ring.one])
+        if any(e):
+            factors += [(f, p) for f in _split(ring, e, p)]
+    return tuple(factors)
+
+
+def _split(ring, e, p: int):
+    """The primitive idempotents of R_0 below e, the idempotent of the
+    Chinese remainder theorem for p: pR_0 holds (1 - e)R_0 and is
+    nilpotent on eR_0.
+
+    A = R_0/pR_0 = eR_0/peR_0 is a commutative F_p-algebra, on which the
+    Frobenius x -> x^p is F_p-linear.  Its fixed space B is the Berlekamp
+    subalgebra, isomorphic to F_p^c with one coordinate per local factor
+    of A (Berlekamp, "Factoring polynomials over finite fields", 1967),
+    so eR_0 is local iff c = 1.  Otherwise, for b in a basis of B, the
+    e_l = 1 - (b - l)^(p-1), l in F_p, are the idempotents on which b is
+    l; multiplying them out over the basis leaves the c primitive
+    idempotents of A.  Each lifts to R_0 by e -> 3e^2 - 2e^3, which
+    squares its error x^2 - x, a multiple of p and so nilpotent; the
+    lifts stay orthogonal and sum to e.
+    """
+    g, comps, mult = ring.group, ring.components, ring.mult
+    zero = g.zero()
+    comp = comps[zero]
+    k = comp.ngens
+    hp = howell([[x % p for x in r] for r in comp.rels], k, p)
     # over F_p the Howell form is reduced echelon, so the unit vectors off
     # its pivot columns are a basis of A, and a reduced vector is zero on
     # the pivot columns
     pivots = {row.index(1) for row in hp}
     basis = [j for j in range(k) if j not in pivots]
+
+    def mod_p(v):
+        return reduce_mod_span([x % p for x in v], hp, p)
+
     rows = []  # the matrix of x -> x^p - x on that basis
     for j in basis:
-        _, f = _power(ring, zero, _unit_vec(k, j), p)
-        v = list(reduce_mod_span([x % p for x in f], hp, p))
+        v = list(mod_p(_power(ring, zero, _unit_vec(k, j), p)[1]))
         v[j] -= 1
         rows.append([v[c] for c in basis])
-    return len(basis) - len(howell(rows, len(basis), p)) == 1
+    fixed = row_kernel(rows, len(basis), p)
+    if len(fixed) == 1:
+        return (e,)
+
+    def times(x, y):
+        return _product(g, comps, mult, zero, x, zero, y)[1]
+
+    one = mod_p(ring.one)
+    idempotents = [one]
+    for b in fixed:
+        at = dict(zip(basis, b))
+        x = [at.get(j, 0) for j in range(k)]
+        parts = []
+        for l in range(p):
+            _, y = _power(ring, zero, [a - l * u for a, u in zip(x, one)],
+                          p - 1)
+            parts.append([a - u for a, u in zip(one, mod_p(y))])
+        idempotents = [z for f in idempotents for part in parts
+                       for z in [mod_p(times(f, part))] if any(z)]
+    lifts = []
+    for f in idempotents:
+        x, y = None, times(e, f)
+        while y != x:
+            x, sq = y, times(y, y)
+            y = comp.reduce([3 * a - 2 * b for a, b in zip(sq, times(sq, x))])
+        lifts.append(x)
+    return tuple(lifts)
 
 
-def _nilpotent_ideal(ring):
-    """Per degree d of a *local ring, the Howell form over Z/n of m_d
-    together with the relations of R_d.
+def _nilpotent_ideal(ring, factor):
+    """Per degree d, the Howell form over Z/n of (J_e)_d together with the
+    relations of R_d, for the factor (e, p): J_e holds the r with er
+    nilpotent, so it holds (1 - e)R, and R/J_e is the graded field of eR.
+    For e = 1, J_e is the ideal m of homogeneous nilpotents.
 
-    Over n = p^a an element is nilpotent iff it is nilpotent mod p.  The
-    Frobenius power F^N: x -> x^(p^N) is F_p-linear on R/pR, and a
+    pR is nilpotent on eR, so er is nilpotent iff it is nilpotent mod p.
+    The Frobenius power F^N: x -> x^(p^N) is F_p-linear on R/pR, and a
     nilpotent x of the F_p-algebra R/pR has x^D = 0 for D = dim R/pR,
-    since the ideals x^i R/pR strictly decrease until they vanish.  So with
-    p^N > D, m_d is the preimage in R_d of the kernel of F^N on (R/pR)_d:
-    the lifts of that kernel plus pR_d.  The kernel is one linear solve
-    per degree.
+    since the ideals x^i R/pR strictly decrease until they vanish.  So
+    with q = p^N > D, (J_e)_d is the preimage in R_d of the kernel of
+    x -> e x^q on (R/pR)_d: the lifts of that kernel plus pR_d.  The
+    kernel is one linear solve per degree.
     """
-    p = _prime_of_power(ring.n)
-    n, comps = ring.n, ring.components
+    e, p = factor
+    g, n, comps = ring.group, ring.n, ring.components
+    zero = g.zero()
     hp = {d: howell([[x % p for x in r] for r in c.rels], c.ngens, p)
           for d, c in comps.items()}
     dim = sum(c.ngens - len(hp[d]) for d, c in comps.items())
@@ -292,6 +356,9 @@ def _nilpotent_ideal(ring):
         images = [_power(ring, d, _unit_vec(k, j), q) for j in range(k)]
         out = images[0][0]  # every power lands in degree q*d
         if out in comps:
+            if e != ring.one:
+                images = [_product(g, comps, ring.mult, zero, e, out, v)
+                          for _, v in images]
             rows = [reduce_mod_span([x % p for x in v], hp[out], p)
                     for _, v in images]
             kernel = row_kernel(rows, comps[out].ngens, p)
@@ -302,23 +369,25 @@ def _nilpotent_ideal(ring):
     return ideal
 
 
-def _minimal_generators(module):
-    """A minimal homogeneous generating set (deg, unit vector) of a module
-    over a *local ring.
+def _minimal_generators(module, ideal):
+    """A homogeneous set (deg, unit vector) of a module M whose multiples
+    by e minimally generate eM, for a factor e of the ring with the ideal
+    J_e (`_nilpotent_ideal`); for a *local ring, a minimal generating set.
 
     Degree by degree in sorted order, a unit vector is picked when it lies
-    outside the Z/n span of the relations, of mM and of the R-multiples of
-    the earlier picks.  At the end every unit vector lies in that span, so
-    the picks generate M modulo mM, hence generate M, as m is nilpotent.
-    R/m is a graded field, in which every nonzero homogeneous element is a
-    unit, so a pick outside the span of the earlier ones is independent of
-    them in M/mM: the picks are a basis of M/mM, and no generating set is
-    smaller.
+    outside the Z/n span of the relations, of J_e M and of the R-multiples
+    of the earlier picks.  At the end every unit vector lies in that span,
+    so the picks generate M/J_e M = eM/m eM, for m the homogeneous
+    nilpotents of eR; their multiples by e then generate eM, as m is
+    nilpotent.  R/J_e is a graded field, in which every nonzero
+    homogeneous element is a unit, so a pick outside the span of the
+    earlier ones is independent of them in M/J_e M: the picks are a basis
+    of M/J_e M, and no generating set of eM is smaller.
     """
     ring = module.ring
     g, n, comps, action = ring.group, ring.n, module.components, module.action
     pending = {d: list(c.rels) for d, c in comps.items()}  # rows to span
-    for dr, rows in ring.nilpotent_ideal.items():
+    for dr, rows in ideal.items():
         for dh, ch in comps.items():
             t = action.get((dr, dh))
             if t is None:
@@ -428,7 +497,7 @@ class GradedRing:
     """Finitely supported commutative G-graded ring over Z/nZ."""
 
     __slots__ = ("group", "n", "components", "mult", "one", "_algebra_gens",
-                 "_local", "_nilpotents")
+                 "_factors", "_nilpotents")
 
     def __init__(self, group: FgAbelianGroup, n: int, components, mult, one,
                  validate: bool = True):
@@ -442,7 +511,7 @@ class GradedRing:
         self.one = self.components[zero].reduce(one)
         if not any(self.one):
             raise GradedError("the unit of the ring must be nonzero")
-        self._algebra_gens = self._local = self._nilpotents = None
+        self._algebra_gens = self._factors = self._nilpotents = None
         if validate:
             self._validate()
 
@@ -464,22 +533,28 @@ class GradedRing:
         return self._algebra_gens
 
     @property
-    def is_local(self) -> bool:
-        """Whether the ring is *local, decided once; see `_is_local`."""
-        if self._local is None:
-            self._local = _is_local(self)
-        return self._local
+    def factors(self):
+        """The *local factors (e, p) of the ring, found once; see
+        `_factors`."""
+        if self._factors is None:
+            self._factors = _factors(self)
+        return self._factors
 
     @property
-    def nilpotent_ideal(self):
-        """The ideal m of homogeneous nilpotents of a *local ring, computed
-        once: degree -> Howell rows spanning m_d with the relations of R_d.
-        Its homogeneous elements are the homogeneous non-units; see
-        `_nilpotent_ideal`."""
-        if not self.is_local:
-            raise GradedError("the ring is not *local")
+    def is_local(self) -> bool:
+        """Whether the ring is *local: whether it has one factor."""
+        return len(self.factors) == 1
+
+    @property
+    def nilpotent_ideals(self):
+        """Per factor (e, p), the ideal J_e of the r with er nilpotent,
+        computed once: degree -> Howell rows spanning (J_e)_d with the
+        relations of R_d.  On a *local ring it is the ideal m of
+        homogeneous nilpotents, whose homogeneous elements are the
+        homogeneous non-units; see `_nilpotent_ideal`."""
         if self._nilpotents is None:
-            self._nilpotents = _nilpotent_ideal(self)
+            self._nilpotents = tuple(_nilpotent_ideal(self, f)
+                                     for f in self.factors)
         return self._nilpotents
 
     def multiply(self, a, b):
@@ -559,11 +634,13 @@ class GradedModule:
 
     @property
     def minimal_generators(self):
-        """A minimal homogeneous generating set (deg, unit vector) over a
-        *local ring, in sorted degree order, computed once; see
-        `_minimal_generators`."""
+        """Per factor e of the ring, homogeneous elements (deg, unit
+        vector) whose multiples by e minimally generate eM, in sorted
+        degree order, computed once; on a *local ring, one minimal
+        generating set.  See `_minimal_generators`."""
         if self._min_gens is None:
-            self._min_gens = _minimal_generators(self)
+            self._min_gens = tuple(_minimal_generators(self, ideal)
+                                   for ideal in self.ring.nilpotent_ideals)
         return self._min_gens
 
     def act(self, r, x):

@@ -20,10 +20,12 @@ from gradedmod import corpus
 from gradedmod import functors as F
 from gradedmod.abelian import make_epi, make_group
 from gradedmod.functors import coextend, extend, restrict
-from gradedmod.graded import (GradedError, GradedMorphism, GradedRing,
-                              GradedRingHom, ring_as_module, shift)
+from gradedmod.graded import (GradedModule, GradedMorphism, GradedRing,
+                              GradedRingHom, direct_sum, ring_as_module,
+                              shift)
 from gradedmod.znlinalg import FpZnModule
-from util import (group_ring, reference_is_free, reference_is_mono,
+from util import (IsoSearchExhausted, group_ring, iso_search, product_ring,
+                  reference_is_free, reference_is_mono,
                   reference_is_projective, reference_morita_check,
                   truncated_ring)
 from util import reference_homs as _reference_homs
@@ -321,7 +323,8 @@ def test_sigma_tilde_trichotomy(instances):
 
 
 # ---------------------------------------------------------------------------
-# iso_search and one-sided inverses against an exhaustive reference
+# the reference iso_search and one-sided inverses against an exhaustive
+# reference
 
 
 @pytest.fixture(scope="module")
@@ -380,7 +383,7 @@ def test_iso_search_matches_exhaustive_reference(instances, reference_homs,
             homs = reference_homs(m, n_mod)
             ref = next((u for u in homs if A.is_iso(u)[0]), None)
             # the budget counts Hom elements: |Hom(m, n_mod)_0| suffices
-            u = A.iso_search(m, n_mod, budget=len(homs))
+            u = iso_search(m, n_mod, budget=len(homs))
             assert (u is None) == (ref is None), (name, m, n_mod)
             compared += 1
             if u is not None:
@@ -473,27 +476,48 @@ def test_iso_search_cost_does_not_depend_on_generator_order(p, e, seed):
     h = _frobenius_truncated(p, e, random.Random(seed))
     coext = coextend(h, ring_as_module(h.source)).module
     s_mod = ring_as_module(h.target)
-    u = A.iso_search(coext, s_mod, budget=p ** e)
+    u = iso_search(coext, s_mod, budget=p ** e)
     assert u is not None and u.source == coext and u.target == s_mod
     assert A.is_iso(u)[0]
     assert A.morita_check(h) is True
 
 
 # ---------------------------------------------------------------------------
-# freeness, projectivity and Morita by graded Nakayama on *local rings,
-# against the search over candidates and the free-cover retraction
+# freeness, projectivity and Morita by graded Nakayama on the *local
+# factors, against the search over candidates and the free-cover retraction
+
+F2 = GradedRing(G0, 2, {D0: FpZnModule(2, 2)},
+                {(D0, D0): (((1, 0), (0, 0)), ((0, 0), (0, 1)))},
+                (1, 1))  # F_2 x F_2
+
+
+def _f3_in_degree_0(m):
+    """F_3 graded by Z/m, all in degree 0."""
+    zero = (0,)
+    return GradedRing(make_group([m]), 3, {zero: FpZnModule(3, 1)},
+                      {(zero, zero): (((1,),),)}, (1,))
+
+
+# F_3[Z/2] x F_3 graded by Z/2: its factors have the unit degrees Z/2
+# and {0}
+SPLIT_UNITS = product_ring(group_ring(3, 2), _f3_in_degree_0(2))
 
 
 def _nakayama_rings():
     """The rings of every named instance, (Z/4)[X]/(X^3) and
     (Z/9)[X]/(X^2) graded trivially, by Z and by Z/2, and group rings
-    (Z/n)[Z/m], whose homogeneous units lie in every degree."""
+    (Z/n)[Z/m], whose homogeneous units lie in every degree; then rings
+    that are not *local: (Z/6)[X]/(X^2) and the Z-graded (Z/12)[X]/(X^2),
+    split by the Chinese remainder theorem, F_2 x F_2, split by its
+    Frobenius fixed space, and `SPLIT_UNITS`."""
     rings = []
     for inst in corpus.named_instances().values():
         rings += [inst["ring_r"], inst["ring_s"]]
     rings += [truncated_ring(n, k, moduli) for n, k in ((4, 3), (9, 2))
               for moduli in ([], [0], [2])]
     rings += [group_ring(n, m) for n, m in ((2, 2), (3, 2), (2, 3))]
+    rings += [truncated_ring(6, 2, []), truncated_ring(12, 2, [0]), F2,
+              SPLIT_UNITS]
     return rings
 
 
@@ -507,19 +531,22 @@ REFERENCE_BUDGET = 2000
 def _assert_matches_reference(module):
     try:
         ref = reference_is_free(module, REFERENCE_BUDGET)
-    except A.IsoSearchExhausted:
+    except IsoSearchExhausted:
         return False
     assert A.is_free(module) == ref
     ok, v = A.is_projective(module)
-    assert ok == reference_is_projective(module)[0] == (ref is not None)
+    assert ok == reference_is_projective(module)[0]
+    # free implies projective; on a *local ring the converse holds too
+    assert ok or ref is None
+    assert ok == (ref is not None) or not module.ring.is_local
     if ok and v is not None:
-        if not module.ring.is_local:
-            assert A.free_cover(module).compose(v) == \
-                GradedMorphism.identity(module)
-            return True
+        # the section is R-linear, and splits the minimal cover; on a
+        # *local ring it is the cover's inverse
+        v = GradedMorphism(v.source, v.target, v.maps)
         cover = A._minimal_cover(module)
         assert cover.compose(v) == GradedMorphism.identity(module)
-        assert v.compose(cover) == GradedMorphism.identity(cover.source)
+        if module.ring.is_local:
+            assert v.compose(cover) == GradedMorphism.identity(cover.source)
     return True
 
 
@@ -527,32 +554,53 @@ def _assert_matches_reference(module):
 @given(st.sampled_from(NAKAYAMA_RINGS), st.integers(0, 2**32 - 1),
        st.integers(1, 3))
 def test_local_freeness_matches_the_search_over_candidates(ring, seed, ops):
-    assert ring.is_local
     module = corpus.random_module(ring, random.Random(seed), ops)
     _assert_matches_reference(module)
 
 
+NON_LOCAL_RINGS = NAKAYAMA_RINGS[-4:]
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_non_local_ring_keeps_the_search(seed):
-    # n = 6: R_0 = Z/6 is a product of two fields
-    ring = truncated_ring(6, 2, [])
-    assert not ring.is_local
-    module = corpus.random_module(ring, random.Random(seed))
-    assert _assert_matches_reference(module)
+def test_non_local_ring_splits_into_local_factors(seed):
+    # every ring that is not *local, whatever the random draws give
+    assert [len(r.factors) for r in NON_LOCAL_RINGS] == [2, 2, 2, 2]
+    for ring in NON_LOCAL_RINGS:
+        for ops in (1, 2, 3):
+            module = corpus.random_module(ring, random.Random(seed), ops)
+            assert _assert_matches_reference(module)
 
 
 def test_locality_and_nilpotents():
     zg = truncated_ring(9, 2, [0])
-    assert zg.is_local
+    assert zg.factors == (((1,), 3),)
     # m = (3, X): 3 in degree 0, all of degree 1
-    assert zg.nilpotent_ideal == {(0,): ((3,),), (1,): ((1,),)}
+    assert zg.nilpotent_ideals == ({(0,): ((3,),), (1,): ((1,),)},)
     assert group_ring(3, 2).is_local
-    assert group_ring(3, 2).nilpotent_ideal == {(0,): (), (1,): ()}
-    assert not GradedRing(G0, 2, {D0: FpZnModule(2, 2)},
-                          {(D0, D0): (((1, 0), (0, 0)), ((0, 0), (0, 1)))},
-                          (1, 1)).is_local  # F_2 x F_2
-    with pytest.raises(GradedError):
-        truncated_ring(6, 2, []).nilpotent_ideal
+    assert group_ring(3, 2).nilpotent_ideals == ({(0,): (), (1,): ()},)
+    # the Frobenius fixed space of F_2 x F_2 splits it into two fields
+    assert F2.factors == (((0, 1), 2), ((1, 0), 2))
+    assert F2.nilpotent_ideals == ({D0: ((1, 0),)}, {D0: ((0, 1),)})
+    # CRT: 9 = 1 mod 4, 0 mod 3 and 4 = 0 mod 4, 1 mod 3 in (Z/12)[X]/(X^2);
+    # J_e holds (1 - e)R: 2 and X for the first factor, 3 and X for the
+    # second
+    z12 = truncated_ring(12, 2, [0])
+    assert z12.factors == (((9,), 2), ((4,), 3))
+    assert z12.nilpotent_ideals == ({(0,): ((2,),), (1,): ((1,),)},
+                                    {(0,): ((3,),), (1,): ((1,),)})
+    assert not truncated_ring(6, 2, []).is_local
+
+
+def test_locality_is_judged_on_the_order_of_one():
+    # Z/6 modulo 2 is F_2: 1 has order 2, so the ring is *local although
+    # its modulus has two prime factors, and is_free counts
+    ring = GradedRing(G0, 6, {D0: FpZnModule(6, 1, [(2,)])},
+                      {(D0, D0): (((1,),),)}, (1,))
+    assert ring.factors == (((1,), 2),)
+    r = ring_as_module(ring)
+    assert A.is_free(r) == [()] == reference_is_free(r)
+    two = A.analyze_module(direct_sum([r, r])[0])
+    assert two.witnesses["free_shifts"] == [(), ()]
 
 
 def test_free_shifts_up_to_unit_degrees():
@@ -561,6 +609,42 @@ def test_free_shifts_up_to_unit_degrees():
     r = ring_as_module(ring)
     assert A.is_free(shift(r, (1,))) == [(0,)]
     assert reference_is_free(shift(r, (1,))) == [(0,)]
+
+
+def test_free_shifts_agree_across_factors():
+    # on F_3[Z/2] x F_3, R(-1) has its generator of the first factor in
+    # degree 0 (x, a unit) and that of the second in degree 1; the least
+    # degree of each factor would give the inconsistent pair 0 and 1, but
+    # only the shift 1 works for both
+    r = ring_as_module(SPLIT_UNITS)
+    module = shift(r, (1,))
+    gens = module.minimal_generators
+    assert sorted([d for d, _ in g] for g in gens) == [[(0,)], [(1,)]]
+    assert A.is_free(module) == [(1,)] == reference_is_free(module)
+
+
+def test_free_shift_walk_stops_at_an_unmatched_degree():
+    # over the Z-graded (Z/6)[X]/(X^2), whose two factors have the unit
+    # degrees {0}, the sum of the factors (R/2)(-i) and (R/3)(-i) for
+    # i < 30 is free, and with (R/2)(-35) and (R/3)(-39) added it is
+    # projective with 31 generators per factor but not free; a walk that
+    # went on past an unmatched degree would try 2^30 multisets
+    ring = truncated_ring(6, 2, [0])
+    factor = {m: GradedModule(ring, {d: FpZnModule(6, 1, [(m,)])
+                                     for d in ring.components}, ring.mult)
+              for m in (2, 3)}
+    # each factor alone is projective, not free
+    for m in (2, 3):
+        assert A.is_free(factor[m]) is None
+        assert A.is_projective(factor[m])[0]
+        assert _assert_matches_reference(factor[m])
+    parts = [shift(factor[m], (-i,)) for i in range(30) for m in (2, 3)]
+    free = direct_sum(parts)[0]
+    assert A.is_free(free) == [(-i,) for i in range(30)]
+    module = direct_sum(parts + [shift(factor[2], (-35,)),
+                                 shift(factor[3], (-39,))])[0]
+    assert A.is_projective(module)[0]
+    assert A.is_free(module) is None
 
 
 @pytest.mark.parametrize("moduli", [[0], [2]])
@@ -575,11 +659,35 @@ def test_order_9_to_the_6_modules_are_free_of_rank_3(moduli):
     assert ok and A.is_iso(v)[0]
 
 
+def _projection(product, first):
+    """The ring morphism product -> first onto the first factor of a
+    `product_ring`."""
+    maps = {}
+    for d, c in product.components.items():
+        k = first.component(d).ngens
+        maps[d] = [tuple(int(i == j) for j in range(k)) if i < k
+                   else (0,) * k for i in range(c.ngens)]
+    return GradedRingHom(product, first, maps)
+
+
 def test_morita_matches_the_reference(instances):
     homs = [inst["h"] for inst in instances.values()]
     for p, e in ((2, 4), (3, 2)):
         homs.append(_frobenius_truncated(p, e, random.Random(0)))
     ring = group_ring(3, 2)
     homs.append(GradedRingHom.identity(ring))
+    # rings that are not *local: identities, the quotient
+    # (Z/6)[X]/(X^2) ->> Z/6, the diagonal F_2 -> F_2 x F_2 and the
+    # projection of SPLIT_UNITS onto F_3[Z/2], which make h_*S projective
+    # and coextend(h, R) ~ S on each factor
+    z6 = truncated_ring(6, 2, [])
+    homs += [GradedRingHom.identity(r) for r in (z6, F2, SPLIT_UNITS)]
+    homs.append(GradedRingHom(z6, truncated_ring(6, 1, []),
+                              {D0: ((1,), (0,))}))
+    homs.append(GradedRingHom(_ungraded_ring(2), F2, {D0: ((1, 1),)}))
+    homs.append(_projection(SPLIT_UNITS, group_ring(3, 2)))
+    verdicts = []
     for h in homs:
-        assert A.morita_check(h) == reference_morita_check(h), h
+        verdicts.append(A.morita_check(h))
+        assert verdicts[-1] == reference_morita_check(h), h
+    assert verdicts[-3:] == [False, True, True]

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedmod import analyze, cli, corpus, scenarios
+from gradedmod import cli, corpus, scenarios
 from gradedmod.textio import parse_workspace, serialize_workspace
+from util import reference_is_free, reference_is_projective
 
 WORKSPACE = """modulus 4
 group G moduli
@@ -73,7 +74,7 @@ def test_json_format_version(capsys, ws_file):
                               "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["format_version"] == "3"
+    assert payload["format_version"] == "4"
     assert payload["command"] == "analyze"
 
 
@@ -183,27 +184,25 @@ end
 """
 
 
-def test_exhausted_search_is_undecided_not_an_input_error(capsys, tmp_path,
-                                                          monkeypatch):
-    # with a budget of one Hom element, is_free on M cannot decide: the
-    # first element of Hom(R, M)_0 is the zero map.  Over a *local ring
-    # is_free does not search.
+def test_non_local_workspace_is_decided(capsys, tmp_path):
+    # is_free splits M over the factors Z/2 and Z/3 of Z/6 and counts, so
+    # the report exits 0 with the verdicts and shifts of the search over
+    # candidates
     p = tmp_path / "non_local.txt"
     p.write_text(NON_LOCAL)
-    search = analyze.iso_search
-    monkeypatch.setattr(analyze, "iso_search",
-                        lambda m, n, budget=None: search(m, n, 1))
-    argv = ["--input", str(p), "analyze", "M"]
-    code, out = _run(capsys, argv)
-    assert code == 3
-    assert out.startswith("error: undecided within budget 1")
-    assert out.count("\n") == 1
-    code, out = _run(capsys, argv + ["--format", "json"])
-    assert code == 3
+    module = parse_workspace(NON_LOCAL).modules["M"]
+    shifts = reference_is_free(module)
+    code, out = _run(capsys, ["--format", "json", "--input", str(p),
+                              "analyze", "M"])
+    assert code == 0
     payload = json.loads(out)
-    assert payload["format_version"] == "3"
-    assert payload["error"].startswith("undecided within budget 1")
-    assert set(payload) == {"format_version", "error"}
+    assert payload["format_version"] == "4"
+    analysis = payload["analysis"]
+    assert analysis["flags"]["is_free"] == (shifts is not None)
+    assert analysis["flags"]["is_projective"] == \
+        reference_is_projective(module)[0]
+    assert analysis["witnesses"]["free_shifts"] == \
+        [cli._fmt_deg(g) for g in shifts]
 
 
 def test_canon_delta_on_zgraded(capsys):

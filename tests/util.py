@@ -4,10 +4,12 @@ import itertools
 
 from gradedmod import analyze
 from gradedmod.abelian import make_group
-from gradedmod.functors import coextend, restrict
+from gradedmod.functors import (_block_matrices, coextend, hom_degree,
+                                restrict)
 from gradedmod.graded import (GradedError, GradedModule, GradedMorphism,
-                              GradedRing, _unit_vec, apply_tensor,
-                              free_module, graded_kernel, ring_as_module)
+                              GradedRing, GradedRingHom, _unit_vec,
+                              apply_tensor, free_module, graded_kernel,
+                              ring_as_module)
 from gradedmod.znlinalg import FpZnModule, prune
 
 
@@ -55,11 +57,93 @@ def reference_is_mono(u: GradedMorphism):
     return True, None
 
 
-def reference_is_free(module, budget=analyze.DEFAULT_ISO_BUDGET):
+# ---------------------------------------------------------------------------
+# the search over candidates: references for `analyze.is_free`,
+# `is_projective` and `morita_check` on any ring
+
+
+class IsoSearchExhausted(Exception):
+    """The isomorphism search ran out of budget before deciding."""
+
+
+DEFAULT_ISO_BUDGET = 200000
+
+
+def iso_search(m: GradedModule, n_mod: GradedModule,
+               budget: int = DEFAULT_ISO_BUDGET):
+    """A degree-respecting isomorphism m -> n_mod, or None if none exists.
+
+    The candidates are the elements of Hom_R(m, n_mod)_0, the degree-zero
+    component of the graded Hom module, enumerated from its presentation.
+    Each is a morphism by construction and is accepted when it is
+    bijective.  Modules with different nonzero supports or component
+    cardinalities are rejected first.  The budget counts Hom elements;
+    IsoSearchExhausted is raised when it runs out before a decision.
+    """
+    if m.ring != n_mod.ring:
+        return None
+    degs = analyze._nonzero_support(m)
+    if degs != analyze._nonzero_support(n_mod):
+        return None
+    for d in degs:
+        if m.components[d].cardinality() != n_mod.components[d].cardinality():
+            return None
+    if m == n_mod:
+        return GradedMorphism.identity(m)
+    if not degs:  # both modules are zero
+        return GradedMorphism.zero(m, n_mod)
+    ring = m.ring
+    blocks, _, sq = hom_degree(GradedRingHom.identity(ring), m, n_mod,
+                               ring.group.zero())
+    for tried, coords in enumerate(sq.module.elements(), 1):
+        if tried > budget:
+            raise IsoSearchExhausted(
+                f"undecided within budget {budget}: no isomorphism among "
+                f"the first {budget} elements of Hom(M, N)_0")
+        u = GradedMorphism(m, n_mod, _block_matrices(blocks, sq.lift(coords)))
+        if analyze.is_iso(u)[0]:
+            return u
+    return None
+
+
+def free_cover(module: GradedModule):
+    """The canonical epimorphism from a free module onto the module."""
+    ring = module.ring
+    shifts = []
+    for d in sorted(module.components):
+        shifts.extend([ring.group.neg(d)] * module.components[d].ngens)
+    cover = free_module(ring, shifts)
+    # row order of the cover's degree-d component: one block per generator
+    # (in sorted degree order), each block listing the ring component's
+    # generators at the complementary degree; map each row through the action
+    maps = {}
+    for d in sorted(set(cover.components) | set(module.components)):
+        cov = cover.component(d)
+        comp = module.component(d)
+        if not cov.ngens:
+            continue
+        rows = []
+        gen_list = []
+        for dd in sorted(module.components):
+            for i in range(module.components[dd].ngens):
+                gen_list.append((dd, i))
+        for (dd, i) in gen_list:
+            g = ring.group.neg(dd)
+            rc = ring.component(ring.group.add(g, d))
+            for p in range(rc.ngens):
+                # ring element of degree g+d acting on generator (dd, i)
+                r = (ring.group.add(g, d), _unit_vec(rc.ngens, p))
+                x = (dd, _unit_vec(module.components[dd].ngens, i))
+                rows.append(module.act(r, x)[1])
+        maps[d] = tuple(rows)
+    return GradedMorphism(cover, module, maps)
+
+
+def reference_is_free(module, budget=DEFAULT_ISO_BUDGET):
     """`analyze.is_free` by a search over candidates, on any ring: the
     first shift multiset, in `combinations_with_replacement` order over the
     sorted nonzero support, whose free module has the component orders of
-    `module` and is isomorphic to it by `analyze.iso_search`."""
+    `module` and is isomorphic to it by `iso_search`."""
     ring = module.ring
     if module.is_zero:
         return []
@@ -74,30 +158,29 @@ def reference_is_free(module, budget=analyze.DEFAULT_ISO_BUDGET):
             if any(cand.components[d].cardinality()
                    != module.components[d].cardinality() for d in supp):
                 continue
-            if analyze.iso_search(cand, module, budget) is not None:
+            if iso_search(cand, module, budget) is not None:
                 return list(shifts)
     return None
 
 
 def reference_is_projective(module):
     """`analyze.is_projective` on any ring: (verdict, witness), the witness
-    a right inverse of `analyze.free_cover`, the cover with one generator
-    per Z/n generator, solved for by `analyze.is_retraction`."""
+    a right inverse of `free_cover`, the cover with one generator per Z/n
+    generator, solved for by `analyze.is_retraction`."""
     if module.is_zero:
         return True, None
-    ok, v = analyze.is_retraction(analyze.free_cover(module))
+    ok, v = analyze.is_retraction(free_cover(module))
     return (True, v) if ok else (False, None)
 
 
-def reference_morita_check(h, budget=analyze.DEFAULT_ISO_BUDGET):
+def reference_morita_check(h, budget=DEFAULT_ISO_BUDGET):
     """`analyze.morita_check` on any rings: `reference_is_projective` of
-    h_*(S), then `analyze.iso_search` for coextend(h, R) -> S."""
+    h_*(S), then `iso_search` for coextend(h, R) -> S."""
     hs = restrict(h, ring_as_module(h.target))
     if not reference_is_projective(hs)[0]:
         return False
     hr = coextend(h, ring_as_module(h.source)).module
-    return analyze.iso_search(hr, ring_as_module(h.target), budget) \
-        is not None
+    return iso_search(hr, ring_as_module(h.target), budget) is not None
 
 
 def truncated_ring(n, k, moduli):
@@ -128,6 +211,42 @@ def group_ring(n, m):
     comps = {(i,): FpZnModule(n, 1) for i in range(m)}
     mult = {((i,), (j,)): (((1,),),) for i in range(m) for j in range(m)}
     return GradedRing(grp, n, comps, mult, (1,))
+
+
+def product_ring(first, second):
+    """The product ring first x second, over the group and modulus they
+    share: each component is the sum of theirs, first's generators first,
+    and the product is taken in each factor."""
+    grp, n = first.group, first.n
+    degs = sorted(set(first.components) | set(second.components))
+    parts = {d: (first.component(d), second.component(d)) for d in degs}
+    comps = {d: FpZnModule(n, a.ngens + b.ngens,
+                           [r + (0,) * b.ngens for r in a.rels]
+                           + [(0,) * a.ngens + r for r in b.rels])
+             for d, (a, b) in parts.items()}
+    mult = {}
+    for da, db in itertools.product(degs, repeat=2):
+        dc = grp.add(da, db)
+        if dc not in comps:
+            continue
+        (a1, a2), (b1, b2), (c1, c2) = parts[da], parts[db], parts[dc]
+        t1 = first.mult.get((da, db))
+        t2 = second.mult.get((da, db))
+        tensor = []
+        for i in range(a1.ngens + a2.ngens):
+            block = []
+            for j in range(b1.ngens + b2.ngens):
+                if i < a1.ngens and j < b1.ngens and t1 is not None:
+                    row = tuple(t1[i][j]) + (0,) * c2.ngens
+                elif i >= a1.ngens and j >= b1.ngens and t2 is not None:
+                    row = (0,) * c1.ngens + tuple(t2[i - a1.ngens]
+                                                  [j - b1.ngens])
+                else:
+                    row = (0,) * (c1.ngens + c2.ngens)
+                block.append(row)
+            tensor.append(block)
+        mult[(da, db)] = tensor
+    return GradedRing(grp, n, comps, mult, first.one + second.one)
 
 
 def reference_homs(m, n_mod):
