@@ -352,10 +352,50 @@ def _cmd_scenario(args, ws, env):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and dispatch
+
+_H = ("--h", {"required": True})
+_H_MODULE = (_H, ("module", {}))
+
+# name: (handler, help, arguments as (name, add_argument keywords)); a dict
+# holds nested actions instead, parsed into `args.action`
+COMMANDS = {
+    "validate": (_cmd_validate, "parse and validate all inputs", ()),
+    "tensor": (_cmd_tensor, "graded tensor product of two modules",
+               (("a", {}), ("b", {}))),
+    "hom": (_cmd_hom, "graded Hom module", (("a", {}), ("b", {}))),
+    "coarsen": (_cmd_coarsen, "coarsen a module along psi",
+                (("module", {}), ("--psi", {"required": True}))),
+    "restrict": (_cmd_change_of_ring, "scalar restriction h_*", _H_MODULE),
+    "extend": (_cmd_change_of_ring, "scalar extension h^*", _H_MODULE),
+    "coextend": (_cmd_change_of_ring, "scalar coextension", _H_MODULE),
+    "canon": (_cmd_canon, "construct and analyze a canonical map",
+              (("name", {"help": "one of: " + ", ".join(
+                  sorted(scenarios.CANON_SPECS))}),
+               ("args", {"nargs": "*"}))),
+    "analyze": (_cmd_analyze, "analyze a named module or morphism",
+                (("name", {}),)),
+    "epitest": (_cmd_epitest, "decide ring epimorphism", (_H,)),
+    "battery": (_cmd_battery, "the seven-statement battery",
+                (_H, ("--family", {"nargs": "+", "required": True}))),
+    "scenario": (_cmd_scenario, "run or list shipped scenarios",
+                 {"list": (), "run": (("name", {}),)}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_command(sub, common, name, specs, **kwargs):
+    p = sub.add_parser(name, parents=[common], **kwargs)
+    if isinstance(specs, dict):
+        actions = p.add_subparsers(dest="action", required=True)
+        for action, action_specs in specs.items():
+            _add_command(actions, common, action, action_specs)
+    else:
+        for arg, kw in specs:
+            p.add_argument(arg, **kw)
+
+
+def build_parser(cmd=None) -> argparse.ArgumentParser:
+    """The parser with the subparser of `cmd` alone, or of every command."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", action="append",
                         default=argparse.SUPPRESS, metavar="FILE",
@@ -363,78 +403,37 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"),
                         default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized corpus generation")
+                        help="echoed as the report's seed; no command "
+                             "draws from it")
     parser = argparse.ArgumentParser(
         prog="gradedmod", parents=[common],
         description="Exact change-of-ring calculus for finitely supported "
                     "graded modules over Z/nZ.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    add_parser("validate", help="parse and validate all inputs")
-
-    p = add_parser("tensor", help="graded tensor product of two modules")
-    p.add_argument("a")
-    p.add_argument("b")
-    p = add_parser("hom", help="graded Hom module")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = add_parser("coarsen", help="coarsen a module along psi")
-    p.add_argument("module")
-    p.add_argument("--psi", required=True)
-
-    for name, desc in (("restrict", "scalar restriction h_*"),
-                       ("extend", "scalar extension h^*"),
-                       ("coextend", "scalar coextension")):
-        p = add_parser(name, help=desc)
-        p.add_argument("--h", required=True)
-        p.add_argument("module")
-
-    p = add_parser("canon", help="construct and analyze a canonical map")
-    p.add_argument("name", help="one of: " + ", ".join(
-        sorted(scenarios.CANON_SPECS)))
-    p.add_argument("args", nargs="*")
-
-    p = add_parser("analyze", help="analyze a named module or morphism")
-    p.add_argument("name")
-
-    p = add_parser("epitest", help="decide ring epimorphism")
-    p.add_argument("--h", required=True)
-
-    p = add_parser("battery", help="the seven-statement battery")
-    p.add_argument("--h", required=True)
-    p.add_argument("--family", nargs="+", required=True)
-
-    p = add_parser("scenario", help="run or list shipped scenarios")
-    scsub = p.add_subparsers(dest="action", required=True)
-    scsub.add_parser("list", parents=[common])
-    pr = scsub.add_parser("run", parents=[common])
-    pr.add_argument("name")
+    # a one-command parser names every command in its usage and errors
+    sub = parser.add_subparsers(
+        dest="cmd", required=True,
+        metavar=None if cmd is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if cmd is None else (cmd,):
+        _add_command(sub, common, name, COMMANDS[name][2],
+                     help=COMMANDS[name][1])
     return parser
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "tensor": _cmd_tensor,
-    "hom": _cmd_hom,
-    "coarsen": _cmd_coarsen,
-    "restrict": _cmd_change_of_ring,
-    "extend": _cmd_change_of_ring,
-    "coextend": _cmd_change_of_ring,
-    "canon": _cmd_canon,
-    "analyze": _cmd_analyze,
-    "epitest": _cmd_epitest,
-    "battery": _cmd_battery,
-    "scenario": _cmd_scenario,
-}
+def parse_args(argv=None) -> argparse.Namespace:
+    """`argv` parsed as the full parser parses it.  Past the exact global
+    flags and their values, a known command gets a parser with only its
+    subparser; anything else (`-h`, `--form`, `--input=F`) the full one."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    tokens = iter(argv)
+    cmd = next(tokens, None)
+    while (cmd in ("--input", "--format", "--seed")
+           and not next(tokens, "-").startswith("-")):
+        cmd = next(tokens, None)
+    return build_parser(cmd if cmd in COMMANDS else None).parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     # the global flags are SUPPRESS-defaulted so that values given before
     # the subcommand survive subparser parsing; fill the defaults here
     args.input = getattr(args, "input", None) or []
@@ -442,7 +441,7 @@ def main(argv=None) -> int:
     args.seed = getattr(args, "seed", 0)
     try:
         ws, env = build_environment(args.input, _named_tokens(args))
-        payload, code = _HANDLERS[args.cmd](args, ws, env)
+        payload, code = COMMANDS[args.cmd][0](args, ws, env)
     except (ParseError, ValidationError, CliError, GradedError,
             analyze.AnalyzeError, scenarios.ScenarioError) as exc:
         message = f"error: {exc}"
