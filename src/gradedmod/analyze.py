@@ -313,7 +313,7 @@ def _minimal_cover(module: GradedModule) -> GradedMorphism:
                 rows += [t[p][j] for p in range(k)]
             else:
                 ex = module.act((grp.zero(), e), (dx, x))[1]
-                rows += [comp.reduce(vec_mat(ex, t[p], n)) for p in range(k)]
+                rows += [vec_mat(ex, t[p], n) for p in range(k)]
         if rows:
             maps[d] = rows
     return GradedMorphism(cover, module, maps, validate=False)
@@ -353,7 +353,7 @@ def _cover_section(p: GradedMorphism) -> GradedMorphism:
                           ring.n)
         if None in sols:
             raise AnalyzeError("the minimal cover is not onto")
-        maps[d] = [fc.reduce(part_in_e(d, x[:fc.ngens])) for x in sols]
+        maps[d] = [part_in_e(d, x[:fc.ngens]) for x in sols]
     v = GradedMorphism(module, cover, maps, validate=False)
     if p.compose(v) != GradedMorphism.identity(module):
         raise AnalyzeError("the minimal cover has no section")

@@ -287,8 +287,6 @@ def _cmd_canon(args, ws, env):
         cmap, used = scenarios.build_canon(env, tokens, None)
     except scenarios.ScenarioError as exc:
         raise CliError(str(exc))
-    except IndexError:
-        raise CliError(f"canonical map {args.name!r}: missing arguments")
     if used != len(tokens):
         raise CliError(f"canonical map {args.name!r}: too many arguments")
     payload = {"subject": "canon " + " ".join(tokens),

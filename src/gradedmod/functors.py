@@ -24,6 +24,13 @@ So the relations written for the generators span those for every r, and
 the Howell forms, the pruned presentations and every report are those
 of the relations over a basis.  Hom's R-linearity is the same argument
 (`hom_degree`).
+
+Hom degree g is a preimage: the families whose image under every
+constraint block lies in the relations of the block's target component.
+The builders write raw action tensors, entries unreduced and zero tensors
+included, and leave reduction and dropping to the `GradedModule`
+constructor (`graded._canon_structure`); the linear systems are solved
+by `znlinalg`.
 """
 
 from __future__ import annotations
@@ -52,26 +59,16 @@ def restrict(h: GradedRingHom, module: GradedModule) -> GradedModule:
     action = {}
     for c in sorted(ring.components):
         rc = ring.components[c]
+        hrs = [h.apply((c, _unit_vec(rc.ngens, p)))[1]
+               for p in range(rc.ngens)]
         for a in sorted(module.components):
+            t = module.action.get((c, a))
+            if t is None:
+                continue
             ma = module.components[a]
             out = module.component(grp.add(c, a))
-            if not out.ngens:
-                continue
-            t = module.action.get((c, a))
-            tensor = []
-            nonzero = False
-            for p in range(rc.ngens):
-                _, hr = h.apply((c, _unit_vec(rc.ngens, p)))
-                block = []
-                for j in range(ma.ngens):
-                    coords = apply_tensor(t, hr, _unit_vec(ma.ngens, j), out) \
-                        if t is not None else out.zero()
-                    if any(coords):
-                        nonzero = True
-                    block.append(coords)
-                tensor.append(block)
-            if nonzero:
-                action[(c, a)] = tensor
+            action[(c, a)] = [[apply_tensor(t, hr, _unit_vec(ma.ngens, j), out)
+                               for j in range(ma.ngens)] for hr in hrs]
     return GradedModule(ring, dict(module.components), action)
 
 
@@ -238,7 +235,6 @@ def mixed_tensor(h: GradedRingHom, left: GradedModule,
                 continue
             posd = pos[out_deg]
             tensor = []
-            nonzero = False
             for p in range(sc.ngens):
                 block = []
                 for (a, i, b, j) in index[d]:
@@ -250,13 +246,9 @@ def mixed_tensor(h: GradedRingHom, left: GradedModule,
                         for k, v in enumerate(ta[p][i]):
                             if v:
                                 _add_image(vec, v, posd[(a2, k, b, j)])
-                    coords = out.reduce(vec)
-                    if any(coords):
-                        nonzero = True
-                    block.append(coords)
+                    block.append(vec)
                 tensor.append(block)
-            if nonzero:
-                action[(c, d)] = tensor
+            action[(c, d)] = tensor
     module = GradedModule(ring_s, comps, action)
     return TensorWitness(h, left, right, module, index, pos)
 
@@ -427,6 +419,14 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
     presents the families that are well defined and R-linear, modulo those
     landing in the target's relations; it is None when `dim` is 0.  The
     rings are as for `mixed_hom`, which calls this for every degree.
+
+    Hom degree g is a preimage.  Each condition on a family x is a block
+    of columns B, one per generator of the target component T it lands
+    in, and asks that x*B lie in the relations of T.  The blocks sit side
+    by side in one matrix with a row per unknown; below it go the
+    relations of each block's T, in that block's columns.  The unknowns'
+    part of the row kernel of the stacked rows, in Howell form, spans the
+    families meeting every condition (`znlinalg.preimage_gens`).
     """
     ring_r = h.source
     grp = ring_r.group
@@ -435,21 +435,14 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
     if not dim:
         return blocks, 0, None
     block_at = {a: (rows, cols, o) for (a, rows, cols, o) in blocks}
+    columns = []  # one {unknown: coeff} per column of the stacked rows
+    rel_rows = []  # (first column of a block, relation of its T)
 
-    equations = []  # one {unknown: coeff} per scalar equation
-    nslack = 0
-
-    def add_constraint(terms_list, out_mod):
-        """terms_list[m] is a dict unknown->coeff; adds slack for rels."""
-        nonlocal nslack
-        base = dim + nslack
-        nslack += len(out_mod.rels)
-        for m, terms in enumerate(terms_list):
-            for t, rel in enumerate(out_mod.rels):
-                if rel[m]:
-                    terms[base + t] = terms.get(base + t, 0) + rel[m]
-            if terms:
-                equations.append(terms)
+    def constrain(block, out_mod):
+        """Ask that x*block lie in the relations of out_mod, where
+        block[m] holds the column of generator m of out_mod."""
+        rel_rows.extend((len(columns), s) for s in out_mod.rels)
+        columns.extend(block)
 
     # well-definedness on source relations
     for a in sorted(source.components):
@@ -458,15 +451,8 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
         rows, cols, o = block_at[a]
         out_mod = target.component(grp.add(g, a))
         for r in source.components[a].rels:
-            terms_list = []
-            for m in range(cols):
-                terms = {}
-                for i in range(rows):
-                    if r[i]:
-                        idx = o + i * cols + m
-                        terms[idx] = terms.get(idx, 0) + r[i]
-                terms_list.append(terms)
-            add_constraint(terms_list, out_mod)
+            constrain([{o + i * cols + m: r[i] for i in range(rows) if r[i]}
+                       for m in range(cols)], out_mod)
     # R-linearity: U(h(r) . x) = r . U(x), for r over the algebra
     # generators of R: U is Z/n-linear, and the actions on source and
     # target are unital and associative, so linearity in the generators
@@ -477,8 +463,7 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
         for a in sorted(source.components):
             ca = source.components[a]
             a2 = grp.add(c, a)
-            e = grp.add(g, a2)
-            out_mod = target.component(e)
+            out_mod = target.component(grp.add(g, a2))
             if not out_mod.ngens:
                 continue
             ta = source.action.get((c, a))
@@ -487,35 +472,35 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
             b_at = block_at.get(a)
             b2_at = block_at.get(a2)
             for i in range(ca.ngens):
-                w = apply_tensor(ta, hr, _unit_vec(ca.ngens, i), ca2) \
-                    if ta is not None else ca2.zero()
-                terms_list = [dict() for _ in range(out_mod.ngens)]
+                w = apply_tensor(ta, hr, _unit_vec(ca.ngens, i), ca2)
+                block = [dict() for _ in range(out_mod.ngens)]
                 if b2_at is not None:
-                    rows2, cols2, o2 = b2_at
+                    _, cols2, o2 = b2_at
                     for k, wk in enumerate(w):
                         if wk:
                             for m in range(cols2):
                                 idx = o2 + k * cols2 + m
-                                terms_list[m][idx] = \
-                                    (terms_list[m].get(idx, 0) + wk) % n
+                                block[m][idx] = block[m].get(idx, 0) + wk
                 if b_at is not None and tn is not None:
-                    rows1, cols1, o1 = b_at
+                    _, cols1, o1 = b_at
                     for j in range(cols1):
-                        coeffs = tn[p][j]
-                        for m, v in enumerate(coeffs):
+                        idx = o1 + i * cols1 + j
+                        for m, v in enumerate(tn[p][j]):
                             if v:
-                                idx = o1 + i * cols1 + j
-                                terms_list[m][idx] = \
-                                    (terms_list[m].get(idx, 0) - v) % n
-                if any(terms_list):
-                    add_constraint(terms_list, out_mod)
+                                block[m][idx] = block[m].get(idx, 0) - v
+                if any(block):
+                    constrain(block, out_mod)
 
-    total = dim + nslack
-    amat = [[0] * len(equations) for _ in range(total)]
-    for col, terms in enumerate(equations):
+    ncols = len(columns)
+    stacked = [[0] * ncols for _ in range(dim)]
+    for col, terms in enumerate(columns):
         for idx, coeff in terms.items():
-            amat[idx][col] = coeff % n
-    ker = row_kernel(amat, len(equations), n)
+            stacked[idx][col] = coeff % n
+    for off, s in rel_rows:
+        row = [0] * ncols
+        row[off:off + len(s)] = s
+        stacked.append(row)
+    ker = row_kernel(stacked, ncols, n)
     wgens = howell([row[:dim] for row in ker], dim, n)
     return blocks, dim, Subquotient(n, dim, wgens, dgens)
 
@@ -551,47 +536,25 @@ def mixed_hom(h: GradedRingHom, source: GradedModule,
         sc = ring_s.components[c]
         for g in sorted(comps):
             g2 = grp.add(c, g)
-            out = comps.get(g2)
-            # per source degree a: its generator count, the degree and the
-            # action tensor of s.x, and the columns of target_{g2+a}
-            blocks = []
-            for a in sorted(source.components):
-                cols = target.component(grp.add(g2, a)).ngens
-                if cols:
-                    blocks.append((a, source.components[a].ngens,
-                                   grp.add(c, a), source.action.get((c, a)),
-                                   cols))
+            # per source degree a with a nonzero action tensor at (c, a)
+            # and columns in target_{g2+a}: the degree of s.x and the tensor
+            blocks = [(a, grp.add(c, a), source.action[(c, a)])
+                      for a in sorted(source.components)
+                      if (c, a) in source.action
+                      and target.component(grp.add(g2, a)).ngens]
             tensor_rows = []
-            nonzero = False
             for p in range(sc.ngens):
                 block = []
                 for mats in lifted[g]:
-                    new = {}
-                    for a, rows, a2, tm, cols in blocks:
-                        u2 = mats.get(a2)
-                        mat = []
-                        for i in range(rows):
-                            acc = [0] * cols
-                            if tm is not None and u2 is not None:
-                                # s_p . x_i is the stored entry tm[p][i]
-                                for kk, vv in enumerate(tm[p][i]):
-                                    if vv:
-                                        for m in range(cols):
-                                            acc[m] += vv * u2[kk][m]
-                            mat.append(tuple(v % n for v in acc))
-                        new[a] = tuple(mat)
+                    # s_p . x_i is the stored entry tm[p][i]
+                    new = {a: mat_mul(tm[p], mats[a2], n)
+                           for a, a2, tm in blocks}
                     coords = witness.coords_of(g2, new)
                     if coords is None:
                         raise FunctorError("Hom action failed to land in Hom")
-                    if out is None:
-                        block.append(())
-                        continue
-                    if any(coords):
-                        nonzero = True
                     block.append(coords)
                 tensor_rows.append(block)
-            if nonzero and out is not None:
-                action[(c, g)] = tensor_rows
+            action[(c, g)] = tensor_rows
     module = GradedModule(ring_s, comps, action)
     witness.module = module
     return witness

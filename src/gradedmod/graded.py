@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .abelian import FgAbelianGroup, GroupEpi
 from .znlinalg import (FpZnModule, howell, identity_matrix, mat_mul,
-                       reduce_mod_span, row_kernel, solve_row, span_contains,
+                       reduce_mod_span, row_kernel, solve_rows, span_contains,
                        vec_mat, zero_matrix)
 
 
@@ -111,7 +111,9 @@ def _canon_structure(group, n, components, tensors, what, left=None):
     left_g x M_h to M_{g+h}, where `left` holds the ring's components
     (None: the components themselves, for a ring).  Tensors whose factors
     are not in the support are dropped, zero tensors too; a nonzero tensor
-    landing outside the support is rejected.
+    landing outside the support is rejected.  Every entry is reduced in its
+    target component.  The functor and submodule builders rely on this and
+    pass their tensors unreduced, zero ones included.
     """
     comps = {}
     for deg, comp in components.items():
@@ -1007,41 +1009,33 @@ def direct_sum(modules):
 
 
 def _sub_action(module: GradedModule, sub_comps, incl_mats):
-    """Inherited action tensors for a graded submodule given by inclusions."""
+    """Inherited action tensors for a graded submodule given by inclusions.
+
+    The entry for r_i . e_j is the inclusion part of the solution x of
+    x*[incl; rels] = r_i . e_j in the ambient component (none: not
+    stable); the entries at one pair of degrees share one factoring.
+    """
     g = module.ring.group
     n = module.ring.n
     action = {}
     for dc, rc in module.ring.components.items():
         for dh, sc in sub_comps.items():
-            if not sc.ngens:
+            t = module.action.get((dc, dh))
+            if t is None:
                 continue
             out_deg = g.add(dc, dh)
-            out_sub = sub_comps.get(out_deg)
             amb_out = module.component(out_deg)
-            t = module.action.get((dc, dh))
-            tensor = []
-            nonzero = False
-            for i in range(rc.ngens):
-                block = []
-                for j in range(sc.ngens):
-                    amb = apply_tensor(t, _unit_vec(rc.ngens, i),
-                                       incl_mats[dh][j], amb_out)
-                    if out_sub is None or not out_sub.ngens:
-                        if any(amb):
-                            raise GradedError("submodule is not action-stable")
-                        block.append(())
-                        continue
-                    sol = solve_row(list(incl_mats[out_deg]) + list(amb_out.rels),
-                                    amb, amb_out.ngens, n)
-                    if sol is None:
-                        raise GradedError("submodule is not action-stable")
-                    coords = out_sub.reduce(sol[:out_sub.ngens])
-                    if any(coords):
-                        nonzero = True
-                    block.append(coords)
-                tensor.append(block)
-            if nonzero and out_sub is not None and out_sub.ngens:
-                action[(dc, dh)] = tensor
+            incl = list(incl_mats.get(out_deg, ()))
+            ambs = [apply_tensor(t, _unit_vec(rc.ngens, i), incl_mats[dh][j],
+                                 amb_out)
+                    for i in range(rc.ngens) for j in range(sc.ngens)]
+            sols = solve_rows(incl + list(amb_out.rels), ambs, amb_out.ngens,
+                              n)
+            if None in sols:
+                raise GradedError("submodule is not action-stable")
+            cut = [sol[:len(incl)] for sol in sols]
+            action[(dc, dh)] = [cut[i:i + sc.ngens]
+                                for i in range(0, len(cut), sc.ngens)]
     return action
 
 
@@ -1089,17 +1083,10 @@ def graded_cokernel(u: GradedMorphism):
     for deg, tc in u.target.components.items():
         comps[deg] = FpZnModule(tc.n, tc.ngens,
                                 list(tc.rels) + list(u.matrix(deg)))
-    action = {}
-    for (dc, dh), t in u.target.action.items():
-        if dh not in comps:
-            continue
-        out = comps.get(u.target.ring.group.add(dc, dh))
-        if out is None:
-            continue
-        action[(dc, dh)] = t
-    coker = GradedModule(u.target.ring, comps, action, validate=False)
+    coker = GradedModule(u.target.ring, comps, u.target.action,
+                         validate=False)
     maps = {deg: identity_matrix(tc.ngens)
-            for deg, tc in u.target.components.items() if deg in coker.components}
+            for deg, tc in u.target.components.items()}
     proj = GradedMorphism(u.target, coker, maps, validate=False)
     return coker, proj
 

@@ -24,6 +24,11 @@ expected and is echoed in reports):
 
 where <property> is one of is_zero/is_mono/is_epi/is_iso (expected
 true|false) or source_card/target_card (expected integer).
+
+Operands are counted and each literal is checked where it is read: a
+line with an operand missing or one too many, a non-integer degree or
+cardinality, or a word other than true/false where one is expected is
+an input error naming its line, never ignored and never a failed check.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import analyze, canonical
-from .abelian import GroupEpi
+from .abelian import GroupEpi, GroupError
 from .graded import (GradedError, GradedModule, GradedRing, GradedRingHom,
                      coarsen_module, ring_as_module, shift)
 from .functors import coextend, extend, hom_graded, restrict, tensor
@@ -102,7 +107,7 @@ def build_env(ws: Workspace) -> dict:
             raise ScenarioError(f"line {lineno}: duplicate name {name!r}")
         try:
             env[name] = _derive(env, args, lineno)
-        except GradedError as exc:
+        except (GradedError, GroupError) as exc:
             raise ScenarioError(f"line {lineno}: {exc}")
     return env
 
@@ -132,12 +137,21 @@ def _get(env, name, lineno, what="object"):
     return value
 
 
+def _usage(ok, lineno, usage):
+    """Reject the line `lineno` unless `ok`, showing how it is written."""
+    if not ok:
+        raise ScenarioError(f"line {lineno}: usage: {usage}")
+
+
 def _derive(env, args, lineno):
     op = args[0]
     rest = args[1:]
     if op == "ringmod":
+        _usage(len(rest) == 1, lineno, "derive <name> ringmod <ring>")
         return ring_as_module(_get(env, rest[0], lineno, "ring"))
     if op in ("restrict", "extend", "coextend"):
+        _usage(len(rest) == 2, lineno,
+               f"derive <name> {op} <ringhom> <module>")
         h = _get(env, rest[0], lineno, "ring morphism")
         m = _get(env, rest[1], lineno, "module")
         if op == "restrict":
@@ -145,16 +159,17 @@ def _derive(env, args, lineno):
         if op == "extend":
             return extend(h, m).module
         return coextend(h, m).module
-    if op == "tensor":
-        return tensor(_get(env, rest[0], lineno, "module"),
-                      _get(env, rest[1], lineno, "module")).module
-    if op == "hom":
-        return hom_graded(_get(env, rest[0], lineno, "module"),
-                          _get(env, rest[1], lineno, "module")).module
+    if op in ("tensor", "hom"):
+        _usage(len(rest) == 2, lineno, f"derive <name> {op} <module> <module>")
+        m, n = (_get(env, name, lineno, "module") for name in rest)
+        return (tensor(m, n) if op == "tensor" else hom_graded(m, n)).module
     if op == "shift":
+        _usage(len(rest) >= 1, lineno,
+               "derive <name> shift <module> <degree ints>")
         m = _get(env, rest[0], lineno, "module")
-        return shift(m, tuple(int(x) for x in rest[1:]))
+        return shift(m, tuple(_parse_int(x, lineno) for x in rest[1:]))
     if op == "coarsen":
+        _usage(len(rest) == 2, lineno, "derive <name> coarsen <module> <epi>")
         m = _get(env, rest[0], lineno, "module")
         psi = _get(env, rest[1], lineno, "group epimorphism")
         return coarsen_module(m, psi)
@@ -165,6 +180,14 @@ def _split_tag(tokens):
     if tokens and tokens[-1].startswith("tag:"):
         return tokens[:-1], tokens[-1][4:]
     return tokens, ""
+
+
+def _parse_int(token, lineno):
+    try:
+        return int(token)
+    except ValueError:
+        raise ScenarioError(f"line {lineno}: expected an integer, "
+                            f"got {token!r}")
 
 
 def _parse_bool(token, lineno):
@@ -179,8 +202,12 @@ def run_checks(ws: Workspace, env: dict | None = None) -> list[CheckResult]:
     results = []
     for lineno, tokens in ws.checks:
         tokens, tag = _split_tag(tokens)
+        _usage(tokens, lineno, "check <kind> <operands...> [tag:<word>]")
         text = " ".join(tokens)
-        expected, actual = _run_check(env, tokens, lineno)
+        try:
+            expected, actual = _run_check(env, tokens, lineno)
+        except (GradedError, GroupError) as exc:
+            raise ScenarioError(f"line {lineno}: {exc}")
         results.append(CheckResult(lineno, text, expected, actual,
                                    expected == actual, tag))
     return results
@@ -188,22 +215,24 @@ def run_checks(ws: Workspace, env: dict | None = None) -> list[CheckResult]:
 
 def _run_check(env, tokens, lineno):
     kind = tokens[0]
-    if kind == "ringepi":
+    if kind in ("ringepi", "morita"):
+        _usage(len(tokens) == 3, lineno, f"check {kind} <ringhom> true|false")
         expected = _parse_bool(tokens[2], lineno)
         h = _get(env, tokens[1], lineno, "ring morphism")
-        return str(expected).lower(), \
-            str(analyze.is_ring_epimorphism(h)).lower()
-    if kind == "morita":
-        expected = _parse_bool(tokens[2], lineno)
-        h = _get(env, tokens[1], lineno, "ring morphism")
-        return str(expected).lower(), str(analyze.morita_check(h)).lower()
+        decide = analyze.is_ring_epimorphism if kind == "ringepi" \
+            else analyze.morita_check
+        return str(expected).lower(), str(decide(h)).lower()
     if kind == "battery":
+        _usage(len(tokens) >= 3, lineno,
+               "check battery <ringhom> true|false <family module names...>")
         h = _get(env, tokens[1], lineno, "ring morphism")
         expected = _parse_bool(tokens[2], lineno)
         family = [_get(env, name, lineno, "module") for name in tokens[3:]]
         report = analyze.d70_battery(h, family)
         return str(expected).lower(), str(report.decisive).lower()
     if kind == "d80":
+        _usage(len(tokens) == 4, lineno,
+               "check d80 <ringhom> <epi> true|false")
         h = _get(env, tokens[1], lineno, "ring morphism")
         psi = _get(env, tokens[2], lineno, "group epimorphism")
         expected = _parse_bool(tokens[3], lineno)
@@ -217,44 +246,41 @@ def _run_check(env, tokens, lineno):
 
 def build_canon(env, tokens, lineno):
     """Construct a canonical map from `<name> <args...>` tokens, found at
-    line `lineno` of a scenario, or on the command line for None."""
+    line `lineno` of a scenario, or on the command line for None.
+
+    Returns the map and the number of tokens it used; tokens past those
+    are left to the caller."""
     name = tokens[0]
     if name not in CANON_SPECS:
         raise ScenarioError(f"{_at(lineno)}unknown canonical map {name!r}")
     ctor, takes_h, nmods = CANON_SPECS[name]
-    args = []
-    pos = 1
-    if takes_h:
-        args.append(_get(env, tokens[pos], lineno, "ring morphism"))
-        pos += 1
-    for _ in range(nmods):
-        args.append(_get(env, tokens[pos], lineno, "module"))
-        pos += 1
+    used = 1 + takes_h + nmods
+    if len(tokens) < used:
+        raise ScenarioError(f"{_at(lineno)}canonical map {name!r}: "
+                            "missing arguments")
+    args = [_get(env, tokens[1], lineno, "ring morphism")] if takes_h else []
+    args += [_get(env, m, lineno, "module")
+             for m in tokens[1 + takes_h:used]]
     try:
-        return ctor(*args), pos
+        return ctor(*args), used
     except GradedError as exc:
         raise ScenarioError(f"{_at(lineno)}{name}: {exc}")
 
 
 def _run_canon_check(env, tokens, lineno):
+    usage = "check canon <map> <args...> <property> <expected>"
+    _usage(len(tokens) >= 2, lineno, usage)
     cmap, pos = build_canon(env, tokens[1:], lineno)
-    pos += 1
-    prop, expected = tokens[pos], tokens[pos + 1]
+    _usage(len(tokens) == pos + 3, lineno, usage)
+    prop, expected = tokens[pos + 1:]
     u = cmap.morphism
-    if prop == "is_zero":
-        actual = u.is_zero
-    elif prop == "is_mono":
-        actual = analyze.is_mono(u)[0]
-    elif prop == "is_epi":
-        actual = analyze.is_epi(u)[0]
-    elif prop == "is_iso":
-        actual = analyze.is_iso(u)[0]
-    elif prop in ("source_card", "target_card"):
+    if prop in ("source_card", "target_card"):
         module = u.source if prop == "source_card" else u.target
-        return expected, str(module.cardinality())
-    else:
+        return str(_parse_int(expected, lineno)), str(module.cardinality())
+    if prop not in ("is_zero", "is_mono", "is_epi", "is_iso"):
         raise ScenarioError(f"line {lineno}: unknown property {prop!r}")
     _parse_bool(expected, lineno)
+    actual = u.is_zero if prop == "is_zero" else getattr(analyze, prop)(u)[0]
     return expected, str(actual).lower()
 
 

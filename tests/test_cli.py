@@ -167,6 +167,51 @@ def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text):
     assert out.startswith("error: ") and out.count("\n") == 1
 
 
+# a one-ring workspace: h is the identity of R, and G has rank 0
+ONE_RING = RING_ONLY + """ringhom h R R
+  map 0 1
+end
+module M R
+  component 1
+  act 0 0 1
+end
+"""
+
+
+# scenario lines with an operand missing, one too many or a malformed
+# literal, each appended to ONE_RING as its line 15
+@pytest.mark.parametrize("line, message", [
+    ("check ringepi h", "usage: check ringepi <ringhom> true|false"),
+    ("check morita h", "usage: check morita <ringhom> true|false"),
+    ("check battery h", "usage: check battery <ringhom> true|false "
+                        "<family module names...>"),
+    ("check d80 h", "usage: check d80 <ringhom> <epi> true|false"),
+    ("check canon", "usage: check canon <map> <args...> <property> "
+                    "<expected>"),
+    ("check canon sigma h", "canonical map 'sigma': missing arguments"),
+    ("check canon sigma h M is_iso", "usage: check canon <map> <args...> "
+                                     "<property> <expected>"),
+    ("derive N ringmod", "usage: derive <name> ringmod <ring>"),
+    ("derive N tensor M", "usage: derive <name> tensor <module> <module>"),
+    ("derive N shift M x", "expected an integer, got 'x'"),
+    ("derive N shift M 1 2", "coordinate length mismatch"),
+    ("check ringepi h true extra",
+     "usage: check ringepi <ringhom> true|false"),
+    ("check canon sigma h M is_iso true extra",
+     "usage: check canon <map> <args...> <property> <expected>"),
+    ("derive N ringmod R R", "usage: derive <name> ringmod <ring>"),
+    ("check canon sigma h M source_card abc", "expected an integer, "
+                                              "got 'abc'"),
+    ("check tag:x", "usage: check <kind> <operands...> [tag:<word>]"),
+])
+def test_malformed_scenario_line_is_an_input_error(capsys, tmp_path, line,
+                                                   message):
+    p = tmp_path / "malformed.txt"
+    p.write_text(ONE_RING + line + "\n")
+    code, out = _run(capsys, ["--input", str(p), "validate"])
+    assert (code, out) == (2, f"error: line 15: {message}\n")
+
+
 # Z/6 presented on two generators a, b with a = b: R itself, presented
 # differently, over a ring that is not *local
 NON_LOCAL = """modulus 6
@@ -402,6 +447,91 @@ def test_name_resolution_never_crashes(ws_path, cmd, canon_name, tokens,
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue().startswith("error: ")
+        assert out.getvalue().count("\n") == 1
+
+
+# a small valid workspace for the scenario-line fuzz: R = F_2[X]/(X^2)
+# graded by Z/2 with deg X = 1, its identity h, an epimorphism p onto the
+# trivial group and the R-module M = F_2 in degree 0
+FUZZ_WORKSPACE = """modulus 2
+group G moduli 2
+group G0 moduli
+epi p G G0
+  row
+end
+ring R G
+  component 0 1
+  component 1 1
+  one 1
+  mult 0 0 0 0 1
+  mult 0 1 0 0 1
+  mult 1 0 0 0 1
+end
+ringhom h R R
+  map 0 0 1
+  map 1 0 1
+end
+module M R
+  component 0 1
+  act 0 0 0 0 1
+end
+check ringepi h true
+"""
+
+# well-formed derive and check lines over FUZZ_WORKSPACE, then tokens to
+# drop, insert or replace: keywords, the names it defines, unknown names,
+# integers, true/false and a tag
+_LINE_TEMPLATES = [
+    "derive D0 ringmod R", "derive D0 restrict h M", "derive D0 extend h M",
+    "derive D0 coextend h M", "derive D0 tensor M M", "derive D0 hom M M",
+    "derive D0 shift M 1", "derive D0 coarsen M p", "check ringepi h true",
+    "check morita h false", "check battery h true M", "check d80 h p true",
+    "check canon rho h M is_iso true", "check canon tau M source_card 2"]
+_LINE_TOKENS = st.sampled_from(
+    ["derive", "check", "ringmod", "shift", "coarsen", "battery", "canon",
+     "sigma", "is_mono", "target_card", "R", "h", "M", "G", "p", "D0",
+     "nosuch", "-1", "0", "2", "x", "true", "false", "tag:x"])
+_EDITS = st.lists(st.tuples(st.sampled_from(["drop", "insert", "replace"]),
+                            st.integers(1, 6), _LINE_TOKENS), max_size=2)
+
+
+def _edited(template, edits):
+    tokens = template.split()
+    for op, pos, token in edits:
+        pos = min(pos, len(tokens) - 1)
+        if op == "insert":
+            tokens.insert(pos + 1, token)
+        elif op == "drop" and len(tokens) > 1:
+            del tokens[pos]
+        elif op == "replace":
+            tokens[pos] = token
+    return " ".join(tokens)
+
+
+_SCENARIO_LINES = st.builds(_edited, st.sampled_from(_LINE_TEMPLATES), _EDITS)
+_SCENARIOS = st.lists(_SCENARIO_LINES, min_size=1, max_size=3).map(
+    lambda lines: [line.replace("D0", f"D{i}", 1)
+                   for i, line in enumerate(lines)])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("lines")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SCENARIOS)
+def test_scenario_lines_never_crash(fuzz_dir, lines):
+    p = fuzz_dir / "ws.txt"
+    p.write_text(FUZZ_WORKSPACE + "\n".join(lines) + "\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--input", str(p), "validate"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert "status: failed" in out.getvalue()
     if code == 2:
         assert out.getvalue().startswith("error: ")
         assert out.getvalue().count("\n") == 1

@@ -256,6 +256,55 @@ def test_hom_degree_matches_brute_force_over_two_algebra_generators():
             assert found == set(reference_homs(m, n_mod))
 
 
+# reference_homs tries every degreewise linear map; cases with more
+# candidates than this are left out
+MAX_CANDIDATES = 256
+
+
+def _candidates(m, n_mod):
+    """The number of maps `reference_homs(m, n_mod)` tries."""
+    count = 1
+    for d in set(m.components) | set(n_mod.components):
+        count *= n_mod.component(d).cardinality() ** m.component(d).ngens
+    return count
+
+
+def _check_hom_degree(h, m, n_mod, g):
+    """hom_degree(h, m, n_mod, g) holds exactly the morphisms
+    h_*(m) -> n_mod(g) found by brute force, when that is cheap."""
+    src, tgt = restrict(h, m), shift(n_mod, g)
+    if _candidates(src, tgt) > MAX_CANDIDATES:
+        return
+    blocks, _, sq = hom_degree(h, m, n_mod, g)
+    found = {GradedMorphism.zero(src, tgt)} if sq is None else {
+        GradedMorphism(src, tgt, _block_matrices(blocks, sq.lift(c)))
+        for c in sq.module.elements()}
+    assert len(found) == (1 if sq is None else sq.module.cardinality())
+    assert found == set(reference_homs(src, tgt))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ALL), st.integers(0, 2**32 - 1), st.integers(0, 63))
+def test_hom_degree_matches_brute_force_on_random_modules(instances, name,
+                                                          seed, pick):
+    # degree 0 and a nonzero degree over R, and the mixed Hom from an
+    # S-module restricted along h, element by element
+    h = instances[name]["h"]
+    grp = h.source.group
+    ident = GradedRingHom.identity(h.source)
+    rng = random.Random(seed)
+    m, n_mod = (corpus.random_module(h.source, rng) for _ in range(2))
+    m_s = corpus.random_module(h.target, rng)
+    _check_hom_degree(ident, m, n_mod, grp.zero())
+    degs = sorted({grp.sub(b, a) for a in m.components
+                   for b in n_mod.components} - {grp.zero()})
+    if degs:
+        _check_hom_degree(ident, m, n_mod, degs[pick % len(degs)])
+    degs = sorted({grp.sub(b, a) for a in m_s.components
+                   for b in n_mod.components})
+    _check_hom_degree(h, m_s, n_mod, degs[pick % len(degs)])
+
+
 def test_tensor_order_over_two_algebra_generators():
     # R/I (x)_R R/J = R/(I + J); balancing over one generator only leaves
     # the tensor too large

@@ -87,3 +87,23 @@ end
     with pytest.raises(scenarios.ScenarioError,
                        match=f"^line 11: {message}$"):
         scenarios.run_checks(parse_workspace(text))
+
+
+def test_analysis_errors_name_their_line():
+    # the battery rejects a family without S; the scenario names the line
+    text = """modulus 4
+group G moduli
+ring R G
+  component 1
+  one 1
+  mult 0 0 1
+end
+ringhom h R R
+  map 0 1
+end
+check battery h true
+"""
+    with pytest.raises(scenarios.ScenarioError,
+                       match="^line 11: battery family must contain S and "
+                             "all its support shifts$"):
+        scenarios.run_checks(parse_workspace(text))
