@@ -6,6 +6,15 @@ and Hom composites, the coarsening comparison maps) as an explicit graded
 morphism built on generators by its element-level formula.  Construction
 validates well-definedness and linearity, so a successful return is itself
 a check of the defining formula.
+
+Every map whose target is a graded Hom module (rho_tilde, epsilon, theta,
+pi, nu, mu, tau, tau3, lambda and both directions of alpha) sends each
+generator of its source to a Hom element given by its element formula:
+the formula's value on each generator of the Hom module's source, handed
+to the one helper `_hom_coords`, which solves for the element's
+coordinates.  `CanonicalMapError`, which names the map, means those
+values are not a graded homomorphism: the formula is not well defined on
+the relations of the Hom source, or not linear over the ring.
 """
 
 from __future__ import annotations
@@ -36,11 +45,36 @@ class CanonicalMap:
     inverse: GradedMorphism | None = None
 
 
+def _gen(obj, a, i):
+    """Generator i of the degree-a component of a module or ring."""
+    return a, _unit_vec(obj.component(a).ngens, i)
+
+
+def _sum_mod(vectors, n):
+    """The sum of equal-length vectors, reduced mod n."""
+    return tuple(sum(col) % n for col in zip(*vectors))
+
+
 def _coords_or_fail(witness: HomWitness, g, mats, what: str):
     coords = witness.coords_of(g, mats)
     if coords is None:
         raise CanonicalMapError(f"{what}: image is not a graded homomorphism")
     return coords
+
+
+def _hom_coords(witness: HomWitness, g, image, what: str):
+    """Coordinates of the degree-g element of `witness` = Hom(L, N) that
+    sends generator i of L_a to the vector `image(a, i)` of N_{g+a}.
+
+    `image` is called only where N_{g+a} has generators.  Raises
+    CanonicalMapError naming the map `what` when the images are not those
+    of a graded homomorphism.
+    """
+    grp = witness.source.ring.group
+    mats = {a: tuple(image(a, i) for i in range(comp.ngens))
+            for a, comp in sorted(witness.source.components.items())
+            if witness.target.component(grp.add(g, a)).ngens}
+    return _coords_or_fail(witness, g, mats, what)
 
 
 def underline(h: GradedRingHom) -> GradedMorphism:
@@ -53,15 +87,10 @@ def hstar_ring_iso(h: GradedRingHom):
     """The canonical isomorphism h^*(R) -> S, s (x) r -> s h(r)."""
     tw = extend(h, ring_as_module(h.source))
     target = ring_as_module(h.target)
-    maps = {}
-    for d, pairs in tw.index.items():
-        rows = []
-        for (c, p, a, i) in pairs:
-            sp = (c, _unit_vec(h.target.component(c).ngens, p))
-            _, hr = h.apply((a, _unit_vec(h.source.component(a).ngens, i)))
-            _, prod = h.target.multiply(sp, (a, hr))
-            rows.append(prod)
-        maps[d] = rows
+    maps = {d: [h.target.multiply(_gen(h.target, c, p),
+                                  h.apply(_gen(h.source, a, i)))[1]
+                for (c, p, a, i) in pairs]
+            for d, pairs in tw.index.items()}
     return CanonicalMap("hstar_ring", GradedMorphism(tw.module, target, maps),
                         {"h": h})
 
@@ -75,11 +104,9 @@ def rho(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
     tw = extend(h, module)
     target = restrict(h, tw.module)
     one = (h.target.group.zero(), h.target.one)
-    maps = {}
-    for a, comp in module.components.items():
-        rows = [tw.pure(one, (a, _unit_vec(comp.ngens, i)))[1]
+    maps = {a: [tw.pure(one, _gen(module, a, i))[1]
                 for i in range(comp.ngens)]
-        maps[a] = rows
+            for a, comp in module.components.items()}
     return CanonicalMap("rho", GradedMorphism(module, target, maps),
                         {"h": h, "module": module})
 
@@ -92,14 +119,9 @@ def sigma(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
 def _sigma(h, module, restricted) -> CanonicalMap:
     """`sigma` on N = `module`, given h_*(N) as `restricted`."""
     tw = extend(h, restricted)
-    maps = {}
-    for d, pairs in tw.index.items():
-        rows = []
-        for (c, p, a, j) in pairs:
-            sp = (c, _unit_vec(h.target.component(c).ngens, p))
-            xj = (a, _unit_vec(module.component(a).ngens, j))
-            rows.append(module.act(sp, xj)[1])
-        maps[d] = rows
+    maps = {d: [module.act(_gen(h.target, c, p), _gen(module, a, j))[1]
+                for (c, p, a, j) in pairs]
+            for d, pairs in tw.index.items()}
     return CanonicalMap("sigma", GradedMorphism(tw.module, module, maps),
                         {"h": h, "module": module})
 
@@ -112,23 +134,14 @@ def rho_tilde(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
 def _rho_tilde(h, module, restricted) -> CanonicalMap:
     """`rho_tilde` on N = `module`, given h_*(N) as `restricted`."""
     hw = coextend(h, restricted)
-    ring_s = h.target
-    grp = ring_s.group
     maps = {}
     for a, comp in module.components.items():
         rows = []
         for j in range(comp.ngens):
-            xj = (a, _unit_vec(comp.ngens, j))
-            mats = {}
-            for c in sorted(ring_s.components):
-                sc = ring_s.components[c]
-                out = module.component(grp.add(c, a))
-                if not out.ngens:
-                    continue
-                mats[c] = tuple(
-                    module.act((c, _unit_vec(sc.ngens, p)), xj)[1]
-                    for p in range(sc.ngens))
-            rows.append(_coords_or_fail(hw, a, mats, "rho_tilde"))
+            xj = _gen(module, a, j)
+            rows.append(_hom_coords(
+                hw, a, lambda c, p: module.act(_gen(h.target, c, p), xj)[1],
+                "rho_tilde"))
         maps[a] = rows
     return CanonicalMap("rho_tilde", GradedMorphism(module, hw.module, maps),
                         {"h": h, "module": module})
@@ -139,11 +152,9 @@ def sigma_tilde(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
     hw = coextend(h, module)
     source = restrict(h, hw.module)
     one = (h.target.group.zero(), h.target.one)
-    maps = {}
-    for g, comp in hw.module.components.items():
-        rows = [hw.evaluate((g, _unit_vec(comp.ngens, k)), one)[1]
+    maps = {g: [hw.evaluate(_gen(hw.module, g, k), one)[1]
                 for k in range(comp.ngens)]
-        maps[g] = rows
+            for g, comp in hw.module.components.items()}
     return CanonicalMap("sigma_tilde", GradedMorphism(source, module, maps),
                         {"h": h, "module": module})
 
@@ -165,10 +176,8 @@ def delta(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
         for (d1, k1, d2, k2) in pairs:
             c1, p, a, i = em.index[d1][k1]
             c2, q, b, j = en.index[d2][k2]
-            ss = ring_s.multiply((c1, _unit_vec(ring_s.component(c1).ngens, p)),
-                                 (c2, _unit_vec(ring_s.component(c2).ngens, q)))
-            xy = tmn.pure((a, _unit_vec(m.component(a).ngens, i)),
-                          (b, _unit_vec(n.component(b).ngens, j)))
+            ss = ring_s.multiply(_gen(ring_s, c1, p), _gen(ring_s, c2, q))
+            xy = tmn.pure(_gen(m, a, i), _gen(n, b, j))
             rows.append(etmn.pure(ss, xy)[1])
         maps[d] = rows
     forward = GradedMorphism(src.module, etmn.module, maps)
@@ -178,9 +187,8 @@ def delta(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
         rows = []
         for (c, p, dd, t) in pairs:
             a, i, b, j = tmn.index[dd][t]
-            u1 = em.pure((c, _unit_vec(ring_s.component(c).ngens, p)),
-                         (a, _unit_vec(m.component(a).ngens, i)))
-            u2 = en.pure(one, (b, _unit_vec(n.component(b).ngens, j)))
+            u1 = em.pure(_gen(ring_s, c, p), _gen(m, a, i))
+            u2 = en.pure(one, _gen(n, b, j))
             rows.append(src.pure(u1, u2)[1])
         inv_maps[d] = rows
     backward = GradedMorphism(etmn.module, src.module, inv_maps)
@@ -198,12 +206,9 @@ def _gamma(h, m, n, rm, rn) -> CanonicalMap:
     src = tensor(rm, rn)
     ttw = tensor(m, n)
     target = restrict(h, ttw.module)
-    maps = {}
-    for d, pairs in src.index.items():
-        rows = [ttw.pure((a, _unit_vec(m.component(a).ngens, i)),
-                         (b, _unit_vec(n.component(b).ngens, j)))[1]
+    maps = {d: [ttw.pure(_gen(m, a, i), _gen(n, b, j))[1]
                 for (a, i, b, j) in pairs]
-        maps[d] = rows
+            for d, pairs in src.index.items()}
     return CanonicalMap("gamma", GradedMorphism(src.module, target, maps),
                         {"h": h, "m": m, "n": n})
 
@@ -218,30 +223,18 @@ def epsilon(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
     tmn = tensor(m, n)
     target = coextend(h, tmn.module)
     ring_s = h.target
-    grp = ring_s.group
-    one = (grp.zero(), ring_s.one)
+    one = (ring_s.group.zero(), ring_s.one)
+    lifted = _lift_generators(hm, hm.module.components)
     maps = {}
     for d, pairs in src.index.items():
         rows = []
         for (g1, k1, g2, k2) in pairs:
-            hn_comp = hn.module.component(g2)
-            v1_deg, v1 = hn.evaluate((g2, _unit_vec(hn_comp.ngens, k2)), one)
-            hm_comp = hm.module.component(g1)
-            mats = {}
-            for c in sorted(ring_s.components):
-                sc = ring_s.components[c]
-                out = tmn.module.component(grp.add(grp.add(g1, g2), c))
-                if not out.ngens:
-                    continue
-                rows_c = []
-                for p in range(sc.ngens):
-                    u_deg, uvec = hm.evaluate(
-                        (g1, _unit_vec(hm_comp.ngens, k1)),
-                        (c, _unit_vec(sc.ngens, p)))
-                    rows_c.append(tmn.pure((u_deg, uvec), (v1_deg, v1))[1])
-                mats[c] = tuple(rows_c)
-            rows.append(_coords_or_fail(target, grp.add(g1, g2), mats,
-                                        "epsilon"))
+            u = lifted[g1][k1]
+            v1 = hn.evaluate(_gen(hn.module, g2, k2), one)
+            rows.append(_hom_coords(
+                target, ring_s.group.add(g1, g2),
+                lambda c, p: tmn.pure(hm.apply(g1, u, _gen(ring_s, c, p)),
+                                      v1)[1], "epsilon"))
         maps[d] = rows
     return CanonicalMap("epsilon", GradedMorphism(src.module, target.module,
                                                   maps),
@@ -266,13 +259,9 @@ def _eta(h, m, n, rm, rn) -> CanonicalMap:
     hw_s = hom_graded(m, n)
     src = restrict(h, hw_s.module)
     target = mixed_hom(GradedRingHom.identity(h.source), rm, rn)
-    maps = {}
-    for g, comp in hw_s.module.components.items():
-        rows = []
-        for k in range(comp.ngens):
-            mats = hw_s.matrices(g, _unit_vec(comp.ngens, k))
-            rows.append(_coords_or_fail(target, g, mats, "eta"))
-        maps[g] = rows
+    maps = {g: [_coords_or_fail(target, g, mats, "eta") for mats in family]
+            for g, family in _lift_generators(
+                hw_s, hw_s.module.components).items()}
     return CanonicalMap("eta", GradedMorphism(src, target.module, maps),
                         {"h": h, "m": m, "n": n})
 
@@ -287,28 +276,19 @@ def theta(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
     em, en = extend(h, m), extend(h, n)
     target = hom_graded(em.module, en.module)
     ring_s = h.target
-    grp = ring_s.group
+    lifted = _lift_generators(hw_r, hw_r.module.components)
     maps = {}
     for d, pairs in src.index.items():
         rows = []
         for (c, p, g, k) in pairs:
-            sp = (c, _unit_vec(ring_s.component(c).ngens, p))
-            hom_comp = hw_r.module.component(g)
-            shift_deg = grp.add(c, g)
-            mats = {}
-            for d1 in sorted(em.module.components):
-                cols = en.module.component(grp.add(shift_deg, d1)).ngens
-                if not cols:
-                    continue
-                rows_d = []
-                for (c1, q, a, i) in em.index[d1]:
-                    sq = (c1, _unit_vec(ring_s.component(c1).ngens, q))
-                    ss = ring_s.multiply(sq, sp)
-                    ux = hw_r.evaluate((g, _unit_vec(hom_comp.ngens, k)),
-                                       (a, _unit_vec(m.component(a).ngens, i)))
-                    rows_d.append(en.pure(ss, ux)[1])
-                mats[d1] = tuple(rows_d)
-            rows.append(_coords_or_fail(target, shift_deg, mats, "theta"))
+            sp, u = _gen(ring_s, c, p), lifted[g][k]
+
+            def image(d1, k1):
+                c1, q, a, i = em.index[d1][k1]
+                rs = ring_s.multiply(_gen(ring_s, c1, q), sp)
+                return en.pure(rs, hw_r.apply(g, u, _gen(m, a, i)))[1]
+            rows.append(_hom_coords(target, ring_s.group.add(c, g), image,
+                                    "theta"))
         maps[d] = rows
     return CanonicalMap("theta", GradedMorphism(src.module, target.module,
                                                 maps),
@@ -326,24 +306,16 @@ def pi(h: GradedRingHom, l: GradedModule, m: GradedModule,
     tmn = mixed_tensor(h, n, m)  # M (x)_R N with the S-action on N
     target = hom_graded(l, tmn.module)
     grp = h.target.group
+    lifted = _lift_generators(homlm, homlm.module.components)
     maps = {}
     for d, pairs in src.index.items():
         rows = []
         for (g, k, b, j) in pairs:
-            hom_comp = homlm.module.component(g)
-            xj = (b, _unit_vec(n.component(b).ngens, j))
-            mats = {}
-            for a in sorted(l.components):
-                ca = l.components[a]
-                cols = tmn.module.component(grp.add(grp.add(g, b), a)).ngens
-                if not cols:
-                    continue
-                mats[a] = tuple(
-                    tmn.pure(xj, homlm.evaluate(
-                        (g, _unit_vec(hom_comp.ngens, k)),
-                        (a, _unit_vec(ca.ngens, i))))[1]
-                    for i in range(ca.ngens))
-            rows.append(_coords_or_fail(target, grp.add(g, b), mats, "pi"))
+            u, xj = lifted[g][k], _gen(n, b, j)
+            rows.append(_hom_coords(
+                target, grp.add(g, b),
+                lambda a, i: tmn.pure(xj, homlm.apply(g, u, _gen(l, a, i)))[1],
+                "pi"))
         maps[d] = rows
     return CanonicalMap("pi", GradedMorphism(src.module, target.module, maps),
                         {"h": h, "l": l, "m": m, "n": n})
@@ -360,23 +332,16 @@ def nu(h: GradedRingHom, l: GradedModule, m: GradedModule,
     tmn = tensor(m, n)
     target = mixed_hom(h, l, tmn.module)
     grp = h.target.group
+    lifted = _lift_generators(homlm, homlm.module.components)
     maps = {}
     for d, pairs in src.index.items():
         rows = []
         for (g, k, b, j) in pairs:
-            hom_comp = homlm.module.component(g)
-            xj = (b, _unit_vec(n.component(b).ngens, j))
-            mats = {}
-            for a in sorted(l.components):
-                ca = l.components[a]
-                cols = tmn.module.component(grp.add(grp.add(g, b), a)).ngens
-                if not cols:
-                    continue
-                mats[a] = tuple(
-                    tmn.pure(homlm.evaluate((g, _unit_vec(hom_comp.ngens, k)),
-                                            (a, _unit_vec(ca.ngens, i))), xj)[1]
-                    for i in range(ca.ngens))
-            rows.append(_coords_or_fail(target, grp.add(g, b), mats, "nu"))
+            u, xj = lifted[g][k], _gen(n, b, j)
+            rows.append(_hom_coords(
+                target, grp.add(g, b),
+                lambda a, i: tmn.pure(homlm.apply(g, u, _gen(l, a, i)), xj)[1],
+                "nu"))
         maps[d] = rows
     return CanonicalMap("nu", GradedMorphism(src.module, target.module, maps),
                         {"h": h, "l": l, "m": m, "n": n})
@@ -393,16 +358,11 @@ def mu(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
     for d, pairs in src.index.items():
         rows = []
         for (a, i, b, j) in pairs:
-            xi = (a, _unit_vec(m.component(a).ngens, i))
-            yj = (b, _unit_vec(n.component(b).ngens, j))
-            mats = {}
-            for g in sorted(inner.module.components):
-                cols = n.component(grp.add(grp.add(a, b), g)).ngens
-                if not cols:
-                    continue
-                mats[g] = tuple(n.act(inner.apply(g, u, xi), yj)[1]
-                                for u in lifted[g])
-            rows.append(_coords_or_fail(target, grp.add(a, b), mats, "mu"))
+            xi, yj = _gen(m, a, i), _gen(n, b, j)
+            rows.append(_hom_coords(
+                target, grp.add(a, b),
+                lambda g, k: n.act(inner.apply(g, lifted[g][k], xi), yj)[1],
+                "mu"))
         maps[d] = rows
     return CanonicalMap("mu", GradedMorphism(src.module, target.module, maps),
                         {"h": h, "m": m, "n": n})
@@ -421,16 +381,12 @@ def tau3(l: GradedModule, m: GradedModule, n: GradedModule) -> CanonicalMap:
     for d, pairs in src.index.items():
         rows = []
         for (a, i, g, k) in pairs:
-            xi = (a, _unit_vec(l.component(a).ngens, i))
-            u = lifted_mn[g][k]
-            mats = {}
-            for g1 in sorted(homlm.module.components):
-                cols = n.component(grp.add(grp.add(a, g), g1)).ngens
-                if not cols:
-                    continue
-                mats[g1] = tuple(hommn.apply(g, u, homlm.apply(g1, v, xi))[1]
-                                 for v in lifted_lm[g1])
-            rows.append(_coords_or_fail(target, grp.add(a, g), mats, "tau3"))
+            xi, u = _gen(l, a, i), lifted_mn[g][k]
+            rows.append(_hom_coords(
+                target, grp.add(a, g),
+                lambda g1, k1: hommn.apply(
+                    g, u, homlm.apply(g1, lifted_lm[g1][k1], xi))[1],
+                "tau3"))
         maps[d] = rows
     return CanonicalMap("tau3", GradedMorphism(src.module, target.module,
                                                maps),
@@ -439,24 +395,18 @@ def tau3(l: GradedModule, m: GradedModule, n: GradedModule) -> CanonicalMap:
 
 def tau(l: GradedModule) -> CanonicalMap:
     """The bidual map L -> Hom(Hom(L, R), R), x -> (u -> u(x))."""
-    ring = l.ring
-    rm = ring_as_module(ring)
+    rm = ring_as_module(l.ring)
     homlr = hom_graded(l, rm)
     target = hom_graded(homlr.module, rm)
-    grp = ring.group
     lifted = _lift_generators(homlr, homlr.module.components)
     maps = {}
     for a, comp in l.components.items():
         rows = []
         for i in range(comp.ngens):
-            xi = (a, _unit_vec(comp.ngens, i))
-            mats = {}
-            for g in sorted(homlr.module.components):
-                cols = ring.component(grp.add(a, g)).ngens
-                if not cols:
-                    continue
-                mats[g] = tuple(homlr.apply(g, u, xi)[1] for u in lifted[g])
-            rows.append(_coords_or_fail(target, a, mats, "tau"))
+            xi = _gen(l, a, i)
+            rows.append(_hom_coords(
+                target, a, lambda g, k: homlr.apply(g, lifted[g][k], xi)[1],
+                "tau"))
         maps[a] = rows
     return CanonicalMap("tau", GradedMorphism(l, target.module, maps),
                         {"l": l})
@@ -481,22 +431,12 @@ def kappa(m: GradedModule, family) -> CanonicalMap:
     src = tensor(total, m)
     parts = [tensor(nj, m) for nj in family]
     tgt_total, tinjs, _ = direct_sum([p.module for p in parts])
-    maps = {}
-    for d, pairs in src.index.items():
-        tc = tgt_total.component(d)
-        rows = []
-        for (a, i, b, j) in pairs:
-            acc = [0] * tc.ngens
-            ei = _unit_vec(total.component(a).ngens, i)
-            for jj, part in enumerate(parts):
-                _, pvec = projs[jj].apply((a, ei))
-                _, t = part.pure((a, pvec),
-                                 (b, _unit_vec(m.component(b).ngens, j)))
-                _, ivec = tinjs[jj].apply((d, t))
-                for idx, v in enumerate(ivec):
-                    acc[idx] += v
-            rows.append(tuple(v % n_mod for v in acc))
-        maps[d] = rows
+    maps = {d: [_sum_mod([inj.apply(part.pure(proj.apply(_gen(total, a, i)),
+                                              _gen(m, b, j)))[1]
+                          for part, proj, inj in zip(parts, projs, tinjs)],
+                         n_mod)
+                for (a, i, b, j) in pairs]
+            for d, pairs in src.index.items()}
     return CanonicalMap("kappa", GradedMorphism(src.module, tgt_total, maps),
                         {"m": m, "family": tuple(family)})
 
@@ -506,7 +446,6 @@ def lambda_big(m: GradedModule, family) -> CanonicalMap:
     family = list(family)
     ring = m.ring
     n_mod = ring.n
-    grp = ring.group
     if not family:
         zero = GradedModule(ring, {}, {}, validate=False)
         target = hom_graded(m, zero)
@@ -521,26 +460,15 @@ def lambda_big(m: GradedModule, family) -> CanonicalMap:
     for g, comp in src_total.components.items():
         rows = []
         for k in range(comp.ngens):
-            ek = _unit_vec(comp.ngens, k)
-            mats = {}
-            for a in sorted(m.components):
-                ca = m.components[a]
-                cols = total_n.component(grp.add(g, a)).ngens
-                if not cols:
-                    continue
-                mat = [[0] * cols for _ in range(ca.ngens)]
-                for jj, hw in enumerate(homs):
-                    _, cj = sprojs[jj].apply((g, ek))
-                    inj_mat = ninjs[jj].matrix(grp.add(g, a))
-                    for i in range(ca.ngens):
-                        _, val = hw.evaluate((g, cj),
-                                             (a, _unit_vec(ca.ngens, i)))
-                        for kk, v in enumerate(val):
-                            if v:
-                                for col, w in enumerate(inj_mat[kk]):
-                                    mat[i][col] += v * w
-                mats[a] = tuple(tuple(v % n_mod for v in row) for row in mat)
-            rows.append(_coords_or_fail(target, g, mats, "lambda"))
+            # each summand's matrix family u_j, with its injection
+            parts = [(hw, hw.matrices(*proj.apply(_gen(src_total, g, k))), inj)
+                     for hw, proj, inj in zip(homs, sprojs, ninjs)]
+            rows.append(_hom_coords(
+                target, g,
+                lambda a, i: _sum_mod(
+                    [inj.apply(hw.apply(g, u, _gen(m, a, i)))[1]
+                     for hw, u, inj in parts], n_mod),
+                "lambda"))
         maps[g] = rows
     return CanonicalMap("lambda", GradedMorphism(src_total, target.module,
                                                  maps),
@@ -632,13 +560,9 @@ def tensor_coarsen_iso(psi: GroupEpi, tw: TensorWitness) -> CanonicalMap:
                 continue
             base = toff[d]
             for k, (a, i, b, j) in enumerate(tw.index[d]):
-                la = psi.apply(a)
-                lb = psi.apply(b)
-                lvec = [0] * lpsi.component(la).ngens
-                lvec[loff[a] + i] = 1
-                rvec = [0] * rpsi.component(lb).ngens
-                rvec[roff[b] + j] = 1
-                rows[base + k] = target.pure((la, lvec), (lb, rvec))[1]
+                la, lb = psi.apply(a), psi.apply(b)
+                rows[base + k] = target.pure(_gen(lpsi, la, loff[a] + i),
+                                             _gen(rpsi, lb, roff[b] + j))[1]
         maps[dc] = rows
     return CanonicalMap("tensor_coarsen",
                         GradedMorphism(src, target.module, maps),
@@ -660,61 +584,31 @@ def alpha(h: GradedRingHom, l: GradedModule, m: GradedModule,
     inner = mixed_hom(h, m, n)
     target = hom_graded(l, inner.module)
     grp = h.target.group
-    maps = {}
-    for g in sorted(src.module.components):
-        comp = src.module.components[g]
-        rows = []
-        for k in range(comp.ngens):
-            ek = (g, _unit_vec(comp.ngens, k))
-            outer_mats = {}
-            for a in sorted(l.components):
-                ca = l.components[a]
-                inner_deg = grp.add(g, a)
-                inner_cols = inner.module.component(inner_deg).ngens
-                if not inner_cols:
-                    continue
-                rows_a = []
-                for i in range(ca.ngens):
-                    xi = (a, _unit_vec(ca.ngens, i))
-                    mats = {}
-                    for b in sorted(m.components):
-                        cb = m.components[b]
-                        cols = n.component(grp.add(inner_deg, b)).ngens
-                        if not cols:
-                            continue
-                        mats[b] = tuple(
-                            src.evaluate(ek, tlm.pure(
-                                xi, (b, _unit_vec(cb.ngens, j))))[1]
-                            for j in range(cb.ngens))
-                    rows_a.append(_coords_or_fail(inner, inner_deg, mats,
-                                                  "alpha"))
-                outer_mats[a] = tuple(rows_a)
-            rows.append(_coords_or_fail(target, g, outer_mats, "alpha"))
-        maps[g] = rows
+
+    def curried(g, w, x):
+        """The element y -> w(x (x) y) of Hom(M, N), for w of degree g."""
+        return _hom_coords(
+            inner, grp.add(g, x[0]),
+            lambda b, j: src.apply(g, w, tlm.pure(x, _gen(m, b, j)))[1],
+            "alpha")
+    maps = {g: [_hom_coords(target, g,
+                            lambda a, i: curried(g, w, _gen(l, a, i)),
+                            "alpha") for w in family]
+            for g, family in sorted(_lift_generators(
+                src, src.module.components).items())}
     forward = GradedMorphism(src.module, target.module, maps)
-    inv_maps = {}
-    for g in sorted(target.module.components):
-        comp = target.module.components[g]
-        rows = []
-        for k in range(comp.ngens):
-            phi_mats = target.matrices(g, _unit_vec(comp.ngens, k))
-            mats = {}
-            for d in sorted(tlm.module.components):
-                cols = n.component(grp.add(g, d)).ngens
-                if not cols:
-                    continue
-                rows_d = []
-                for (a, i, b, j) in tlm.index[d]:
-                    pa = phi_mats.get(a)
-                    if pa is None:
-                        rows_d.append((0,) * cols)
-                        continue
-                    inner_elem = (grp.add(g, a), pa[i])
-                    rows_d.append(inner.evaluate(
-                        inner_elem, (b, _unit_vec(m.components[b].ngens, j)))[1])
-                mats[d] = tuple(rows_d)
-            rows.append(_coords_or_fail(src, g, mats, "alpha inverse"))
-        inv_maps[g] = rows
+
+    def uncurried(g, phi, d, t):
+        """w(x (x) y) = phi(x)(y) for the pair t of (L (x) M)_d."""
+        a, i, b, j = tlm.index[d][t]
+        if a not in phi:
+            return n.component(grp.add(g, d)).zero()
+        return inner.evaluate((grp.add(g, a), phi[a][i]), _gen(m, b, j))[1]
+    inv_maps = {g: [_hom_coords(src, g,
+                                lambda d, t: uncurried(g, phi, d, t),
+                                "alpha inverse") for phi in family]
+                for g, family in sorted(_lift_generators(
+                    target, target.module.components).items())}
     backward = GradedMorphism(target.module, src.module, inv_maps)
     return CanonicalMap("alpha", forward,
                         {"h": h, "l": l, "m": m, "n": n}, backward)

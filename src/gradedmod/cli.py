@@ -22,9 +22,8 @@ import json
 import sys
 
 from . import analyze, corpus, scenarios
-from .graded import (GradedError, GradedModule, GradedMorphism,
-                     coarsen_module, ring_as_module, shift)
-from .functors import coextend, extend, hom_graded, restrict, tensor
+from .graded import (GradedError, GradedModule, GradedMorphism, ring_as_module,
+                     shift)
 from .textio import ParseError, ValidationError, Workspace, parse_workspace
 
 FORMAT_VERSION = "4"
@@ -246,49 +245,28 @@ def _module_report(module, subject):
             "analysis": _analysis_payload(analyze.analyze_module(module))}
 
 
-def _cmd_tensor(args, ws, env):
-    m = _get(env, args.a, "module")
-    n = _get(env, args.b, "module")
-    result = tensor(m, n).module
-    return _module_report(result, f"tensor {args.a} {args.b}"), EXIT_OK
-
-
-def _cmd_hom(args, ws, env):
-    m = _get(env, args.a, "module")
-    n = _get(env, args.b, "module")
-    result = hom_graded(m, n).module
-    return _module_report(result, f"hom {args.a} {args.b}"), EXIT_OK
-
-
-def _cmd_coarsen(args, ws, env):
-    m = _get(env, args.module, "module")
-    psi = _get(env, args.psi, "group epimorphism")
-    result = coarsen_module(m, psi)
-    return _module_report(result,
-                          f"coarsen {args.module} --psi {args.psi}"), EXIT_OK
-
-
-def _cmd_change_of_ring(args, ws, env):
-    h = _get(env, args.h, "ring morphism")
-    m = _get(env, args.module, "module")
-    if args.cmd == "restrict":
-        result = restrict(h, m)
-    elif args.cmd == "extend":
-        result = extend(h, m).module
+def _cmd_functor(args, ws, env):
+    """tensor, hom, coarsen and restrict/extend/coextend, applied as a
+    scenario `derive` line applies them."""
+    if args.cmd in ("tensor", "hom"):
+        operands, shown = [args.a, args.b], f"{args.a} {args.b}"
+    elif args.cmd == "coarsen":
+        operands = [args.module, args.psi]
+        shown = f"{args.module} --psi {args.psi}"
     else:
-        result = coextend(h, m).module
-    return _module_report(result,
-                          f"{args.cmd} --h {args.h} {args.module}"), EXIT_OK
+        operands, shown = [args.h, args.module], f"--h {args.h} {args.module}"
+    result = scenarios._derive(env, [args.cmd] + operands, None)
+    return _module_report(result, f"{args.cmd} {shown}"), EXIT_OK
 
 
 def _cmd_canon(args, ws, env):
     tokens = [args.name] + args.args
     try:
-        cmap, used = scenarios.build_canon(env, tokens, None)
+        if scenarios.canon_arity(tokens, None) != len(tokens):
+            raise CliError(f"canonical map {args.name!r}: too many arguments")
+        cmap = scenarios.build_canon(env, tokens, None)
     except scenarios.ScenarioError as exc:
         raise CliError(str(exc))
-    if used != len(tokens):
-        raise CliError(f"canonical map {args.name!r}: too many arguments")
     payload = {"subject": "canon " + " ".join(tokens),
                "canonical_map": cmap.name,
                "has_inverse": cmap.inverse is not None}
@@ -359,14 +337,14 @@ _H_MODULE = (_H, ("module", {}))
 # holds nested actions instead, parsed into `args.action`
 COMMANDS = {
     "validate": (_cmd_validate, "parse and validate all inputs", ()),
-    "tensor": (_cmd_tensor, "graded tensor product of two modules",
+    "tensor": (_cmd_functor, "graded tensor product of two modules",
                (("a", {}), ("b", {}))),
-    "hom": (_cmd_hom, "graded Hom module", (("a", {}), ("b", {}))),
-    "coarsen": (_cmd_coarsen, "coarsen a module along psi",
+    "hom": (_cmd_functor, "graded Hom module", (("a", {}), ("b", {}))),
+    "coarsen": (_cmd_functor, "coarsen a module along psi",
                 (("module", {}), ("--psi", {"required": True}))),
-    "restrict": (_cmd_change_of_ring, "scalar restriction h_*", _H_MODULE),
-    "extend": (_cmd_change_of_ring, "scalar extension h^*", _H_MODULE),
-    "coextend": (_cmd_change_of_ring, "scalar coextension", _H_MODULE),
+    "restrict": (_cmd_functor, "scalar restriction h_*", _H_MODULE),
+    "extend": (_cmd_functor, "scalar extension h^*", _H_MODULE),
+    "coextend": (_cmd_functor, "scalar coextension", _H_MODULE),
     "canon": (_cmd_canon, "construct and analyze a canonical map",
               (("name", {"help": "one of: " + ", ".join(
                   sorted(scenarios.CANON_SPECS))}),

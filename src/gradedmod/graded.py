@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from .abelian import FgAbelianGroup, GroupEpi
 from .znlinalg import (FpZnModule, howell, identity_matrix, mat_mul,
-                       reduce_mod_span, row_kernel, solve_rows, span_contains,
-                       vec_mat, zero_matrix)
+                       preimage_gens, reduce_mod_span, row_kernel, solve_rows,
+                       span_contains, submodule, vec_mat, zero_matrix)
 
 
 class GradedError(Exception):
@@ -1045,12 +1045,11 @@ def graded_submodule(module: GradedModule, gens_by_degree):
     `gens_by_degree` maps a degree to ambient coordinate vectors; the span
     must be stable under the ring action degreewise.
     """
-    from .znlinalg import submodule as zn_submodule
     comps = {}
     incl_mats = {}
     for deg, gens in gens_by_degree.items():
         amb = module.component(deg)
-        sub, basis = zn_submodule(amb, gens)
+        sub, basis = submodule(amb, gens)
         if sub.ngens:
             comps[deg] = sub
             incl_mats[deg] = basis
@@ -1063,7 +1062,6 @@ def graded_submodule(module: GradedModule, gens_by_degree):
 
 def graded_kernel(u: GradedMorphism):
     """Kernel of a graded morphism with its inclusion."""
-    from .znlinalg import preimage_gens
     gens = {}
     for deg, sc in u.source.components.items():
         tc = u.target.component(deg)

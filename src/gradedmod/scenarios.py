@@ -167,7 +167,12 @@ def _derive(env, args, lineno):
         _usage(len(rest) >= 1, lineno,
                "derive <name> shift <module> <degree ints>")
         m = _get(env, rest[0], lineno, "module")
-        return shift(m, tuple(_parse_int(x, lineno) for x in rest[1:]))
+        deg = tuple(_parse_int(x, lineno) for x in rest[1:])
+        need = len(m.ring.group.moduli)
+        if len(deg) != need:
+            raise ScenarioError(f"line {lineno}: shift of {rest[0]!r} needs "
+                                f"{need} degree integers, got {len(deg)}")
+        return shift(m, deg)
     if op == "coarsen":
         _usage(len(rest) == 2, lineno, "derive <name> coarsen <module> <epi>")
         m = _get(env, rest[0], lineno, "module")
@@ -244,25 +249,32 @@ def _run_check(env, tokens, lineno):
     raise ScenarioError(f"line {lineno}: unknown check {kind!r}")
 
 
-def build_canon(env, tokens, lineno):
-    """Construct a canonical map from `<name> <args...>` tokens, found at
-    line `lineno` of a scenario, or on the command line for None.
-
-    Returns the map and the number of tokens it used; tokens past those
-    are left to the caller."""
+def canon_arity(tokens, lineno):
+    """The number of tokens `<name> <args...>` of the canonical map named
+    by `tokens[0]`, found at line `lineno` of a scenario, or on the
+    command line for None: its name, ring morphism and modules, as
+    `CANON_SPECS` counts them.  Tokens past those are left to the caller,
+    which checks them before anything is built."""
     name = tokens[0]
     if name not in CANON_SPECS:
         raise ScenarioError(f"{_at(lineno)}unknown canonical map {name!r}")
-    ctor, takes_h, nmods = CANON_SPECS[name]
+    _, takes_h, nmods = CANON_SPECS[name]
     used = 1 + takes_h + nmods
     if len(tokens) < used:
         raise ScenarioError(f"{_at(lineno)}canonical map {name!r}: "
                             "missing arguments")
+    return used
+
+
+def build_canon(env, tokens, lineno):
+    """Construct the canonical map of the tokens `<name> <args...>`,
+    exactly `canon_arity` of them, placed as for `canon_arity`."""
+    name = tokens[0]
+    ctor, takes_h, _ = CANON_SPECS[name]
     args = [_get(env, tokens[1], lineno, "ring morphism")] if takes_h else []
-    args += [_get(env, m, lineno, "module")
-             for m in tokens[1 + takes_h:used]]
+    args += [_get(env, m, lineno, "module") for m in tokens[1 + takes_h:]]
     try:
-        return ctor(*args), used
+        return ctor(*args)
     except GradedError as exc:
         raise ScenarioError(f"{_at(lineno)}{name}: {exc}")
 
@@ -270,10 +282,10 @@ def build_canon(env, tokens, lineno):
 def _run_canon_check(env, tokens, lineno):
     usage = "check canon <map> <args...> <property> <expected>"
     _usage(len(tokens) >= 2, lineno, usage)
-    cmap, pos = build_canon(env, tokens[1:], lineno)
+    pos = canon_arity(tokens[1:], lineno)
     _usage(len(tokens) == pos + 3, lineno, usage)
+    u = build_canon(env, tokens[1:pos + 1], lineno).morphism
     prop, expected = tokens[pos + 1:]
-    u = cmap.morphism
     if prop in ("source_card", "target_card"):
         module = u.source if prop == "source_card" else u.target
         return str(_parse_int(expected, lineno)), str(module.cardinality())

@@ -7,10 +7,11 @@ import pytest
 from gradedmod import analyze
 from gradedmod import canonical as C
 from gradedmod.abelian import make_epi, make_group
-from gradedmod.functors import extend, restrict, tensor
+from gradedmod.functors import (_lift_generators, coextend, extend,
+                               hom_graded, restrict, tensor)
 from gradedmod.graded import (GradedError, GradedMorphism, GradedRing,
-                              GradedRingHom, graded_kernel, ring_as_module,
-                              shift)
+                              GradedRingHom, _unit_vec, graded_kernel,
+                              ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
 
 from util import inverse_of, is_component_epi, is_component_iso, \
@@ -41,6 +42,34 @@ def frob(instances):
     return {"h": inst["h"], "psi": inst["psi"],
             "mr": ring_as_module(inst["ring_r"]),
             "ms": ring_as_module(inst["ring_s"])}
+
+
+def test_hom_coords_rejects_a_formula_that_is_not_linear(instances):
+    # on R = F_2[X]/(X^3), deg X = 1, the additive map fixing 1 and
+    # killing X and X^2 is no R-linear endomorphism: U(X.1) = 0 != X.U(1)
+    r = ring_as_module(instances["zgraded"]["ring_r"])
+    hw = hom_graded(r, r)
+    with pytest.raises(C.CanonicalMapError,
+                       match="^frobnicate: image is not a graded "
+                             "homomorphism$"):
+        C._hom_coords(hw, (0,), lambda a, i: (int(a == (0,)),),
+                      "frobnicate")
+
+
+def test_hom_coords_reads_back_every_lifted_generator(instances):
+    # the formula x -> u(x) gives back the coordinates of u, for every
+    # generator u of a plain and of a mixed Hom module
+    inst = instances["d25e_z3"]
+    h, rr = inst["h"], ring_as_module(inst["ring_r"])
+    for hw in (hom_graded(rr, rr), coextend(h, rr)):
+        lifted = _lift_generators(hw, hw.module.components)
+        assert lifted
+        for g, family in lifted.items():
+            for mats in family:
+                coords = C._hom_coords(
+                    hw, g, lambda a, i: hw.apply(g, mats, (a, _unit_vec(
+                        hw.source.component(a).ngens, i)))[1], "u")
+                assert coords == hw.coords_of(g, mats)
 
 
 def test_sigma_iso_exactly_for_ring_epi(quot, frob):

@@ -194,7 +194,7 @@ end
     ("derive N ringmod", "usage: derive <name> ringmod <ring>"),
     ("derive N tensor M", "usage: derive <name> tensor <module> <module>"),
     ("derive N shift M x", "expected an integer, got 'x'"),
-    ("derive N shift M 1 2", "coordinate length mismatch"),
+    ("derive N shift M 1 2", "shift of 'M' needs 0 degree integers, got 2"),
     ("check ringepi h true extra",
      "usage: check ringepi <ringhom> true|false"),
     ("check canon sigma h M is_iso true extra",
@@ -210,6 +210,24 @@ def test_malformed_scenario_line_is_an_input_error(capsys, tmp_path, line,
     p.write_text(ONE_RING + line + "\n")
     code, out = _run(capsys, ["--input", str(p), "validate"])
     assert (code, out) == (2, f"error: line 15: {message}\n")
+
+
+def test_canon_operand_count_is_checked_before_construction(
+        capsys, tmp_path, monkeypatch):
+    # one token too many is a usage error, found before theta is built
+    def boom(*args):
+        raise AssertionError("theta was constructed")
+    _, takes_h, nmods = scenarios.CANON_SPECS["theta"]
+    monkeypatch.setitem(scenarios.CANON_SPECS, "theta",
+                        (boom, takes_h, nmods))
+    p = tmp_path / "extra.txt"
+    p.write_text(ONE_RING + "check canon theta h M M is_zero false extra\n")
+    assert _run(capsys, ["--input", str(p), "validate"]) == (
+        2, "error: line 15: usage: check canon <map> <args...> <property> "
+           "<expected>\n")
+    assert _run(capsys, ["canon", "theta", "zgraded", "zgraded.RR",
+                         "zgraded.SS", "extra"]) == (
+        2, "error: canonical map 'theta': too many arguments\n")
 
 
 # Z/6 presented on two generators a, b with a = b: R itself, presented
