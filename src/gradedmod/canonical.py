@@ -14,11 +14,15 @@ the formula's value on each generator of the Hom module's source, handed
 to the one helper `_hom_coords`, which solves for the element's
 coordinates.  `CanonicalMapError`, which names the map, means those
 values are not a graded homomorphism: the formula is not well defined on
-the relations of the Hom source, or not linear over the ring.
+the relations of the Hom source, or not linear over the ring.  The
+formulas of pi and epsilon need h to be a ring epimorphism, that is
+onto; when their build fails and h is not onto, the error says so and
+names the first degree that h misses.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .abelian import GroupEpi
@@ -60,6 +64,23 @@ def _coords_or_fail(witness: HomWitness, g, mats, what: str):
     if coords is None:
         raise CanonicalMapError(f"{what}: image is not a graded homomorphism")
     return coords
+
+
+@contextmanager
+def _needs_onto(h: GradedRingHom, what: str):
+    """Build the map `what`, whose formula is well defined only when h is a
+    ring epimorphism, that is onto.  h is tested only when the build fails:
+    if h misses a degree, the CanonicalMapError says so and names the first
+    missed degree; otherwise the failure stands as raised."""
+    try:
+        yield
+    except GradedError as exc:
+        missed = h.first_missed()
+        if missed is None:
+            raise
+        raise CanonicalMapError(
+            f"{what}: the formula needs h to be a ring epimorphism (onto), "
+            f"and h misses degree {missed[0]}") from exc
 
 
 def _hom_coords(witness: HomWitness, g, image, what: str):
@@ -226,19 +247,19 @@ def epsilon(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
     one = (ring_s.group.zero(), ring_s.one)
     lifted = _lift_generators(hm, hm.module.components)
     maps = {}
-    for d, pairs in src.index.items():
-        rows = []
-        for (g1, k1, g2, k2) in pairs:
-            u = lifted[g1][k1]
-            v1 = hn.evaluate(_gen(hn.module, g2, k2), one)
-            rows.append(_hom_coords(
-                target, ring_s.group.add(g1, g2),
-                lambda c, p: tmn.pure(hm.apply(g1, u, _gen(ring_s, c, p)),
-                                      v1)[1], "epsilon"))
-        maps[d] = rows
-    return CanonicalMap("epsilon", GradedMorphism(src.module, target.module,
-                                                  maps),
-                        {"h": h, "m": m, "n": n})
+    with _needs_onto(h, "epsilon"):
+        for d, pairs in src.index.items():
+            rows = []
+            for (g1, k1, g2, k2) in pairs:
+                u = lifted[g1][k1]
+                v1 = hn.evaluate(_gen(hn.module, g2, k2), one)
+                rows.append(_hom_coords(
+                    target, ring_s.group.add(g1, g2),
+                    lambda c, p: tmn.pure(hm.apply(g1, u, _gen(ring_s, c, p)),
+                                          v1)[1], "epsilon"))
+            maps[d] = rows
+        morphism = GradedMorphism(src.module, target.module, maps)
+    return CanonicalMap("epsilon", morphism, {"h": h, "m": m, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +329,18 @@ def pi(h: GradedRingHom, l: GradedModule, m: GradedModule,
     grp = h.target.group
     lifted = _lift_generators(homlm, homlm.module.components)
     maps = {}
-    for d, pairs in src.index.items():
-        rows = []
-        for (g, k, b, j) in pairs:
-            u, xj = lifted[g][k], _gen(n, b, j)
-            rows.append(_hom_coords(
-                target, grp.add(g, b),
-                lambda a, i: tmn.pure(xj, homlm.apply(g, u, _gen(l, a, i)))[1],
-                "pi"))
-        maps[d] = rows
-    return CanonicalMap("pi", GradedMorphism(src.module, target.module, maps),
-                        {"h": h, "l": l, "m": m, "n": n})
+    with _needs_onto(h, "pi"):
+        for d, pairs in src.index.items():
+            rows = []
+            for (g, k, b, j) in pairs:
+                u, xj = lifted[g][k], _gen(n, b, j)
+                rows.append(_hom_coords(
+                    target, grp.add(g, b),
+                    lambda a, i: tmn.pure(
+                        xj, homlm.apply(g, u, _gen(l, a, i)))[1], "pi"))
+            maps[d] = rows
+        morphism = GradedMorphism(src.module, target.module, maps)
+    return CanonicalMap("pi", morphism, {"h": h, "l": l, "m": m, "n": n})
 
 
 def nu(h: GradedRingHom, l: GradedModule, m: GradedModule,

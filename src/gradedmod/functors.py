@@ -536,6 +536,8 @@ def mixed_hom(h: GradedRingHom, source: GradedModule,
         sc = ring_s.components[c]
         for g in sorted(comps):
             g2 = grp.add(c, g)
+            if g2 not in comps:
+                continue  # s.u lies in a zero component
             # per source degree a with a nonzero action tensor at (c, a)
             # and columns in target_{g2+a}: the degree of s.x and the tensor
             blocks = [(a, grp.add(c, a), source.action[(c, a)])

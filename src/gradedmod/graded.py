@@ -11,8 +11,8 @@ One validation policy serves rings and modules: a ring is checked as a
 commutative module over itself, so the support, unit, well-definedness
 and associativity checks of a module also check a ring's multiplication.
 Module morphisms and ring morphisms share one core for their degreewise
-matrix families: canonicalization, evaluation, composition, equality and
-well-definedness.
+matrix families: canonicalization, evaluation, composition, equality,
+well-definedness and surjectivity.
 
 Every axiom is checked exactly, by matrix equality, but each multilinear
 axiom runs one of its arguments over a set of homogeneous generators of
@@ -742,6 +742,25 @@ def _maps_well_defined(self):
                 raise GradedError(self._ILL_DEFINED.format(deg))
 
 
+def _maps_first_missed(self):
+    """The first target generator outside the image, as (deg, unit vector)
+    in sorted degree order, or None when every degree is onto.
+
+    In each degree the matrix rows with the target relations, in Howell
+    form, span the image plus the relations; a generator outside that span
+    is nonzero in the target and missed.
+    """
+    for deg in sorted(self.target.components):
+        tc = self.target.components[deg]
+        span = howell(list(self.maps.get(deg, ())) + list(tc.rels),
+                      tc.ngens, tc.n)
+        for i in range(tc.ngens):
+            e = _unit_vec(tc.ngens, i)
+            if not span_contains(e, span, tc.n):
+                return deg, e
+    return None
+
+
 def _maps_compose(self, first):
     """self after first."""
     if first.target != self.source:
@@ -778,6 +797,7 @@ class GradedMorphism:
 
     matrix = _maps_matrix
     apply = _maps_apply
+    first_missed = _maps_first_missed
 
     def _validate(self):
         """Well-definedness, then R-linearity u(rx) = r u(x) with x over the
@@ -856,6 +876,7 @@ class GradedRingHom:
 
     matrix = _maps_matrix
     apply = _maps_apply
+    first_missed = _maps_first_missed
 
     def _validate(self):
         """Well-definedness, the unit, then h(xy) = h(x)h(y) with x over the

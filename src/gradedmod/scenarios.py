@@ -275,6 +275,8 @@ def build_canon(env, tokens, lineno):
     args += [_get(env, m, lineno, "module") for m in tokens[1 + takes_h:]]
     try:
         return ctor(*args)
+    except canonical.CanonicalMapError as exc:  # it names the map itself
+        raise ScenarioError(f"{_at(lineno)}{exc}")
     except GradedError as exc:
         raise ScenarioError(f"{_at(lineno)}{name}: {exc}")
 

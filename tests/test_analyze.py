@@ -24,9 +24,10 @@ from gradedmod.graded import (GradedModule, GradedMorphism, GradedRing,
                               GradedRingHom, direct_sum, ring_as_module,
                               shift)
 from gradedmod.znlinalg import FpZnModule
-from util import (IsoSearchExhausted, group_ring, iso_search, product_ring,
-                  reference_is_free, reference_is_mono,
-                  reference_is_projective, reference_morita_check,
+from util import (IsoSearchExhausted, adjoin_truncated, diagonal,
+                  group_ring, iso_search, product_ring, reference_is_free,
+                  reference_is_mono, reference_is_projective,
+                  reference_is_ring_epimorphism, reference_morita_check,
                   truncated_ring)
 from util import reference_homs as _reference_homs
 
@@ -129,6 +130,34 @@ def test_ring_epimorphism_decision(quot, instances):
     assert A.is_ring_epimorphism(GradedRingHom.identity(quot["r4"]))
     assert not A.is_ring_epimorphism(instances["frobenius"]["h"])
     assert A.is_ring_epimorphism(instances["d25e"]["h"])
+
+
+@st.composite
+def non_surjective_ring_maps(draw):
+    """A diagonal R -> R x R, or an inclusion R -> R[t]/(t^e) with e >= 2
+    and R not a field, so no Frobenius inclusion: R is (Z/n)[X]/(X^k)
+    under the trivial, Z or Z/m grading, or (Z/n)[Z/m]."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    kind = draw(st.sampled_from(["diagonal", "truncated", "group ring"]))
+    if kind == "group ring":
+        ring = group_ring(n, draw(st.integers(2, 3)))
+    else:
+        moduli = draw(st.sampled_from([[], [0], [2], [3]]))
+        ring = truncated_ring(n, draw(st.integers(
+            1 if kind == "diagonal" else 2, 3)), moduli)
+    if kind == "diagonal":
+        return diagonal(ring)
+    deg_t = ring.group.canon([draw(st.integers(0, 2))
+                              for _ in ring.group.moduli])
+    return adjoin_truncated(ring, draw(st.integers(2, 3)), deg_t)
+
+
+@settings(max_examples=12, deadline=None)
+@given(non_surjective_ring_maps())
+def test_ring_epimorphism_matches_sigma_off_surjections(h):
+    # the theorem's content: a map that misses a degree is no epimorphism
+    assert h.first_missed() is not None
+    assert A.is_ring_epimorphism(h) == reference_is_ring_epimorphism(h)
 
 
 def test_free_shifts_of_restricted_frobenius(instances):
@@ -257,6 +286,30 @@ def test_battery_verdicts_on_every_instance(instances, name):
         rep = A.d70_battery(inst["h"], fam)
         assert rep.decisive is EXPECTED_EPI[name]
         assert set(rep.verdicts.values()) == {EXPECTED_EPI[name]}
+
+
+@pytest.mark.parametrize("name", sorted(corpus.named_instances()))
+def test_ring_epimorphism_matches_sigma_on_named_instances(instances, name):
+    inst = instances[name]
+    identity = GradedRingHom.identity(inst["ring_s"])
+    for h, expected in ((inst["h"], EXPECTED_EPI[name]), (identity, True)):
+        assert A.is_ring_epimorphism(h) is expected
+        assert reference_is_ring_epimorphism(h) is expected
+
+
+@pytest.mark.parametrize("name", ["z4_to_z2", "frobenius"])
+def test_battery_cross_checks_surjectivity_with_sigma(instances, monkeypatch,
+                                                      name):
+    # statement (i) comes from surjectivity and (ii) from sigma at S, so a
+    # surjectivity test that lies makes the battery disagree with itself
+    inst = instances[name]
+    honest = GradedRingHom.first_missed
+    monkeypatch.setattr(GradedRingHom, "first_missed",
+                        lambda h: None if honest(h) is not None
+                        else ((), ()))
+    assert A.is_ring_epimorphism(inst["h"]) is not EXPECTED_EPI[name]
+    with pytest.raises(A.InconsistentBattery):
+        A.d70_battery(inst["h"], _shift_family(inst))
 
 
 def test_d80_coarsening_stability(instances):

@@ -56,6 +56,32 @@ def test_hom_coords_rejects_a_formula_that_is_not_linear(instances):
                       "frobnicate")
 
 
+def test_maps_that_need_h_onto_name_the_missed_degree(frob):
+    h, mr, ms = frob["h"], frob["mr"], frob["ms"]
+    onto = "the formula needs h to be a ring epimorphism \\(onto\\)"
+    with pytest.raises(C.CanonicalMapError,
+                       match=f"^pi: {onto}, and h misses degree \\(1,\\)$"):
+        C.pi(h, ms, mr, ms)
+    with pytest.raises(C.CanonicalMapError,
+                       match=f"^epsilon: {onto}, and h misses degree "
+                             "\\(1,\\)$"):
+        C.epsilon(h, mr, mr)
+
+
+def test_onto_is_tested_only_when_the_build_fails(quot, monkeypatch):
+    # a build that succeeds never asks whether h is onto, and a failure on
+    # an onto h stands as raised
+    h = quot["h"]
+    with monkeypatch.context() as patch:
+        patch.setattr(GradedRingHom, "first_missed",
+                      lambda h: pytest.fail("h was tested"))
+        C.pi(h, quot["ms"], quot["mr"], quot["ms"])
+        C.epsilon(h, quot["mr"], quot["mr"])
+    with pytest.raises(GradedError, match="^frobnicate$"):
+        with C._needs_onto(h, "pi"):
+            raise GradedError("frobnicate")
+
+
 def test_hom_coords_reads_back_every_lifted_generator(instances):
     # the formula x -> u(x) gives back the coordinates of u, for every
     # generator u of a plain and of a mixed Hom module

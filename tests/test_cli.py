@@ -414,6 +414,15 @@ def test_wrong_kind_of_object_is_an_input_error(capsys):
      "'zgraded' is not a module"),
     (["canon", "delta", "frobenius", "zgraded.RR", "zgraded.RR"],
      "delta: extension expects a module over the source ring"),
+    # pi and epsilon need h onto, and say so, naming the first missed degree
+    (["canon", "pi", "frobenius", "frobenius.SS", "frobenius.RR",
+      "frobenius.SS"],
+     "pi: the formula needs h to be a ring epimorphism (onto), and h "
+     "misses degree (1,)"),
+    (["canon", "epsilon", "frobenius_ungraded", "frobenius_ungraded.RR",
+      "frobenius_ungraded.RR"],
+     "epsilon: the formula needs h to be a ring epimorphism (onto), and h "
+     "misses degree ()"),
 ])
 def test_canon_errors_name_no_scenario_line(capsys, argv, message):
     # a scenario's canon check reports its line; a command line has none

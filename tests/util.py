@@ -2,7 +2,7 @@
 
 import itertools
 
-from gradedmod import analyze
+from gradedmod import analyze, canonical
 from gradedmod.abelian import make_group
 from gradedmod.functors import (_block_matrices, coextend, hom_degree,
                                 restrict)
@@ -55,6 +55,13 @@ def reference_is_mono(u: GradedMorphism):
             if any(vec):
                 return False, (deg, vec)
     return True, None
+
+
+def reference_is_ring_epimorphism(h: GradedRingHom) -> bool:
+    """`analyze.is_ring_epimorphism` by the paper's criterion: h is an
+    epimorphism iff the multiplication map S (x)_R S -> S is bijective."""
+    sig = canonical.sigma(h, ring_as_module(h.target))
+    return analyze.is_iso(sig.morphism)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +254,69 @@ def product_ring(first, second):
             tensor.append(block)
         mult[(da, db)] = tensor
     return GradedRing(grp, n, comps, mult, first.one + second.one)
+
+
+def diagonal(ring):
+    """The diagonal ring morphism ring -> ring x ring (`product_ring`),
+    r -> (r, r)."""
+    maps = {d: [_unit_vec(c.ngens, i) * 2 for i in range(c.ngens)]
+            for d, c in ring.components.items()}
+    return GradedRingHom(ring, product_ring(ring, ring), maps)
+
+
+def adjoin_truncated(ring, e, deg_t):
+    """The inclusion ring -> ring[t]/(t^e), with t of degree deg_t.
+
+    The component of degree d is the sum of the R_c t^j with
+    c + j deg_t = d and j < e, in order of j then of c, and
+    (x t^i)(y t^j) = xy t^(i+j), which is 0 when i + j >= e.
+    """
+    grp, n = ring.group, ring.n
+    power = grp.zero()
+    blocks = {}  # degree -> [(j, c)], the summands R_c t^j
+    for j in range(e):
+        for c in sorted(ring.components):
+            blocks.setdefault(grp.add(c, power), []).append((j, c))
+        power = grp.add(power, deg_t)
+    comps, at = {}, {}
+    for d, parts in blocks.items():
+        total = sum(ring.components[c].ngens for _, c in parts)
+        rels, off = [], 0
+        for j, c in parts:
+            rc = ring.components[c]
+            at[(d, j, c)] = off
+            rels += [(0,) * off + tuple(r) + (0,) * (total - off - rc.ngens)
+                     for r in rc.rels]
+            off += rc.ngens
+        comps[d] = FpZnModule(n, total, rels)
+    mult = {}
+    for da, db in itertools.product(comps, repeat=2):
+        dc = grp.add(da, db)
+        if dc not in comps:
+            continue
+        t = [[[0] * comps[dc].ngens for _ in range(comps[db].ngens)]
+             for _ in range(comps[da].ngens)]
+        for (i, ca), (j, cb) in itertools.product(blocks[da], blocks[db]):
+            rt = ring.mult.get((ca, cb))
+            if i + j >= e or rt is None:
+                continue
+            oa, ob = at[(da, i, ca)], at[(db, j, cb)]
+            oc = at[(dc, i + j, grp.add(ca, cb))]
+            for x, y in itertools.product(range(len(rt)), range(len(rt[0]))):
+                for z, v in enumerate(rt[x][y]):
+                    t[oa + x][ob + y][oc + z] = v
+        mult[(da, db)] = t
+    zero = grp.zero()
+    one = [0] * comps[zero].ngens
+    base = at[(zero, 0, zero)]
+    one[base:base + len(ring.one)] = ring.one
+    target = GradedRing(grp, n, comps, mult, tuple(one))
+    maps = {}
+    for c, rc in ring.components.items():
+        k, base = comps[c].ngens, at[(c, 0, c)]
+        maps[c] = [tuple(int(m == base + i) for m in range(k))
+                   for i in range(rc.ngens)]
+    return GradedRingHom(ring, target, maps)
 
 
 def reference_homs(m, n_mod):
