@@ -447,32 +447,43 @@ def is_ring_epimorphism(h: GradedRingHom) -> bool:
 def d70_battery(h: GradedRingHom, family) -> EpiBatteryReport:
     """Evaluate all seven equivalent epimorphism statements on a family.
 
-    The family must contain S and its support shifts.  Statement (i), the
-    decisive verdict, is decided by surjectivity (`is_ring_epimorphism`);
-    (ii) is sigma at S, and (iii)-(vii) are checked on the family.  Any
-    divergence is an implementation bug, reported as InconsistentBattery.
-    Each instance, a canonical map on family members, is decided once, on
-    first use: (ii) and (iii) share sigma at S, and (vii) is row S of the
-    eta table of (vi).  Each member N is restricted once, and every
-    instance is built on that h_*(N).
+    The family must contain S and its support shifts S(-g).  Statement
+    (i), the decisive verdict, is decided by surjectivity
+    (`is_ring_epimorphism`); (ii) is sigma at S, and (iii)-(vii) are
+    checked on the family.  Any divergence is an implementation bug,
+    reported as InconsistentBattery.
+
+    Each instance, a canonical map on family members, is decided once
+    per shift orbit of S.  h_*, h^* and coextension commute with shifts,
+    and M(a) (x) N(b) = (M (x) N)(a+b) and
+    Hom(M(a), N(b)) = Hom(M, N)(b-a), by the canonical identifications.
+    So sigma and rho_tilde at S(a) are their instances at S shifted by
+    a, and gamma and eta at a pair with S(a) in either slot are their
+    instances with S in that slot, shifted by a or -a.  A shifted
+    morphism is an isomorphism iff the morphism is, so every member that
+    is a support shift of S is decided at S's own index; other members
+    stay pairwise.  (ii) and (iii) share sigma at S, and (vii) is row S
+    of the eta table of (vi).  Each member N is restricted once, up
+    front, so a member over another ring is refused even when the
+    battery stops early; every instance is built on that h_*(N).
     """
     family = list(family)
     group = h.target.group
     s_mod = ring_as_module(h.target)
-    for g in sorted(h.target.components):
-        wanted = shift(s_mod, group.neg(g))
-        at = next((i for i, m in enumerate(family) if m == wanted), None)
-        if at is None:
-            raise AnalyzeError(
-                "battery family must contain S and all its support shifts")
-        if g == group.zero():
-            s_at = at
+    shifts = {shift(s_mod, group.neg(g)) for g in h.target.components}
+    if not shifts <= set(family):
+        raise AnalyzeError(
+            "battery family must contain S and all its support shifts")
+    s_at = family.index(s_mod)
+    rep = [s_at if m in shifts else i for i, m in enumerate(family)]
     restricted = [restrict(h, m) for m in family]
     decided = {}
 
     def iso(fn, *at):
         """Whether the builder fn on the family members at `at`, given
-        their restrictions, is an isomorphism."""
+        their restrictions, is an isomorphism; members on the shift orbit
+        of S stand for S."""
+        at = tuple(rep[i] for i in at)
         if (fn, at) not in decided:
             mods = [family[i] for i in at] + [restricted[i] for i in at]
             decided[(fn, at)] = is_iso(fn(h, *mods).morphism)[0]

@@ -8,7 +8,6 @@ not-iso, and iso.
 
 import itertools
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,14 +20,14 @@ from gradedmod import functors as F
 from gradedmod.abelian import make_epi, make_group
 from gradedmod.functors import coextend, extend, restrict
 from gradedmod.graded import (GradedModule, GradedMorphism, GradedRing,
-                              GradedRingHom, direct_sum, ring_as_module,
-                              shift)
+                              GradedRingHom, RingMismatch, direct_sum,
+                              ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
 from util import (IsoSearchExhausted, adjoin_truncated, diagonal,
-                  group_ring, iso_search, product_ring, reference_is_free,
-                  reference_is_mono, reference_is_projective,
-                  reference_is_ring_epimorphism, reference_morita_check,
-                  truncated_ring)
+                  group_ring, iso_search, product_ring, reference_d70_battery,
+                  reference_is_free, reference_is_mono,
+                  reference_is_projective, reference_is_ring_epimorphism,
+                  reference_morita_check, truncated_ring)
 from util import reference_homs as _reference_homs
 
 G0 = make_group([])
@@ -208,10 +207,14 @@ def test_battery_family_precondition(instances):
 
 def _shift_family(inst):
     """S and its shifts by the negated support degrees, S first."""
-    s_mod = ring_as_module(inst["ring_s"])
-    group = inst["ring_s"].group
-    return [s_mod] + [shift(s_mod, group.neg(g))
-                      for g in sorted(inst["ring_s"].components) if any(g)]
+    return _support_shifts(inst["ring_s"])
+
+
+def _support_shifts(ring):
+    """S = `ring` and its shifts S(-g) by its support degrees g, S first."""
+    s_mod = ring_as_module(ring)
+    return [s_mod] + [shift(s_mod, ring.group.neg(g))
+                      for g in sorted(ring.components) if any(g)]
 
 
 def _log_battery_calls(monkeypatch, family):
@@ -229,17 +232,58 @@ def _log_battery_calls(monkeypatch, family):
     return log
 
 
-def test_battery_decides_each_instance_once(instances, monkeypatch):
-    # sigma at S serves (ii) and (iii), and (vii) reads row S of (vi)
-    inst = instances["zgraded"]
+ONCE_AT_S = [("sigma", (0,)), ("rho_tilde", (0,)), ("gamma", (0, 0)),
+             ("eta", (0, 0))]
+
+
+def _epi_battery_log(inst, monkeypatch):
+    """The builder log of the battery of an epimorphism on S and its
+    support shifts, three members with S first."""
     family = _shift_family(inst)
     assert len(family) == 3
     log = _log_battery_calls(monkeypatch, family)
     rep = A.d70_battery(inst["h"], family)
     assert rep.decisive and all(rep.verdicts.values())
-    assert Counter(name for name, _ in log) == {"sigma": 3, "rho_tilde": 3,
-                                                "gamma": 9, "eta": 9}
-    assert len(set(log)) == len(log)
+    return log
+
+
+def test_battery_decides_each_instance_once(instances, monkeypatch):
+    # every member is a support shift of S, so each map is built once, at
+    # S: sigma at S serves (ii) and (iii), and (vii) reads row S of (vi)
+    assert _epi_battery_log(instances["zgraded"], monkeypatch) == ONCE_AT_S
+
+
+def test_battery_decides_a_z3_orbit_once(instances, monkeypatch):
+    # d25e_z3 has S, S(-1) and S(-2), the last one on a zero component
+    assert _epi_battery_log(instances["d25e_z3"], monkeypatch) == ONCE_AT_S
+
+
+def test_battery_keeps_the_pairs_of_a_member_off_the_orbit(instances,
+                                                           monkeypatch):
+    # S + S is no shift of S: its instances are built at its own index,
+    # and the shifts of S, S among them, at the index of S
+    inst = instances["zgraded"]
+    s_mod, s_1, s_2 = _shift_family(inst)
+    family = [s_1, direct_sum([s_mod, s_mod])[0], s_mod, s_2]
+    log = _log_battery_calls(monkeypatch, family)
+    rep = A.d70_battery(inst["h"], family)
+    assert rep.decisive and all(rep.verdicts.values())
+    at = (2, 1)
+    assert sorted(log) == sorted(
+        [(name, (i,)) for name in ("sigma", "rho_tilde") for i in at]
+        + [(name, pair) for name in ("gamma", "eta")
+           for pair in itertools.product(at, repeat=2)])
+
+
+@pytest.mark.parametrize("name, other", [("zgraded", "frobenius"),
+                                         ("frobenius", "zgraded")])
+def test_battery_refuses_a_member_over_another_ring(instances, name, other):
+    # every member is restricted up front, also when h is no epimorphism
+    # and the battery stops at its first instance, on S
+    inst = instances[name]
+    family = _shift_family(inst) + [ring_as_module(instances[other]["ring_s"])]
+    with pytest.raises(RingMismatch):
+        A.d70_battery(inst["h"], family)
 
 
 def test_battery_restricts_each_member_once(instances, monkeypatch):
@@ -286,6 +330,71 @@ def test_battery_verdicts_on_every_instance(instances, name):
         rep = A.d70_battery(inst["h"], fam)
         assert rep.decisive is EXPECTED_EPI[name]
         assert set(rep.verdicts.values()) == {EXPECTED_EPI[name]}
+
+
+def _battery_morphism(instances, data):
+    """A named instance, or the identity, the diagonal or the inclusion
+    R -> R[t]/(t^2), deg t = 1, of a truncated ring (Z/n)[X]/(X^k) under
+    the trivial, Z, Z/2 or Z/3 grading."""
+    kind = data.draw(st.sampled_from(
+        ["named", "identity", "diagonal", "adjoin"]))
+    if kind == "named":
+        return instances[data.draw(st.sampled_from(sorted(instances)))]["h"]
+    ring = truncated_ring(data.draw(st.sampled_from([2, 3, 4])),
+                          data.draw(st.integers(1, 3)),
+                          data.draw(st.sampled_from([[], [0], [2], [3]])))
+    if kind == "identity":
+        return GradedRingHom.identity(ring)
+    if kind == "diagonal":
+        return diagonal(ring)
+    return adjoin_truncated(ring, 2, ring.group.canon(
+        [1] * len(ring.group.moduli)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_battery_matches_the_pairwise_reference(instances, data):
+    # the support shifts of S, reordered and repeated, with other members
+    # put in anywhere: S + S, and S(g) for g with every coordinate 1, a
+    # support shift iff S has a component of degree -g (never under Z)
+    h = _battery_morphism(instances, data)
+    shifts = _support_shifts(h.target)
+    family = data.draw(st.permutations(shifts))
+    family += data.draw(st.lists(st.sampled_from(shifts), max_size=2))
+    s_mod, grp = shifts[0], h.target.group
+    for other in data.draw(st.lists(st.sampled_from(["sum", "shift"]),
+                                    max_size=2)):
+        member = (direct_sum([s_mod, s_mod])[0] if other == "sum" else
+                  shift(s_mod, grp.canon([1] * len(grp.moduli))))
+        family.insert(data.draw(st.integers(0, len(family))), member)
+    assert A.d70_battery(h, family).verdicts == \
+        reference_d70_battery(h, family).verdicts
+
+
+def _orbit_morphisms(instances):
+    """The named instances, then the identity and the inclusion
+    R -> R[t]/(t^2) of F_2[X]/(X^2) graded by Z, Z/3 and Z/2."""
+    named = [instances[name]["h"] for name in sorted(instances)]
+    rings = [truncated_ring(2, 2, moduli) for moduli in ([0], [3], [2])]
+    return named + [h for ring in rings for h in (
+        GradedRingHom.identity(ring),
+        adjoin_truncated(ring, 2, ring.group.canon([1])))]
+
+
+@pytest.mark.parametrize("at", range(12))
+def test_battery_maps_agree_along_the_shift_orbit_of_s(instances, at):
+    # the argument of `d70_battery`, with no short-circuit: each of the
+    # four maps is an isomorphism at every support shift of S, or at none
+    h = _orbit_morphisms(instances)[at]
+    family = _support_shifts(h.target)
+    restricted = [restrict(h, m) for m in family]
+    for fn, arity in ((C._sigma, 1), (C._rho_tilde, 1), (C._gamma, 2),
+                      (C._eta, 2)):
+        verdicts = {A.is_iso(fn(h, *[family[i] for i in pos],
+                                *[restricted[i] for i in pos]).morphism)[0]
+                    for pos in itertools.product(range(len(family)),
+                                                 repeat=arity)}
+        assert len(verdicts) == 1, fn.__name__
 
 
 @pytest.mark.parametrize("name", sorted(corpus.named_instances()))

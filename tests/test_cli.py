@@ -119,6 +119,14 @@ def test_battery_command(capsys):
         assert f"{verdict}: true" in out
 
 
+def test_battery_member_over_another_ring_is_an_input_error(capsys):
+    # h is no epimorphism, yet the member over zgraded's S is still refused
+    code, out = _run(capsys, ["battery", "--h", "frobenius", "--family",
+                              "frobenius.SS", "frobenius.SS_1", "zgraded.SS"])
+    assert (code, out) == (
+        2, "error: restriction expects a module over the target ring\n")
+
+
 def test_scenario_list(capsys):
     code, out = _run(capsys, ["scenario", "list"])
     assert code == 0

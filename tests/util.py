@@ -9,7 +9,7 @@ from gradedmod.functors import (_block_matrices, coextend, hom_degree,
 from gradedmod.graded import (GradedError, GradedModule, GradedMorphism,
                               GradedRing, GradedRingHom, _unit_vec,
                               apply_tensor, free_module, graded_kernel,
-                              ring_as_module)
+                              ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule, prune
 
 
@@ -62,6 +62,46 @@ def reference_is_ring_epimorphism(h: GradedRingHom) -> bool:
     epimorphism iff the multiplication map S (x)_R S -> S is bijective."""
     sig = canonical.sigma(h, ring_as_module(h.target))
     return analyze.is_iso(sig.morphism)[0]
+
+
+def reference_d70_battery(h: GradedRingHom, family):
+    """`analyze.d70_battery` with every instance built on its own family
+    members: (iii) and (iv) at every member, and (v) and (vi) at every
+    ordered pair, with no identification along the shift orbit of S.  An
+    instance met twice is decided once, and each statement stops at its
+    first false instance."""
+    family = list(family)
+    group = h.target.group
+    s_mod = ring_as_module(h.target)
+    for g in sorted(h.target.components):
+        wanted = shift(s_mod, group.neg(g))
+        at = next((i for i, m in enumerate(family) if m == wanted), None)
+        if at is None:
+            raise analyze.AnalyzeError(
+                "battery family must contain S and all its support shifts")
+        if g == group.zero():
+            s_at = at
+    restricted = [restrict(h, m) for m in family]
+    decided = {}
+
+    def iso(fn, *at):
+        if (fn, at) not in decided:
+            mods = [family[i] for i in at] + [restricted[i] for i in at]
+            decided[(fn, at)] = analyze.is_iso(fn(h, *mods).morphism)[0]
+        return decided[(fn, at)]
+
+    members = range(len(family))
+    pairs = list(itertools.product(members, repeat=2))
+    decisive = analyze.is_ring_epimorphism(h)
+    verdicts = {"i": decisive, "ii": iso(canonical._sigma, s_at)}
+    verdicts["iii"] = all(iso(canonical._sigma, i) for i in members)
+    verdicts["iv"] = all(iso(canonical._rho_tilde, i) for i in members)
+    verdicts["v"] = all(iso(canonical._gamma, i, j) for i, j in pairs)
+    verdicts["vi"] = all(iso(canonical._eta, i, j) for i, j in pairs)
+    verdicts["vii"] = all(iso(canonical._eta, s_at, j) for j in members)
+    if len(set(verdicts.values())) > 1:
+        raise analyze.InconsistentBattery(f"verdicts diverge: {verdicts}")
+    return analyze.EpiBatteryReport(decisive, verdicts)
 
 
 # ---------------------------------------------------------------------------
