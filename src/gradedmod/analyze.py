@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 
 from .abelian import GroupEpi
 from .graded import (GradedError, GradedModule, GradedMorphism,
-                     GradedRingHom, _unit_vec, apply_tensor, coarsen_ring_hom,
-                     free_module, ring_as_module, shift)
-from .functors import (_block_layout, _block_matrices, _flat_vector, coextend,
-                       hom_degree, restrict)
+                     GradedRingHom, RingMismatch, _unit_vec, apply_tensor,
+                     coarsen_ring_hom, free_module, ring_as_module, shift)
+from .functors import HomDegree, coextend, hom_degree, restrict
 from .znlinalg import (FpZnModule, howell, identity_matrix, mat_mul,
                        preimage_gens, solve_row, solve_rows, vec_mat)
 from . import canonical
@@ -93,11 +92,10 @@ def is_iso(u: GradedMorphism):
 
 
 def _hom_back(u: GradedMorphism):
-    """Hom(N, M)_0 for u: M -> N, as the (blocks, sq) of `hom_degree`."""
+    """Hom(N, M)_0 for u: M -> N, as a solved `HomDegree`."""
     ring = u.source.ring
-    blocks, _, sq = hom_degree(GradedRingHom.identity(ring), u.target,
-                               u.source, ring.group.zero())
-    return blocks, sq
+    return hom_degree(GradedRingHom.identity(ring), u.target, u.source,
+                      ring.group.zero())
 
 
 def _one_sided_inverse(u: GradedMorphism, side: str, back):
@@ -106,35 +104,32 @@ def _one_sided_inverse(u: GradedMorphism, side: str, back):
     v ranges over `back`, the presentation of Hom(N, M)_0 from `_hom_back`,
     so every candidate is well defined and R-linear.  The composite is
     linear in v: each presentation generator w_k gives one row, its
-    composite w.u (left) or u.w (right) flattened over the block layout of
+    composite w.u (left) or u.w (right) flattened by the layout of
     End(E)_0, where E is M (left) or N (right).  Below those rows sit the
-    relation rows of E, since the composite need only equal the identity
-    modulo the relations of E.  One `solve_row` against the flattened
-    identity decides, and the first coefficients c_k of a solution give
-    v = sum_k c_k w_k, checked to be a one-sided inverse.
+    relation rows of that layout, since the composite need only equal the
+    identity modulo the relations of E.  One `solve_row` against the
+    flattened identity decides, and the first coefficients c_k of a
+    solution give v = sum_k c_k w_k, checked to be a one-sided inverse.
     """
     ring = u.source.ring
     n = ring.n
-    blocks, sq = back
-    gens = sq.gens if sq is not None else ()
+    gens = back.sq.gens
     end = u.source if side == "left" else u.target
-    end_blocks, end_dim, end_rels = _block_layout(end, end, ring.group.zero())
+    end_deg = HomDegree(end, end, ring.group.zero())
     rows = []
     for w in gens:
         composite = {}
-        for a, wa in _block_matrices(blocks, w).items():
+        for a, wa in back.unflatten(w).items():
             ua = u.matrix(a)
             composite[a] = (mat_mul(ua, wa, n) if side == "left"
                             else mat_mul(wa, ua, n))
-        rows.append(_flat_vector(end_blocks, end_dim, composite))
-    ident = _flat_vector(end_blocks, end_dim,
-                         {a: identity_matrix(k) for (a, k, _, _) in end_blocks})
-    sol = solve_row(rows + end_rels, ident, end_dim, n)
+        rows.append(end_deg.flatten(composite))
+    ident = end_deg.flatten({a: identity_matrix(k)
+                             for (a, k, _, _) in end_deg.blocks})
+    sol = solve_row(rows + end_deg.rels, ident, end_deg.dim, n)
     if sol is None:
         return False, None
-    mats = {} if sq is None else _block_matrices(blocks,
-                                                 sq.lift(sol[:len(gens)]))
-    v = GradedMorphism(u.target, u.source, mats)
+    v = GradedMorphism(u.target, u.source, back.matrices(sol[:len(gens)]))
     composite = v.compose(u) if side == "left" else u.compose(v)
     if composite != GradedMorphism.identity(end):
         what = "section" if side == "left" else "retraction"
@@ -463,9 +458,10 @@ def d70_battery(h: GradedRingHom, family) -> EpiBatteryReport:
     morphism is an isomorphism iff the morphism is, so every member that
     is a support shift of S is decided at S's own index; other members
     stay pairwise.  (ii) and (iii) share sigma at S, and (vii) is row S
-    of the eta table of (vi).  Each member N is restricted once, up
+    of the eta table of (vi).  Every member is checked to live over S up
     front, so a member over another ring is refused even when the
-    battery stops early; every instance is built on that h_*(N).
+    battery stops early.  A member N is restricted when an instance
+    first needs it, and every instance on N is built on that h_*(N).
     """
     family = list(family)
     group = h.target.group
@@ -476,8 +472,9 @@ def d70_battery(h: GradedRingHom, family) -> EpiBatteryReport:
             "battery family must contain S and all its support shifts")
     s_at = family.index(s_mod)
     rep = [s_at if m in shifts else i for i, m in enumerate(family)]
-    restricted = [restrict(h, m) for m in family]
-    decided = {}
+    if any(m.ring != h.target for m in family):
+        raise RingMismatch("restriction expects a module over the target ring")
+    restricted, decided = {}, {}
 
     def iso(fn, *at):
         """Whether the builder fn on the family members at `at`, given
@@ -485,6 +482,9 @@ def d70_battery(h: GradedRingHom, family) -> EpiBatteryReport:
         of S stand for S."""
         at = tuple(rep[i] for i in at)
         if (fn, at) not in decided:
+            for i in at:
+                if i not in restricted:
+                    restricted[i] = restrict(h, family[i])
             mods = [family[i] for i in at] + [restricted[i] for i in at]
             decided[(fn, at)] = is_iso(fn(h, *mods).morphism)[0]
         return decided[(fn, at)]

@@ -7,17 +7,22 @@ morphism built on generators by its element-level formula.  Construction
 validates well-definedness and linearity, so a successful return is itself
 a check of the defining formula.
 
-Every map whose target is a graded Hom module (rho_tilde, epsilon, theta,
-pi, nu, mu, tau, tau3, lambda and both directions of alpha) sends each
-generator of its source to a Hom element given by its element formula:
-the formula's value on each generator of the Hom module's source, handed
-to the one helper `_hom_coords`, which solves for the element's
-coordinates.  `CanonicalMapError`, which names the map, means those
-values are not a graded homomorphism: the formula is not well defined on
-the relations of the Hom source, or not linear over the ring.  The
-formulas of pi and epsilon need h to be a ring epimorphism, that is
+Every map whose target is a graded Hom module (rho_tilde, eta, epsilon,
+theta, pi, nu, mu, tau, tau3, lambda, beta and both directions of alpha)
+sends each generator of its source to a Hom element given by its element
+formula: the formula's value on each generator of the Hom module's
+source, handed to the one helper `_hom_coords`, which solves for the
+element's coordinates.  `CanonicalMapError`, which names the map, means
+those values are not a graded homomorphism: the formula is not well
+defined on the relations of the Hom source, or not linear over the ring.
+The formulas of pi and epsilon need h to be a ring epimorphism, that is
 onto; when their build fails and h is not onto, the error says so and
 names the first degree that h misses.
+
+A map into a tensor product gives each image as a pure tensor
+(`TensorWitness.pure`).  The coarsening maps beta and tensor_coarsen put
+each fine generator in its coarse component at the offset of
+`graded.coarse_layout`.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from dataclasses import dataclass, field
 
 from .abelian import GroupEpi
 from .graded import (GradedModule, GradedMorphism, GradedRingHom,
-                     GradedError, RingMismatch, _coarse_components, _unit_vec,
-                     coarsen_module, coarsen_ring, coarsen_ring_hom,
-                     direct_sum, ring_as_module)
+                     GradedError, RingMismatch, _unit_vec, coarse_layout,
+                     coarsen_module, coarsen_ring_hom, direct_sum,
+                     ring_as_module)
 from .functors import (HomWitness, TensorWitness, _lift_generators,
                        coextend, extend, hom_graded, mixed_hom, mixed_tensor,
                        restrict, tensor)
@@ -57,13 +62,6 @@ def _gen(obj, a, i):
 def _sum_mod(vectors, n):
     """The sum of equal-length vectors, reduced mod n."""
     return tuple(sum(col) % n for col in zip(*vectors))
-
-
-def _coords_or_fail(witness: HomWitness, g, mats, what: str):
-    coords = witness.coords_of(g, mats)
-    if coords is None:
-        raise CanonicalMapError(f"{what}: image is not a graded homomorphism")
-    return coords
 
 
 @contextmanager
@@ -95,7 +93,10 @@ def _hom_coords(witness: HomWitness, g, image, what: str):
     mats = {a: tuple(image(a, i) for i in range(comp.ngens))
             for a, comp in sorted(witness.source.components.items())
             if witness.target.component(grp.add(g, a)).ngens}
-    return _coords_or_fail(witness, g, mats, what)
+    coords = witness.coords_of(g, mats)
+    if coords is None:
+        raise CanonicalMapError(f"{what}: image is not a graded homomorphism")
+    return coords
 
 
 def underline(h: GradedRingHom) -> GradedMorphism:
@@ -280,7 +281,9 @@ def _eta(h, m, n, rm, rn) -> CanonicalMap:
     hw_s = hom_graded(m, n)
     src = restrict(h, hw_s.module)
     target = mixed_hom(GradedRingHom.identity(h.source), rm, rn)
-    maps = {g: [_coords_or_fail(target, g, mats, "eta") for mats in family]
+    maps = {g: [_hom_coords(target, g,
+                            lambda a, i: hw_s.apply(g, u, _gen(m, a, i))[1],
+                            "eta") for u in family]
             for g, family in _lift_generators(
                 hw_s, hw_s.module.components).items()}
     return CanonicalMap("eta", GradedMorphism(src, target.module, maps),
@@ -503,54 +506,33 @@ def lambda_big(m: GradedModule, family) -> CanonicalMap:
 
 def beta_h(psi: GroupEpi, h: GradedRingHom, m: GradedModule,
            n: GradedModule) -> CanonicalMap:
-    """Hom^G_R(M, N)_[psi] -> Hom^H(M_[psi], N_[psi]) for h: R -> S."""
+    """Hom^G_R(M, N)_[psi] -> Hom^H(M_[psi], N_[psi]) for h: R -> S.
+
+    On generators: u -> (x -> u(x)), with each fine generator x of M and
+    each value u(x) of N put in its block of the coarsened component.
+    """
     hw = mixed_hom(h, m, n)
-    ring_r = h.source
-    grp = h.target.group
-    src = coarsen_module(hw.module, psi, coarsen_ring(h.target, psi))
     hpsi = coarsen_ring_hom(h, psi)
+    src = coarsen_module(hw.module, psi, hpsi.target)
     mpsi = coarsen_module(m, psi, hpsi.target)
     npsi = coarsen_module(n, psi, hpsi.source)
     target = mixed_hom(hpsi, mpsi, npsi)
-    _, hoff = _coarse_components(hw.module.components, psi, ring_r.n)
-    _, moff = _coarse_components(m.components, psi, ring_r.n)
-    _, noff = _coarse_components(n.components, psi, ring_r.n)
-    maps = {}
-    for gc in sorted(src.components):
-        rows = [None] * src.components[gc].ngens
-        for g in sorted(hw.module.components):
-            if psi.apply(g) != gc:
-                continue
-            comp = hw.module.components[g]
-            base = hoff[g]
-            for k in range(comp.ngens):
-                mats_g = hw.matrices(g, _unit_vec(comp.ngens, k))
-                coarse_mats = {}
-                for ab in sorted(mpsi.components):
-                    rows_n = mpsi.components[ab].ngens
-                    cols_n = npsi.component(
-                        psi.target.add(gc, ab)).ngens
-                    if not cols_n:
-                        continue
-                    mat = [[0] * cols_n for _ in range(rows_n)]
-                    for a in sorted(m.components):
-                        if psi.apply(a) != ab:
-                            continue
-                        u_a = mats_g.get(a)
-                        if u_a is None:
-                            continue
-                        e_deg = grp.add(g, a)
-                        if e_deg not in noff:
-                            continue
-                        ro, co = moff[a], noff[e_deg]
-                        for i, row in enumerate(u_a):
-                            for jj, v in enumerate(row):
-                                if v:
-                                    mat[ro + i][co + jj] = v
-                    coarse_mats[ab] = tuple(tuple(r) for r in mat)
-                rows[base + k] = _coords_or_fail(target, gc, coarse_mats,
-                                                 "beta")
-        maps[gc] = rows
+    sgens, _ = coarse_layout(hw.module.components, psi)
+    mgens, _ = coarse_layout(m.components, psi)
+    _, noff = coarse_layout(n.components, psi)
+    lifted = _lift_generators(hw, hw.module.components)
+
+    def image(u, g, ac, i):
+        """u(x) in N_[psi], for generator i of M_[psi] in degree ac."""
+        e, v = hw.apply(g, u, _gen(m, *mgens[ac][i]))
+        vec = [0] * npsi.component(psi.apply(e)).ngens
+        if v:
+            vec[noff[e]:noff[e] + len(v)] = v
+        return tuple(vec)
+    maps = {gc: [_hom_coords(target, gc,
+                             lambda ac, i: image(lifted[g][k], g, ac, i),
+                             "beta") for g, k in gens]
+            for gc, gens in sgens.items()}
     return CanonicalMap("beta", GradedMorphism(src, target.module, maps),
                         {"psi": psi, "h": h, "m": m, "n": n})
 
@@ -563,29 +545,23 @@ def beta(psi: GroupEpi, m: GradedModule, n: GradedModule) -> CanonicalMap:
 
 
 def tensor_coarsen_iso(psi: GroupEpi, tw: TensorWitness) -> CanonicalMap:
-    """(M (x) N)_[psi] -> M_[psi] (x) N_[psi], an isomorphism."""
-    ring_s = tw.h.target
-    n_mod = ring_s.n
-    src = coarsen_module(tw.module, psi, coarsen_ring(ring_s, psi))
+    """(M (x) N)_[psi] -> M_[psi] (x) N_[psi], an isomorphism.
+
+    On generators: x (x) y -> x (x) y, with each fine generator put in its
+    block of the coarsened component.
+    """
     hpsi = coarsen_ring_hom(tw.h, psi)
+    src = coarsen_module(tw.module, psi, hpsi.target)
     lpsi = coarsen_module(tw.left, psi, hpsi.target)
     rpsi = coarsen_module(tw.right, psi, hpsi.source)
     target = mixed_tensor(hpsi, lpsi, rpsi)
-    _, toff = _coarse_components(tw.module.components, psi, n_mod)
-    _, loff = _coarse_components(tw.left.components, psi, n_mod)
-    _, roff = _coarse_components(tw.right.components, psi, n_mod)
-    maps = {}
-    for dc in sorted(src.components):
-        rows = [None] * src.components[dc].ngens
-        for d in sorted(tw.module.components):
-            if psi.apply(d) != dc:
-                continue
-            base = toff[d]
-            for k, (a, i, b, j) in enumerate(tw.index[d]):
-                la, lb = psi.apply(a), psi.apply(b)
-                rows[base + k] = target.pure(_gen(lpsi, la, loff[a] + i),
-                                             _gen(rpsi, lb, roff[b] + j))[1]
-        maps[dc] = rows
+    sgens, _ = coarse_layout(tw.module.components, psi)
+    _, loff = coarse_layout(tw.left.components, psi)
+    _, roff = coarse_layout(tw.right.components, psi)
+    maps = {dc: [target.pure(_gen(lpsi, psi.apply(a), loff[a] + i),
+                             _gen(rpsi, psi.apply(b), roff[b] + j))[1]
+                 for a, i, b, j in (tw.index[d][k] for d, k in gens)]
+            for dc, gens in sgens.items()}
     return CanonicalMap("tensor_coarsen",
                         GradedMorphism(src, target.module, maps),
                         {"psi": psi})

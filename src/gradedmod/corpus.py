@@ -18,7 +18,7 @@ from .abelian import FgAbelianGroup, GroupEpi, make_epi, make_group
 from .graded import (GradedModule, GradedMorphism, GradedRing, GradedRingHom,
                      direct_sum, graded_cokernel, graded_submodule,
                      ring_as_module, shift)
-from .functors import _block_matrices, hom_degree
+from .functors import hom_degree
 from .znlinalg import FpZnModule
 
 
@@ -237,15 +237,14 @@ def random_morphism(source: GradedModule, target: GradedModule,
                     rng: random.Random) -> GradedMorphism:
     """A uniformly random degree-zero morphism, via Hom(M, N)_0."""
     ring = source.ring
-    blocks, _, sq = hom_degree(GradedRingHom.identity(ring), source, target,
-                               ring.group.zero())
-    if sq is None or not sq.module.ngens:
+    deg = hom_degree(GradedRingHom.identity(ring), source, target,
+                     ring.group.zero())
+    comp = deg.sq.module
+    if not comp.ngens:
         return GradedMorphism.zero(source, target)
-    comp = sq.module
     coords = comp.reduce(tuple(rng.randrange(comp.n)
                                for _ in range(comp.ngens)))
-    return GradedMorphism(source, target,
-                          _block_matrices(blocks, sq.lift(coords)),
+    return GradedMorphism(source, target, deg.matrices(coords),
                           validate=False)
 
 

@@ -25,12 +25,14 @@ the Howell forms, the pruned presentations and every report are those
 of the relations over a basis.  Hom's R-linearity is the same argument
 (`hom_degree`).
 
-Hom degree g is a preimage: the families whose image under every
-constraint block lies in the relations of the block's target component.
-The builders write raw action tensors, entries unreduced and zero tensors
-included, and leave reduction and dropping to the `GradedModule`
-constructor (`graded._canon_structure`); the linear systems are solved
-by `znlinalg`.
+Hom degree g is a `HomDegree`, the one owner of its flat layout: each
+matrix family U_a: source_a -> target_{g+a} flattened into one vector.
+`hom_degree` solves it as a preimage: the families whose image under
+every constraint block lies in the relations of the block's target
+component.  The builders write raw action tensors, entries unreduced
+and zero tensors included, and leave reduction and dropping to the
+`GradedModule` constructor (`graded._canon_structure`); the linear
+systems are solved by `znlinalg`.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from __future__ import annotations
 from .graded import (GradedModule, GradedMorphism, GradedRingHom,
                      GradedError, RingMismatch, _unit_vec, apply_tensor,
                      ring_as_module)
-from .znlinalg import (FpZnModule, Subquotient, howell, mat_mul, prune,
-                       row_kernel, vec_mat)
+from .znlinalg import (FpZnModule, Subquotient, mat_mul, prune, row_kernel,
+                       vec_mat)
+# re-exported: perfbench's tracer test checks that it patches this binding
+from .znlinalg import howell as howell
 
 
 class FunctorError(GradedError):
@@ -288,54 +292,60 @@ def tensor_map(h: GradedRingHom, u: GradedMorphism, v: GradedMorphism,
 # Hom modules
 
 
-def _block_layout(source: GradedModule, target: GradedModule, g):
-    """The flat layout of the matrix families U_a: source_a -> target_{g+a}.
+class HomDegree:
+    """The degree-g component of Hom^G_R(h_*(source), target), for h: R -> S.
 
-    Returns (blocks, dim, rel_rows).  Each U_a is flattened row-major into
-    a vector of length `dim`; `blocks` lists (a, rows, cols, offset) for
-    every U_a with rows and columns.  `rel_rows` span the families whose
-    rows all lie in the relations of the target: row i of U_a may move by
-    any relation of target_{g+a}.
+    An element is a family of matrices U_a: source_a -> target_{g+a},
+    flattened row-major into a vector of length `dim`; `blocks` lists
+    (a, rows, cols, offset) for every U_a with rows and columns.  `rels`
+    span the families whose rows all lie in the relations of the target:
+    row i of U_a may move by any relation of target_{g+a}.  `sq`, set by
+    `hom_degree`, presents the families that are well defined and
+    R-linear modulo `rels`; it is None until then.
     """
-    grp = source.ring.group
-    blocks = []
-    dim = 0
-    for a in sorted(source.components):
-        rows = source.components[a].ngens
-        cols = target.component(grp.add(g, a)).ngens
-        if rows and cols:
-            blocks.append((a, rows, cols, dim))
-            dim += rows * cols
-    rel_rows = []
-    for (a, rows, cols, o) in blocks:
-        rels = target.component(grp.add(g, a)).rels
-        for i in range(rows):
-            for s in rels:
-                vec = [0] * dim
-                vec[o + i * cols:o + (i + 1) * cols] = list(s)
-                rel_rows.append(vec)
-    return blocks, dim, rel_rows
 
+    __slots__ = ("blocks", "dim", "rels", "sq")
 
-def _block_matrices(blocks, flat):
-    """The matrix family {a: U_a} stored in a flat Hom vector by `blocks`."""
-    return {a: tuple(tuple(flat[off + i * cols:off + (i + 1) * cols])
-                     for i in range(rows))
-            for (a, rows, cols, off) in blocks}
+    def __init__(self, source: GradedModule, target: GradedModule, g):
+        grp = source.ring.group
+        self.blocks = []
+        self.dim = 0
+        for a in sorted(source.components):
+            rows = source.components[a].ngens
+            cols = target.component(grp.add(g, a)).ngens
+            if rows and cols:
+                self.blocks.append((a, rows, cols, self.dim))
+                self.dim += rows * cols
+        self.rels = []
+        for (a, rows, cols, o) in self.blocks:
+            rels = target.component(grp.add(g, a)).rels
+            for i in range(rows):
+                for s in rels:
+                    vec = [0] * self.dim
+                    vec[o + i * cols:o + (i + 1) * cols] = s
+                    self.rels.append(vec)
+        self.sq = None
 
+    def flatten(self, mats):
+        """The flat vector of a matrix family {a: U_a}; a block without a
+        matrix in `mats` is zero."""
+        flat = [0] * self.dim
+        for (a, rows, cols, off) in self.blocks:
+            mat = mats.get(a)
+            if mat is not None:
+                for i in range(rows):
+                    flat[off + i * cols:off + (i + 1) * cols] = mat[i]
+        return flat
 
-def _flat_vector(blocks, dim, mats):
-    """The flat vector of a matrix family {a: U_a}, laid out by `blocks`;
-    a block without a matrix in `mats` is zero."""
-    flat = [0] * dim
-    for (a, rows, cols, off) in blocks:
-        mat = mats.get(a)
-        if mat is None:
-            continue
-        for i in range(rows):
-            for j in range(cols):
-                flat[off + i * cols + j] = mat[i][j]
-    return flat
+    def unflatten(self, flat):
+        """The matrix family {a: U_a} stored in a flat vector."""
+        return {a: tuple(tuple(flat[off + i * cols:off + (i + 1) * cols])
+                         for i in range(rows))
+                for (a, rows, cols, off) in self.blocks}
+
+    def matrices(self, coords):
+        """The matrix family of the element of `sq` with these coordinates."""
+        return self.unflatten(self.sq.lift(coords))
 
 
 class HomWitness:
@@ -344,43 +354,28 @@ class HomWitness:
     For h: R -> S, `module` is Hom^G_R(h_*(source), target) with source an
     S-module, target an R-module, and the S-action (su)(x) = u(sx).  An
     element of degree g encodes a family of matrices U_a: source_a ->
-    target_{g+a}; `layout[g]` lists the blocks (a, rows, cols, offset) of
-    the flattened presentation.
+    target_{g+a}, laid out by the solved `HomDegree` `degrees[g]`; a
+    degree without one holds only zero.
     """
 
-    __slots__ = ("h", "source", "target", "module", "layout", "sq", "dim")
+    __slots__ = ("h", "source", "target", "module", "degrees")
 
-    def __init__(self, h, source, target, module, layout, sq, dim):
+    def __init__(self, h, source, target, module, degrees):
         self.h = h
         self.source = source
         self.target = target
         self.module = module
-        self.layout = layout
-        self.sq = sq
-        self.dim = dim
+        self.degrees = degrees
 
     def matrices(self, g, coords):
         """The matrix family {a: U_a} encoded by an element of degree g."""
-        grp = self.source.ring.group
-        g = grp.canon(g)
-        if g not in self.sq:
-            return {}
-        return _block_matrices(self.layout[g], self.sq[g].lift(coords))
+        deg = self.degrees.get(self.source.ring.group.canon(g))
+        return {} if deg is None else deg.matrices(coords)
 
     def coords_of(self, g, mats):
         """Coordinates of the Hom element given by a matrix family, or None."""
-        grp = self.source.ring.group
-        g = grp.canon(g)
-        if g not in self.sq:
-            # only representable element is zero
-            for a, mat in mats.items():
-                tc = self.target.component(grp.add(g, a))
-                for row in mat:
-                    if any(tc.reduce(row)):
-                        return None
-            return ()
-        return self.sq[g].coords(
-            _flat_vector(self.layout[g], self.dim[g], mats))
+        deg = self.degrees.get(self.source.ring.group.canon(g))
+        return () if deg is None else deg.sq.coords(deg.flatten(mats))
 
     def evaluate(self, u, x):
         """Apply the Hom element u = (g, coords) to x = (a, xv)."""
@@ -410,31 +405,25 @@ def _lift_generators(witness: HomWitness, comps):
 
 
 def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
-               g):
-    """The degree-g component of Hom^G_R(h_*(source), target), for h: R -> S.
-
-    Returns (blocks, dim, sq).  An element is a family of matrices U_a:
-    source_a -> target_{g+a}, flattened row-major into a vector of length
-    `dim`; `blocks` lists (a, rows, cols, offset) for each U_a.  `sq`
-    presents the families that are well defined and R-linear, modulo those
-    landing in the target's relations; it is None when `dim` is 0.  The
-    rings are as for `mixed_hom`, which calls this for every degree.
+               g) -> HomDegree:
+    """The degree-g component of Hom^G_R(h_*(source), target), for h: R -> S,
+    as a solved `HomDegree`.  The rings are as for `mixed_hom`, which
+    calls this for every degree.
 
     Hom degree g is a preimage.  Each condition on a family x is a block
     of columns B, one per generator of the target component T it lands
     in, and asks that x*B lie in the relations of T.  The blocks sit side
     by side in one matrix with a row per unknown; below it go the
     relations of each block's T, in that block's columns.  The unknowns'
-    part of the row kernel of the stacked rows, in Howell form, spans the
-    families meeting every condition (`znlinalg.preimage_gens`).
+    part of the row kernel of the stacked rows spans the families meeting
+    every condition; `Subquotient` takes it modulo `rels` as it is.
     """
     ring_r = h.source
     grp = ring_r.group
     n = ring_r.n
-    blocks, dim, dgens = _block_layout(source, target, g)
-    if not dim:
-        return blocks, 0, None
-    block_at = {a: (rows, cols, o) for (a, rows, cols, o) in blocks}
+    deg = HomDegree(source, target, g)
+    dim = deg.dim
+    block_at = {a: (rows, cols, o) for (a, rows, cols, o) in deg.blocks}
     columns = []  # one {unknown: coeff} per column of the stacked rows
     rel_rows = []  # (first column of a block, relation of its T)
 
@@ -501,8 +490,8 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
         row[off:off + len(s)] = s
         stacked.append(row)
     ker = row_kernel(stacked, ncols, n)
-    wgens = howell([row[:dim] for row in ker], dim, n)
-    return blocks, dim, Subquotient(n, dim, wgens, dgens)
+    deg.sq = Subquotient(n, dim, [row[:dim] for row in ker], deg.rels)
+    return deg
 
 
 def mixed_hom(h: GradedRingHom, source: GradedModule,
@@ -517,18 +506,10 @@ def mixed_hom(h: GradedRingHom, source: GradedModule,
     n = ring_s.n
     degs = sorted({grp.sub(b, a) for a in source.components
                    for b in target.components})
-    layout, sqs, dims, comps = {}, {}, {}, {}
-    for g in degs:
-        blocks, dim, sq = hom_degree(h, source, target, g)
-        if not dim:
-            continue
-        layout[g] = blocks
-        dims[g] = dim
-        sqs[g] = sq
-        if sq.module.ngens:
-            comps[g] = sq.module
-
-    witness = HomWitness(h, source, target, None, layout, sqs, dims)
+    degrees = {g: hom_degree(h, source, target, g) for g in degs}
+    comps = {g: deg.sq.module for g, deg in degrees.items()
+             if deg.sq.module.ngens}
+    witness = HomWitness(h, source, target, None, degrees)
     lifted = _lift_generators(witness, comps)
     # S-action: (su)(x) = u(sx)
     action = {}

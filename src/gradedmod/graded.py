@@ -1114,18 +1114,29 @@ def graded_cokernel(u: GradedMorphism):
 # coarsening
 
 
+def coarse_layout(components, psi):
+    """Where the generators of `components` sit once summed over the
+    fibers of psi, each fiber in sorted order.
+
+    Returns (gens, offsets): `gens[c]` lists the (fine degree, index) of
+    each generator of the coarse component c, and `offsets[d]` is the
+    offset of the fine component d in its coarse one.
+    """
+    gens, offsets = {}, {}
+    for deg in sorted(components):
+        lst = gens.setdefault(psi.apply(deg), [])
+        offsets[deg] = len(lst)
+        lst.extend((deg, i) for i in range(components[deg].ngens))
+    return gens, offsets
+
+
 def _coarse_components(components, psi, n):
-    """The components summed over each fiber of psi, the fiber in sorted
-    order, and the offset of each fine component in its coarse one."""
+    """The components summed over each fiber of psi, in the order of
+    `coarse_layout`."""
     fibers = {}
     for deg in sorted(components):
-        fibers.setdefault(psi.apply(deg), []).append(deg)
-    comps = {}
-    offsets = {}
-    for img, fiber in fibers.items():
-        comps[img], offs = _stack(n, [components[d] for d in fiber])
-        offsets.update(zip(fiber, offs))
-    return comps, offsets
+        fibers.setdefault(psi.apply(deg), []).append(components[deg])
+    return {c: _stack(n, parts)[0] for c, parts in fibers.items()}
 
 
 def _coarse_tensors(tensors, left, comps, left_off, off, psi):
@@ -1146,7 +1157,8 @@ def coarsen_ring(ring: GradedRing, psi: GroupEpi) -> GradedRing:
     """Regrade a ring along a group epimorphism by summing over fibers."""
     if psi.source != ring.group:
         raise GroupMismatch("psi does not start at the grading group of the ring")
-    comps, offsets = _coarse_components(ring.components, psi, ring.n)
+    comps = _coarse_components(ring.components, psi, ring.n)
+    _, offsets = coarse_layout(ring.components, psi)
     mult = _coarse_tensors(ring.mult, comps, comps, offsets, offsets, psi)
     zero_img = psi.target.zero()
     one = [0] * comps[zero_img].ngens
@@ -1164,18 +1176,20 @@ def coarsen_module(module: GradedModule, psi: GroupEpi,
         raise GroupMismatch("psi does not start at the grading group of the module")
     if coarse_ring is None:
         coarse_ring = coarsen_ring(ring, psi)
-    rcomps, roff = _coarse_components(ring.components, psi, ring.n)
-    mcomps, moff = _coarse_components(module.components, psi, ring.n)
-    action = _coarse_tensors(module.action, rcomps, mcomps, roff, moff, psi)
+    _, roff = coarse_layout(ring.components, psi)
+    _, moff = coarse_layout(module.components, psi)
+    mcomps = _coarse_components(module.components, psi, ring.n)
+    action = _coarse_tensors(module.action, coarse_ring.components, mcomps,
+                             roff, moff, psi)
     return GradedModule(coarse_ring, mcomps, action, validate=False)
 
 
-def _coarse_maps(fine, src, tgt, psi, n):
+def _coarse_maps(fine, src, tgt, psi):
     """The matrices of a degreewise map `fine` (a morphism of modules or of
     rings) between its coarsened ends `src` and `tgt`: each matrix of
     `fine` is a block of the matrix at its degree's image under psi."""
-    _, soff = _coarse_components(fine.source.components, psi, n)
-    _, toff = _coarse_components(fine.target.components, psi, n)
+    _, soff = coarse_layout(fine.source.components, psi)
+    _, toff = coarse_layout(fine.target.components, psi)
     maps = {}
     for deg, mat in fine.maps.items():
         img = psi.apply(deg)
@@ -1199,8 +1213,7 @@ def coarsen_morphism(u: GradedMorphism, psi: GroupEpi,
         coarse_ring = coarsen_ring(u.source.ring, psi)
     src = coarsen_module(u.source, psi, coarse_ring)
     tgt = coarsen_module(u.target, psi, coarse_ring)
-    return GradedMorphism(src, tgt,
-                          _coarse_maps(u, src, tgt, psi, u.source.ring.n),
+    return GradedMorphism(src, tgt, _coarse_maps(u, src, tgt, psi),
                           validate=False)
 
 
@@ -1208,5 +1221,5 @@ def coarsen_ring_hom(h: GradedRingHom, psi: GroupEpi) -> GradedRingHom:
     """Coarsening of a graded ring morphism."""
     src = coarsen_ring(h.source, psi)
     tgt = coarsen_ring(h.target, psi)
-    return GradedRingHom(src, tgt, _coarse_maps(h, src, tgt, psi, h.source.n),
+    return GradedRingHom(src, tgt, _coarse_maps(h, src, tgt, psi),
                          validate=False)

@@ -278,29 +278,36 @@ def test_battery_keeps_the_pairs_of_a_member_off_the_orbit(instances,
 @pytest.mark.parametrize("name, other", [("zgraded", "frobenius"),
                                          ("frobenius", "zgraded")])
 def test_battery_refuses_a_member_over_another_ring(instances, name, other):
-    # every member is restricted up front, also when h is no epimorphism
-    # and the battery stops at its first instance, on S
+    # every member's ring is checked up front, also when h is no
+    # epimorphism and the battery stops at its first instance, on S
     inst = instances[name]
     family = _shift_family(inst) + [ring_as_module(instances[other]["ring_s"])]
-    with pytest.raises(RingMismatch):
+    with pytest.raises(RingMismatch, match="^restriction expects a module "
+                       "over the target ring$"):
         A.d70_battery(inst["h"], family)
 
 
 def test_battery_restricts_each_member_once(instances, monkeypatch):
-    # every instance is built on the one h_*(N) of each member N
+    # every instance is built on the one h_*(N) of each member N, and a
+    # member is restricted only when an instance needs it: on the pure
+    # shift family every instance stands at S, and off it S + S stands
+    # at its own index
     inst = instances["zgraded"]
-    family = _shift_family(inst)
-    assert len(family) == 3
+    s_mod, s_1, s_2 = _shift_family(inst)
     restricted = []
     for mod in (A, C, F):
         def logged(h, module, _fn=mod.restrict):
             restricted.append(module)
             return _fn(h, module)
         monkeypatch.setattr(mod, "restrict", logged)
-    rep = A.d70_battery(inst["h"], family)
-    assert rep.decisive and all(rep.verdicts.values())
-    assert [sum(m is member for m in restricted) for member in family] == \
-        [1, 1, 1]
+    for family, expected in (
+            ([s_mod, s_1, s_2], [1, 0, 0]),
+            ([s_1, direct_sum([s_mod, s_mod])[0], s_mod, s_2], [0, 1, 1, 0])):
+        restricted.clear()
+        rep = A.d70_battery(inst["h"], family)
+        assert rep.decisive and all(rep.verdicts.values())
+        assert [sum(m is member for m in restricted)
+                for member in family] == expected
 
 
 def test_battery_stops_at_the_first_false_instance(instances, monkeypatch):

@@ -1,21 +1,25 @@
 """Canonical natural transformations: constructions and decision values."""
 
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedmod import analyze
 from gradedmod import canonical as C
+from gradedmod import corpus
 from gradedmod.abelian import make_epi, make_group
 from gradedmod.functors import (_lift_generators, coextend, extend,
-                               hom_graded, restrict, tensor)
+                               hom_graded, mixed_tensor, restrict, tensor)
 from gradedmod.graded import (GradedError, GradedMorphism, GradedRing,
                               GradedRingHom, _unit_vec, graded_kernel,
                               ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
 
 from util import inverse_of, is_component_epi, is_component_iso, \
-    is_component_mono
+    is_component_mono, reference_beta_h, reference_tensor_coarsen_iso
 
 G0 = make_group([])
 D0 = ()
@@ -213,6 +217,27 @@ def test_beta_under_z_to_trivial(instances):
     assert is_component_iso(C.beta(psi, ms, ms).morphism)
     assert is_component_iso(
         C.tensor_coarsen_iso(psi, tensor(ms, ms)).morphism)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(corpus.INSTANCE_BUILDERS)),
+       st.integers(0, 2**32 - 1))
+def test_coarsening_maps_match_the_block_references(instances, name, seed):
+    # the element formulas of beta_h, beta and tensor_coarsen_iso build
+    # the same morphisms as the block-matrix references, on random
+    # modules over both rings of each named instance, along its psi
+    inst = instances[name]
+    h, psi = inst["h"], inst["psi"]
+    rng = random.Random(seed)
+    l_s, m_s = (corpus.random_module(h.target, rng) for _ in range(2))
+    m_r, n_r = (corpus.random_module(h.source, rng) for _ in range(2))
+    assert C.beta_h(psi, h, m_s, n_r).morphism == \
+        reference_beta_h(psi, h, m_s, n_r)
+    assert C.beta(psi, m_r, n_r).morphism == reference_beta_h(
+        psi, GradedRingHom.identity(h.source), m_r, n_r)
+    for tw in (mixed_tensor(h, l_s, m_r), tensor(l_s, m_s)):
+        assert C.tensor_coarsen_iso(psi, tw).morphism == \
+            reference_tensor_coarsen_iso(psi, tw)
 
 
 def test_hstar_ring_iso_and_underline(frob):

@@ -18,11 +18,10 @@ from gradedmod import analyze
 from gradedmod import canonical as C
 from gradedmod import corpus
 from gradedmod.abelian import make_group
-from gradedmod.functors import (_block_matrices, coextend,
-                                coextend_morphism, extend, extend_morphism,
-                                hom_degree, hom_graded, hom_map,
-                                mixed_tensor, restrict, restrict_morphism,
-                                tensor, tensor_map)
+from gradedmod.functors import (coextend, coextend_morphism, extend,
+                                extend_morphism, hom_degree, hom_graded,
+                                hom_map, mixed_tensor, restrict,
+                                restrict_morphism, tensor, tensor_map)
 from gradedmod.graded import (GradedModule, GradedMorphism, GradedRing,
                               GradedRingHom, ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
@@ -248,11 +247,10 @@ def test_hom_degree_matches_brute_force_over_two_algebra_generators():
     ident = GradedRingHom.identity(mods[0].ring)
     for m in mods:
         for n_mod in mods:
-            blocks, _, sq = hom_degree(ident, m, n_mod, ())
-            found = {GradedMorphism(m, n_mod,
-                                    _block_matrices(blocks, sq.lift(c)))
-                     for c in sq.module.elements()}
-            assert len(found) == sq.module.cardinality()
+            deg = hom_degree(ident, m, n_mod, ())
+            found = {GradedMorphism(m, n_mod, deg.matrices(c))
+                     for c in deg.sq.module.elements()}
+            assert len(found) == deg.sq.module.cardinality()
             assert found == set(reference_homs(m, n_mod))
 
 
@@ -275,11 +273,10 @@ def _check_hom_degree(h, m, n_mod, g):
     src, tgt = restrict(h, m), shift(n_mod, g)
     if _candidates(src, tgt) > MAX_CANDIDATES:
         return
-    blocks, _, sq = hom_degree(h, m, n_mod, g)
-    found = {GradedMorphism.zero(src, tgt)} if sq is None else {
-        GradedMorphism(src, tgt, _block_matrices(blocks, sq.lift(c)))
-        for c in sq.module.elements()}
-    assert len(found) == (1 if sq is None else sq.module.cardinality())
+    deg = hom_degree(h, m, n_mod, g)
+    found = {GradedMorphism(src, tgt, deg.matrices(c))
+             for c in deg.sq.module.elements()}
+    assert len(found) == deg.sq.module.cardinality()
     assert found == set(reference_homs(src, tgt))
 
 

@@ -51,3 +51,25 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree)
               if name not in used]
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+# private layout helpers that belong to one module each: the Hom-degree
+# layout is `functors.HomDegree`, the coarse offsets `graded.coarse_layout`
+PRIVATE_LAYOUT = {"_block_layout", "_block_matrices", "_flat_vector",
+                  "_coarse_components", "_coords_or_fail"}
+TEST_SOURCES = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES + TEST_SOURCES,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_private_layout_helper_crosses_a_module(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    crossing = [f"{alias.name} (line {node.lineno})"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name in PRIVATE_LAYOUT]
+    crossing += [f"{node.attr} (line {node.lineno})"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and node.attr in PRIVATE_LAYOUT]
+    assert not crossing, f"{path.name} imports private helpers: {crossing}"

@@ -4,12 +4,13 @@ import itertools
 
 from gradedmod import analyze, canonical
 from gradedmod.abelian import make_group
-from gradedmod.functors import (_block_matrices, coextend, hom_degree,
+from gradedmod.functors import (coextend, hom_degree, mixed_hom, mixed_tensor,
                                 restrict)
 from gradedmod.graded import (GradedError, GradedModule, GradedMorphism,
                               GradedRing, GradedRingHom, _unit_vec,
-                              apply_tensor, free_module, graded_kernel,
-                              ring_as_module, shift)
+                              apply_tensor, coarse_layout, coarsen_module,
+                              coarsen_ring, coarsen_ring_hom, free_module,
+                              graded_kernel, ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule, prune
 
 
@@ -140,14 +141,13 @@ def iso_search(m: GradedModule, n_mod: GradedModule,
     if not degs:  # both modules are zero
         return GradedMorphism.zero(m, n_mod)
     ring = m.ring
-    blocks, _, sq = hom_degree(GradedRingHom.identity(ring), m, n_mod,
-                               ring.group.zero())
-    for tried, coords in enumerate(sq.module.elements(), 1):
+    deg = hom_degree(GradedRingHom.identity(ring), m, n_mod, ring.group.zero())
+    for tried, coords in enumerate(deg.sq.module.elements(), 1):
         if tried > budget:
             raise IsoSearchExhausted(
                 f"undecided within budget {budget}: no isomorphism among "
                 f"the first {budget} elements of Hom(M, N)_0")
-        u = GradedMorphism(m, n_mod, _block_matrices(blocks, sq.lift(coords)))
+        u = GradedMorphism(m, n_mod, deg.matrices(coords))
         if analyze.is_iso(u)[0]:
             return u
     return None
@@ -451,6 +451,86 @@ def reference_mixed_tensor(h, left, right):
                 tensor.append(block)
             action[(c, d)] = tensor
     return GradedModule(ring_s, comps, action), index, pos
+
+
+# ---------------------------------------------------------------------------
+# references for the coarsening comparison maps of `gradedmod.canonical`:
+# each coarse Hom element or tensor generator is assembled as a block
+# matrix or block pair from the fine one, not by an element formula
+
+
+def reference_beta_h(psi, h, m, n_mod):
+    """`canonical.beta_h` by block matrices: the matrix family U_a of each
+    generator of Hom(M, N)_g is written into the blocks of the coarse
+    matrices at the offsets of M's and N's fine components."""
+    hw = mixed_hom(h, m, n_mod)
+    grp = h.target.group
+    src = coarsen_module(hw.module, psi, coarsen_ring(h.target, psi))
+    hpsi = coarsen_ring_hom(h, psi)
+    mpsi = coarsen_module(m, psi, hpsi.target)
+    npsi = coarsen_module(n_mod, psi, hpsi.source)
+    target = mixed_hom(hpsi, mpsi, npsi)
+    _, hoff = coarse_layout(hw.module.components, psi)
+    _, moff = coarse_layout(m.components, psi)
+    _, noff = coarse_layout(n_mod.components, psi)
+    maps = {}
+    for gc in sorted(src.components):
+        rows = [None] * src.components[gc].ngens
+        for g in sorted(hw.module.components):
+            if psi.apply(g) != gc:
+                continue
+            comp = hw.module.components[g]
+            for k in range(comp.ngens):
+                mats_g = hw.matrices(g, _unit_vec(comp.ngens, k))
+                coarse_mats = {}
+                for ab in sorted(mpsi.components):
+                    cols = npsi.component(psi.target.add(gc, ab)).ngens
+                    if not cols:
+                        continue
+                    mat = [[0] * cols
+                           for _ in range(mpsi.components[ab].ngens)]
+                    for a in sorted(m.components):
+                        u_a = mats_g.get(a)
+                        e = grp.add(g, a)
+                        if psi.apply(a) != ab or u_a is None or e not in noff:
+                            continue
+                        for i, row in enumerate(u_a):
+                            for j, v in enumerate(row):
+                                mat[moff[a] + i][noff[e] + j] = v
+                    coarse_mats[ab] = tuple(tuple(r) for r in mat)
+                coords = target.coords_of(gc, coarse_mats)
+                assert coords is not None, "beta: not a graded homomorphism"
+                rows[hoff[g] + k] = coords
+        maps[gc] = rows
+    return GradedMorphism(src, target.module, maps)
+
+
+def reference_tensor_coarsen_iso(psi, tw):
+    """`canonical.tensor_coarsen_iso` by offsets: generator k of the fine
+    tensor component d, the pair (a, i, b, j), goes to the pure tensor of
+    generator i of L_a and generator j of R_b at their coarse offsets."""
+    ring_s = tw.h.target
+    src = coarsen_module(tw.module, psi, coarsen_ring(ring_s, psi))
+    hpsi = coarsen_ring_hom(tw.h, psi)
+    lpsi = coarsen_module(tw.left, psi, hpsi.target)
+    rpsi = coarsen_module(tw.right, psi, hpsi.source)
+    target = mixed_tensor(hpsi, lpsi, rpsi)
+    _, toff = coarse_layout(tw.module.components, psi)
+    _, loff = coarse_layout(tw.left.components, psi)
+    _, roff = coarse_layout(tw.right.components, psi)
+    maps = {}
+    for dc in sorted(src.components):
+        rows = [None] * src.components[dc].ngens
+        for d in sorted(tw.module.components):
+            if psi.apply(d) != dc:
+                continue
+            for k, (a, i, b, j) in enumerate(tw.index[d]):
+                la, lb = psi.apply(a), psi.apply(b)
+                x = (la, _unit_vec(lpsi.component(la).ngens, loff[a] + i))
+                y = (lb, _unit_vec(rpsi.component(lb).ngens, roff[b] + j))
+                rows[toff[d] + k] = target.pure(x, y)[1]
+        maps[dc] = rows
+    return GradedMorphism(src, target.module, maps)
 
 
 # ---------------------------------------------------------------------------
