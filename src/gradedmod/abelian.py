@@ -102,6 +102,11 @@ class FgAbelianGroup:
     one pass, still rejecting a wrong coordinate length.  Objects graded by
     the group store their degrees canonical, so a lookup with a canonical
     tuple needs no further canonicalization.
+
+    Groups with no factor or one factor, the trivial group, Z and Z/m,
+    grade every shipped object, so `canon`, `add`, `sub` and `neg` compute
+    their coordinates directly for them; longer groups take the general
+    loop.  Both give the same tuples.
     """
 
     __slots__ = ("moduli",)
@@ -136,10 +141,16 @@ class FgAbelianGroup:
 
     def canon(self, coords) -> tuple[int, ...]:
         coords = tuple(coords)
-        if len(coords) != len(self.moduli):
+        moduli = self.moduli
+        if len(coords) != len(moduli):
             raise GroupError("coordinate length mismatch")
+        if not moduli:
+            return ()
+        if len(moduli) == 1:
+            m, c = moduli[0], int(coords[0])
+            return (c % m if m else c,)
         return tuple([int(c) % m if m else int(c)
-                      for c, m in zip(coords, self.moduli)])
+                      for c, m in zip(coords, moduli)])
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.moduli)
@@ -148,6 +159,11 @@ class FgAbelianGroup:
         moduli = self.moduli
         if len(a) != len(moduli) or len(b) != len(moduli):
             raise GroupError("coordinate length mismatch")
+        if not moduli:
+            return ()
+        if len(moduli) == 1:
+            m, x = moduli[0], a[0] + b[0]
+            return (x % m if m else x,)
         return tuple([(x + y) % m if m else x + y
                       for x, y, m in zip(a, b, moduli)])
 
@@ -155,12 +171,22 @@ class FgAbelianGroup:
         moduli = self.moduli
         if len(a) != len(moduli):
             raise GroupError("coordinate length mismatch")
+        if not moduli:
+            return ()
+        if len(moduli) == 1:
+            m = moduli[0]
+            return (-a[0] % m if m else -a[0],)
         return tuple([-x % m if m else -x for x, m in zip(a, moduli)])
 
     def sub(self, a, b) -> tuple[int, ...]:
         moduli = self.moduli
         if len(a) != len(moduli) or len(b) != len(moduli):
             raise GroupError("coordinate length mismatch")
+        if not moduli:
+            return ()
+        if len(moduli) == 1:
+            m, x = moduli[0], a[0] - b[0]
+            return (x % m if m else x,)
         return tuple([(x - y) % m if m else x - y
                       for x, y, m in zip(a, b, moduli)])
 

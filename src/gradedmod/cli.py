@@ -359,12 +359,27 @@ COMMANDS = {
 }
 
 
-def _add_command(sub, common, name, specs, **kwargs):
-    p = sub.add_parser(name, parents=[common], **kwargs)
+def _add_global_flags(parser):
+    """--input, --format and --seed, accepted before and after the command;
+    SUPPRESS defaults let a value given before the command survive the
+    subparser's parse."""
+    parser.add_argument("--input", action="append",
+                        default=argparse.SUPPRESS, metavar="FILE",
+                        help="workspace file (repeatable)")
+    parser.add_argument("--format", choices=("text", "json"),
+                        default=argparse.SUPPRESS)
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help="echoed as the report's seed; no command "
+                             "draws from it")
+
+
+def _add_command(sub, name, specs, **kwargs):
+    p = sub.add_parser(name, **kwargs)
+    _add_global_flags(p)
     if isinstance(specs, dict):
         actions = p.add_subparsers(dest="action", required=True)
         for action, action_specs in specs.items():
-            _add_command(actions, common, action, action_specs)
+            _add_command(actions, action, action_specs)
     else:
         for arg, kw in specs:
             p.add_argument(arg, **kw)
@@ -372,26 +387,17 @@ def _add_command(sub, common, name, specs, **kwargs):
 
 def build_parser(cmd=None) -> argparse.ArgumentParser:
     """The parser with the subparser of `cmd` alone, or of every command."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", action="append",
-                        default=argparse.SUPPRESS, metavar="FILE",
-                        help="workspace file (repeatable)")
-    common.add_argument("--format", choices=("text", "json"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="echoed as the report's seed; no command "
-                             "draws from it")
     parser = argparse.ArgumentParser(
-        prog="gradedmod", parents=[common],
+        prog="gradedmod",
         description="Exact change-of-ring calculus for finitely supported "
                     "graded modules over Z/nZ.")
+    _add_global_flags(parser)
     # a one-command parser names every command in its usage and errors
     sub = parser.add_subparsers(
         dest="cmd", required=True,
         metavar=None if cmd is None else "{" + ",".join(COMMANDS) + "}")
     for name in COMMANDS if cmd is None else (cmd,):
-        _add_command(sub, common, name, COMMANDS[name][2],
-                     help=COMMANDS[name][1])
+        _add_command(sub, name, COMMANDS[name][2], help=COMMANDS[name][1])
     return parser
 
 

@@ -421,6 +421,35 @@ def _minimal_generators(module, ideal):
     return tuple(picks)
 
 
+# The validation kernel.  Every check below multiplies at least one
+# generator, a unit vector e_i, so each product reads one row or one column
+# of a stored tensor: e_i times e_j is the entry t[i][j], which the
+# constructors store reduced, e_i times s combines the row t[i], and r
+# times e_j combines the column of entries t[.][j].  An absent tensor is
+# zero.
+
+
+def _column(t, r, j, out):
+    """r times the generator e_j through the tensor t, sum_i r_i t[i][j],
+    reduced in `out`."""
+    acc = [0] * out.ngens
+    for ri, block in zip(r, t):
+        if ri:
+            acc = [a + ri * v for a, v in zip(acc, block[j])]
+    return out.reduce(acc)
+
+
+def _combine(coeffs, rows, out):
+    """sum_b coeffs_b rows[b], reduced in `out`: e_i times s is
+    `_combine(s, t[i], out)`, and the image of v under a matrix is
+    `_combine(v, matrix, out)`."""
+    acc = [0] * out.ngens
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * v for a, v in zip(acc, row)]
+    return out.reduce(acc)
+
+
 def _check_module_axioms(ring, comps, tensors, words):
     """The module axioms of `ring` acting on `comps` through `tensors`.
 
@@ -441,56 +470,77 @@ def _check_module_axioms(ring, comps, tensors, words):
     which `GradedRing._validate` settles first: its first step
     x(y1 y2) = (x y1)y2 is then the condition on y1 itself, with m = y2.
     `words` names the axioms in the error messages.
+
+    Every product has a generator as one argument, so it is one row or one
+    column of a stored tensor (`_column`, `_combine`), with no bilinear
+    evaluation.  An absent tensor is zero: well-definedness skips it, and
+    associativity skips a pair of degrees whose two sides are both absent.
+    Each degree sum is taken once per pair of degrees.  The loops run in
+    the order above, degree by degree and generator by generator, so the
+    first failing axiom and its message do not depend on these shortcuts.
     """
     what, unit, assoc = words
     g = ring.group
+    # the component each tensor lands in
+    target = {}
     for dg, dh in tensors:
-        if g.add(dg, dh) not in comps:
+        target[(dg, dh)] = comps.get(g.add(dg, dh))
+        if target[(dg, dh)] is None:
             raise GradedError(f"{what} leaves the declared support")
     zero = g.zero()
     for dh, ch in comps.items():
         t = tensors.get((zero, dh))
         for j in range(ch.ngens):
-            ej = _unit_vec(ch.ngens, j)
-            if apply_tensor(t, ring.one, ej, ch) != ch.reduce(ej):
+            got = ch.zero() if t is None else _column(t, ring.one, j, ch)
+            if got != ch.reduce(_unit_vec(ch.ngens, j)):
                 raise GradedError(f"{unit} fails at degree {dh}")
-    none = zero_component(ring.n)
     for dg, cg in ring.components.items():
         for dh, ch in comps.items():
-            out = comps.get(g.add(dg, dh), none)
             t = tensors.get((dg, dh))
-            for r in cg.rels:
-                for j in range(ch.ngens):
-                    if any(apply_tensor(t, r, _unit_vec(ch.ngens, j), out)):
-                        raise GradedError(
-                            f"{what} not well defined at {dg},{dh}")
-            for s in ch.rels:
-                for i in range(cg.ngens):
-                    if any(apply_tensor(t, _unit_vec(cg.ngens, i), s, out)):
-                        raise GradedError(
-                            f"{what} not well defined at {dg},{dh}")
+            if t is None:
+                continue
+            out = target[(dg, dh)]
+            if (any(any(_column(t, r, j, out))
+                    for r in cg.rels for j in range(ch.ngens))
+                    or any(any(_combine(s, t[i], out))
+                           for s in ch.rels for i in range(cg.ngens))):
+                raise GradedError(f"{what} not well defined at {dg},{dh}")
     rcomps, rmult = ring.components, ring.mult
     for dy, y in ring.algebra_generators:
-        # y m for every generator m of every component, with its degree
-        ym = {dh: (g.add(dy, dh),
-                   [_product(g, comps, tensors, dy, y, dh,
-                             _unit_vec(ch.ngens, k))[1]
-                    for k in range(ch.ngens)])
-              for dh, ch in comps.items()}
+        # y m for every generator m of every component (None: all zero),
+        # with its degree
+        ym = {}
+        for dh, ch in comps.items():
+            t = tensors.get((dy, dh))
+            ym[dh] = g.add(dy, dh), None if t is None else [
+                _column(t, y, k, target[(dy, dh)]) for k in range(ch.ngens)]
         for dx, cx in rcomps.items():
+            # x y for every generator x of R_dx (None: all zero)
+            dxy, t = g.add(dx, dy), rmult.get((dx, dy))
+            xys = None if t is None else [_combine(y, t[i], rcomps[dxy])
+                                          for i in range(cx.ngens)]
+            # per module degree dh, the tensors of (xy)m and x(ym) where
+            # either is present, and the component both land in
+            pairs = []
+            for dh, ch in comps.items():
+                dyh, yms = ym[dh]
+                left = None if xys is None else tensors.get((dxy, dh))
+                right = None if yms is None else tensors.get((dx, dyh))
+                if left is not None:
+                    out = target[(dxy, dh)]
+                elif right is not None:
+                    out = target[(dx, dyh)]
+                else:
+                    continue
+                pairs.append((dh, ch.ngens, yms, left, right, out))
             for i in range(cx.ngens):
-                x = _unit_vec(cx.ngens, i)
-                dxy, xy = _product(g, rcomps, rmult, dx, x, dy, y)
-                for dh, ch in comps.items():
-                    dyh, yms = ym[dh]
-                    out = comps.get(g.add(dxy, dh), none)
-                    left = tensors.get((dxy, dh))
-                    right = tensors.get((dx, dyh))
-                    # both sides come back reduced in their component, so
-                    # they compare directly
-                    for k in range(ch.ngens):
-                        if (apply_tensor(left, xy, _unit_vec(ch.ngens, k), out)
-                                != apply_tensor(right, x, yms[k], out)):
+                for dh, k, yms, left, right, out in pairs:
+                    for m in range(k):
+                        lhs = (out.zero() if left is None
+                               else _column(left, xys[i], m, out))
+                        rhs = (out.zero() if right is None
+                               else _combine(yms[m], right[i], out))
+                        if lhs != rhs:
                             raise GradedError(
                                 f"{assoc} fails at {dx},{dy},{dh}")
 
@@ -581,10 +631,18 @@ class GradedRing:
         g, comps, mult = self.group, self.components, self.mult
         for dy, y in (self.one_element(),) + self.algebra_generators:
             for dx, cx in comps.items():
+                # x y is a row of the tensor at (dx, dy), y x a column of
+                # the one at (dy, dx); both absent means both zero
+                right, left = mult.get((dx, dy)), mult.get((dy, dx))
+                if right is None and left is None:
+                    continue
+                out = comps[g.add(dx, dy)]
                 for i in range(cx.ngens):
-                    x = _unit_vec(cx.ngens, i)
-                    if (_product(g, comps, mult, dx, x, dy, y)
-                            != _product(g, comps, mult, dy, y, dx, x)):
+                    xy = (out.zero() if right is None
+                          else _combine(y, right[i], out))
+                    yx = (out.zero() if left is None
+                          else _column(left, y, i, out))
+                    if xy != yx:
                         lo, hi = sorted((dx, dy))
                         raise GradedError(
                             f"commutativity fails at degrees {lo},{hi}")
@@ -806,20 +864,34 @@ class GradedMorphism:
         satisfy it form a Z/n-submodule that holds 1 and is closed under
         products, since u((r1 r2)x) = u(r1(r2 x)) = r1 u(r2 x) =
         r1(r2 u(x)) = (r1 r2)u(x); so it is all of R.
+
+        With x = e_j, u(x) is row j of the stored matrix, r x a column of
+        the source's action tensor, and r u(x) = sum_b u(x)_b (r f_b) for
+        the columns r f_b of the target's; a side with an absent tensor or
+        matrix is zero.
         """
         _maps_well_defined(self)
-        src, tgt = self.source, self.target
+        src, tgt, maps = self.source, self.target, self.maps
         g = src.ring.group
         for dr, r in src.ring.algebra_generators:
             for dh, sc in src.components.items():
+                drx = g.add(dr, dh)
+                out = tgt.components.get(drx)
+                s_t, t_t = src.action.get((dr, dh)), tgt.action.get((dr, dh))
+                u_h, u_rx = maps.get(dh), maps.get(drx)
+                lhs_zero = s_t is None or u_rx is None
+                rhs_zero = t_t is None or u_h is None
+                if out is None or (lhs_zero and rhs_zero):
+                    continue
+                if not rhs_zero:
+                    rf = [_column(t_t, r, b, out)
+                          for b in range(tgt.components[dh].ngens)]
                 for j in range(sc.ngens):
-                    x = _unit_vec(sc.ngens, j)
-                    # both sides come back reduced in the target component
-                    drx, rx = _product(g, src.components, src.action,
-                                       dr, r, dh, x)
-                    _, rux = _product(g, tgt.components, tgt.action,
-                                      dr, r, dh, _image(self, dh, x))
-                    if _image(self, drx, rx) != rux:
+                    urx = (out.zero() if lhs_zero else _combine(
+                        _column(s_t, r, j, src.components[drx]), u_rx, out))
+                    rux = (out.zero() if rhs_zero
+                           else _combine(u_h[j], rf, out))
+                    if urx != rux:
                         raise GradedError(
                             f"morphism is not linear at degrees {dr},{dh}")
 
@@ -885,24 +957,38 @@ class GradedRingHom:
         Z/n-submodule that holds 1 and is closed under products, since
         h(x(y1 y2)) = h((x y1)y2) = h(x y1)h(y2) = (h(x)h(y1))h(y2) =
         h(x)h(y1 y2); so it is all of R.
+
+        With x = e_i, h(x) is row i of the stored matrix, x y a row of the
+        source's multiplication tensor, and h(x)h(y) = sum_b h(x)_b (f_b
+        h(y)) for the rows f_b h(y) of the target's; a side with an absent
+        tensor or matrix is zero.
         """
         _maps_well_defined(self)
         _, one_img = self.apply(self.source.one_element())
         if one_img != self.target.one:
             raise GradedError("ring morphism does not preserve the unit")
-        src, tgt = self.source, self.target
+        src, tgt, maps = self.source, self.target, self.maps
         g = src.group
         for dy, y in src.algebra_generators:
             hy = _image(self, dy, y)
             for dx, cx in src.components.items():
+                dxy = g.add(dx, dy)
+                out = tgt.components.get(dxy)
+                s_t, t_t = src.mult.get((dx, dy)), tgt.mult.get((dx, dy))
+                h_x, h_xy = maps.get(dx), maps.get(dxy)
+                lhs_zero = s_t is None or h_xy is None
+                rhs_zero = t_t is None or h_x is None
+                if out is None or (lhs_zero and rhs_zero):
+                    continue
+                if not rhs_zero:
+                    fhy = [_combine(hy, t_t[b], out)
+                           for b in range(tgt.components[dx].ngens)]
                 for i in range(cx.ngens):
-                    x = _unit_vec(cx.ngens, i)
-                    # both sides come back reduced in the target component
-                    dxy, xy = _product(g, src.components, src.mult,
-                                       dx, x, dy, y)
-                    _, hxhy = _product(g, tgt.components, tgt.mult,
-                                       dx, _image(self, dx, x), dy, hy)
-                    if _image(self, dxy, xy) != hxhy:
+                    hxy = (out.zero() if lhs_zero else _combine(
+                        _combine(y, s_t[i], src.components[dxy]), h_xy, out))
+                    hxhy = (out.zero() if rhs_zero
+                            else _combine(h_x[i], fhy, out))
+                    if hxy != hxhy:
                         raise GradedError(
                             f"ring morphism not multiplicative at {dx},{dy}")
 

@@ -116,13 +116,16 @@ class _Lines:
 
 
 def _ints(tokens, lineno, start=0):
-    out = []
+    try:
+        return list(map(int, tokens[start:]))
+    except ValueError:
+        pass
+    # name the first token that is not an integer, by its column
     for i, t in enumerate(tokens[start:], start):
         try:
-            out.append(int(t))
+            int(t)
         except ValueError:
             raise ParseError(f"expected an integer, got {t!r}", lineno, i + 1)
-    return out
 
 
 def _need(tokens, k, lineno, what):
@@ -215,11 +218,17 @@ def _parse_epi(ws, tokens, lineno, lines):
     ws.meta[name] = (tokens[2], tokens[3])
 
 
-def _deg(tokens, lineno, start, k):
-    vals = _ints(tokens, lineno, start)
-    if len(vals) < k:
-        raise ParseError(f"degree needs {k} integers", lineno, start + 1)
-    return tuple(vals[:k]), start + k
+def _degrees(tokens, lineno, k, count):
+    """The integers after a line's keyword, parsed once: `count` degrees of
+    k integers each, the integers after them, and the column where those
+    start."""
+    vals = _ints(tokens, lineno, 1)
+    if len(vals) < count * k:
+        # the column where the short degree starts
+        raise ParseError(f"degree needs {k} integers", lineno,
+                         2 + len(vals) // k * k)
+    degs = [tuple(vals[d * k:(d + 1) * k]) for d in range(count)]
+    return degs, vals[count * k:], 2 + count * k
 
 
 def _parse_ring_like(ws, tokens, lineno, lines, is_module: bool):
@@ -248,33 +257,22 @@ def _parse_ring_like(ws, tokens, lineno, lines, is_module: bool):
         if head == "end":
             break
         if head == "component":
-            deg, pos = _deg(toks, ln, 1, k)
+            (deg,), vals, col = _degrees(toks, ln, k, 1)
             deg = group.canon(deg)
-            vals = _ints(toks, ln, pos)
             if len(vals) != 1:
                 raise ParseError("component needs one generator count", ln,
-                                 pos + 1)
+                                 col)
             ngens[deg] = vals[0]
         elif head == "rel":
-            deg, pos = _deg(toks, ln, 1, k)
-            deg = group.canon(deg)
-            rels.setdefault(deg, []).append(tuple(_ints(toks, ln, pos)))
+            (deg,), vals, _ = _degrees(toks, ln, k, 1)
+            rels.setdefault(group.canon(deg), []).append(tuple(vals))
         elif head == "one" and not is_module:
             one = tuple(_ints(toks, ln, 1))
-        elif head == "mult" and not is_module:
-            dg, pos = _deg(toks, ln, 1, k)
-            dh, pos = _deg(toks, ln, pos, k)
-            vals = _ints(toks, ln, pos)
+        elif head == ("act" if is_module else "mult"):
+            (dc, dh), vals, col = _degrees(toks, ln, k, 2)
             if len(vals) < 2:
-                raise ParseError("mult needs indices i j", ln, pos + 1)
-            entries[(group.canon(dg), group.canon(dh), vals[0], vals[1])] = \
-                tuple(vals[2:])
-        elif head == "act" and is_module:
-            dc, pos = _deg(toks, ln, 1, k)
-            dh, pos = _deg(toks, ln, pos, k)
-            vals = _ints(toks, ln, pos)
-            if len(vals) < 2:
-                raise ParseError("act needs indices p j", ln, pos + 1)
+                raise ParseError(f"{head} needs indices "
+                                 f"{'p' if is_module else 'i'} j", ln, col)
             entries[(group.canon(dc), group.canon(dh), vals[0], vals[1])] = \
                 tuple(vals[2:])
         else:
@@ -298,7 +296,8 @@ def _parse_ring_like(ws, tokens, lineno, lines, is_module: bool):
             raise ParseError("ring lacks a 'one' line", lineno, 1)
         try:
             ws.rings[name] = GradedRing(group, ws.n, comps, action, one)
-        except GradedError as exc:
+        except (GradedError, LinAlgError) as exc:
+            # LinAlgError: a unit of the wrong length
             raise ValidationError(str(exc))
     ws.meta[name] = (tokens[2],)
 
@@ -355,12 +354,10 @@ def _parse_maps_section(ws, tokens, lineno, lines, kind: str):
             break
         if toks[0] != "map":
             raise ParseError("expected 'map' or 'end'", ln, 1)
-        deg, pos = _deg(toks, ln, 1, k)
-        deg = group.canon(deg)
-        vals = _ints(toks, ln, pos)
+        (deg,), vals, col = _degrees(toks, ln, k, 1)
         if not vals:
-            raise ParseError("map needs a generator index", ln, pos + 1)
-        rows.setdefault(deg, {})[vals[0]] = tuple(vals[1:])
+            raise ParseError("map needs a generator index", ln, col)
+        rows.setdefault(group.canon(deg), {})[vals[0]] = tuple(vals[1:])
     maps = {}
     for deg, by_idx in rows.items():
         ngens = comp_of(deg).ngens

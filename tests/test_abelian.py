@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedmod.abelian import (GroupEpi, GroupError, NotSurjective,
-                               NotWellDefined, kernel_elements,
-                               kernel_is_finite, make_epi, make_group,
-                               smith_normal_form)
+from gradedmod.abelian import (FgAbelianGroup, GroupEpi, GroupError,
+                               NotSurjective, NotWellDefined,
+                               kernel_elements, kernel_is_finite, make_epi,
+                               make_group, smith_normal_form)
 from gradedmod.graded import GradedMorphism, GradedRing, ring_as_module
 from gradedmod.znlinalg import FpZnModule
 
@@ -122,6 +122,48 @@ def test_group_arithmetic_is_canonical(a, b):
             op(list(a)[:1], b)
     with pytest.raises(GroupError):
         g.neg(tuple(a) + (1,))
+
+
+def _generic(moduli, *vecs, op):
+    """The general formula: `op` coordinatewise, then reduced mod each
+    finite factor."""
+    return tuple(op(*xs) % m if m else op(*xs)
+                 for *xs, m in zip(*vecs, moduli))
+
+
+_moduli = st.lists(st.sampled_from([0, 2, 3, 5, 12]), max_size=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_moduli, st.data())
+def test_direct_paths_agree_with_the_general_formula(moduli, data):
+    """Groups of no, one, two and three factors, finite and infinite: the
+    direct paths for no factor and one factor give the general loop's
+    tuples, and every length still has to match."""
+    g = make_group(moduli)
+    vec = st.lists(st.integers(-40, 40), min_size=len(moduli),
+                   max_size=len(moduli))
+    a, b = data.draw(vec), data.draw(vec.map(tuple))
+    assert g.add(a, b) == _generic(moduli, a, b, op=lambda x, y: x + y)
+    assert g.sub(a, b) == _generic(moduli, a, b, op=lambda x, y: x - y)
+    assert g.neg(a) == _generic(moduli, a, op=lambda x: -x)
+    assert g.canon(a) == _generic(moduli, a, op=lambda x: x)
+    for wrong in (list(a) + [0], list(a)[1:]):
+        if len(wrong) == len(moduli):
+            continue
+        for call in (lambda: g.add(wrong, b), lambda: g.add(b, wrong),
+                     lambda: g.sub(wrong, b), lambda: g.sub(b, wrong),
+                     lambda: g.neg(wrong), lambda: g.canon(wrong)):
+            with pytest.raises(GroupError, match="^coordinate length "
+                                                 "mismatch$"):
+                call()
+
+
+def test_group_arithmetic_stays_on_the_class():
+    """The benchmark tracer counts calls by patching class attributes, so
+    the arithmetic stays plain methods of the class."""
+    for name in ("canon", "add", "sub", "neg"):
+        assert callable(vars(FgAbelianGroup)[name])
 
 
 @settings(max_examples=80, deadline=None)

@@ -572,6 +572,55 @@ def test_scenario_lines_never_crash(fuzz_dir, lines):
         assert out.getvalue().count("\n") == 1
 
 
+# whole shipped scenario files, mutated line by line: dropped, duplicated
+# and swapped lines, and tokens replaced by keywords, names, integers and
+# junk
+_SHIPPED = scenarios.available_scenarios()
+_FILE_TOKENS = st.sampled_from(
+    ["0", "1", "-1", "2", "3", "x", "1.5", "end", "ring", "module",
+     "component", "rel", "one", "mult", "act", "map", "row", "derive",
+     "check", "R", "S", "M", "h", "G", "nosuch", "#"])
+_FILE_EDITS = st.lists(
+    st.tuples(st.sampled_from(["drop", "duplicate", "swap", "replace"]),
+              st.integers(0, 999), st.integers(0, 999), _FILE_TOKENS),
+    min_size=1, max_size=4)
+
+
+def _mutated(text, edits):
+    lines = text.splitlines()
+    for op, a, b, token in edits:
+        if not lines:
+            break
+        i, j = a % len(lines), b % len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif lines[i].split():
+            tokens = lines[i].split()
+            tokens[b % len(tokens)] = token
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_SHIPPED)), _FILE_EDITS)
+def test_mutated_scenario_files_never_crash(fuzz_dir, name, edits):
+    p = fuzz_dir / "mutated.scn"
+    p.write_text(_mutated(_SHIPPED[name], edits))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--input", str(p), "validate"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue().rstrip().endswith("status: failed")
+    if code == 2:
+        assert out.getvalue().startswith("error: ")
+        assert out.getvalue().count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # argument parsing: one subparser per call, read as the full parser reads
 

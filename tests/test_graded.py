@@ -17,7 +17,9 @@ from gradedmod.graded import (GradedError, GradedModule, GradedMorphism,
                               shift_morphism)
 from gradedmod.znlinalg import FpZnModule, mat_mul
 from util import (reference_module_failure, reference_morphism_failure,
-                  reference_ring_failure, reference_ring_hom_failure)
+                  reference_ring_failure, reference_ring_hom_failure,
+                  reference_validate_module, reference_validate_morphism,
+                  reference_validate_ring, reference_validate_ring_hom)
 
 G0 = make_group([])
 D0 = ()
@@ -462,6 +464,156 @@ def test_ring_hom_check_agrees_with_the_reference(seed):
         return GradedRingHom(r, s, maps, validate=validate)
     assert _accepts(build) == (reference_ring_hom_failure(build(False))
                                is None)
+
+
+# ---------------------------------------------------------------------------
+# the validation kernel against the loops it replaced: the same first
+# failing check, with the same message
+
+
+def _raised(check):
+    """(type, message) of the GradedError that `check()` raises, or None."""
+    try:
+        check()
+    except GradedError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _perturb_relation(comps, rng, n):
+    """`comps` with one component given one more random relation, or one
+    fewer."""
+    comps = dict(comps)
+    d = rng.choice(sorted(comps))
+    c = comps[d]
+    rels = list(c.rels)
+    if rels and rng.random() < 0.3:
+        rels.pop(rng.randrange(len(rels)))
+    else:
+        rels.append(tuple(rng.randrange(n) for _ in range(c.ngens)))
+    comps[d] = FpZnModule(n, c.ngens, rels)
+    return comps
+
+
+def _some_ring(rng, instances):
+    """A valid ring: a random table, or R or S of a named instance."""
+    if rng.random() < 0.5:
+        return _valid_ring(rng)
+    inst = instances[rng.choice(sorted(instances))]
+    return inst[rng.choice(["ring_r", "ring_s"])]
+
+
+def _full_tensors(ring, comps, tensors):
+    """`tensors` at every pair of degrees with a target, zero ones too, so
+    that absent tensors can be perturbed."""
+    full = {}
+    for dc, rc in ring.components.items():
+        for dh, mc in comps.items():
+            out = comps.get(ring.group.add(dc, dh))
+            if out is not None:
+                full[(dc, dh)] = tensors.get((dc, dh)) or [
+                    [[0] * out.ngens for _ in range(mc.ngens)]
+                    for _ in range(rc.ngens)]
+    return full
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ring_check_raises_the_reference_message(instances, seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        group, n, comps, mult, one = _random_ring_data(rng)
+    else:
+        ring = _some_ring(rng, instances)
+        group, n, one = ring.group, ring.n, ring.one
+        comps, mult = ring.components, _full_tensors(ring, ring.components,
+                                                     ring.mult)
+    kind = rng.randrange(4)
+    if kind == 0:
+        mult = _perturb(mult, rng, n, symmetric=rng.random() < 0.5)
+    elif kind == 1:
+        comps = _perturb_relation(comps, rng, n)
+    elif kind == 2:
+        one = tuple(rng.randrange(n) for _ in one)
+    try:
+        ring = GradedRing(group, n, comps, mult, one, validate=False)
+    except GradedError:
+        return  # a zero unit is refused before any axiom is checked
+    assert _raised(ring._validate) == _raised(
+        lambda: reference_validate_ring(ring))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_module_check_raises_the_reference_message(instances, seed):
+    rng = random.Random(seed)
+    ring = _some_ring(rng, instances)
+    m = corpus.random_module(ring, rng)
+    comps, action = m.components, m.action
+    kind = rng.randrange(3)
+    if kind == 0:
+        action = _perturb(_full_tensors(ring, comps, action), rng, ring.n)
+    elif kind == 1:
+        comps = _perturb_relation(comps, rng, ring.n)
+    module = GradedModule(ring, comps, action, validate=False)
+    assert _raised(module._validate) == _raised(
+        lambda: reference_validate_module(module))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_morphism_check_raises_the_reference_message(instances, seed):
+    rng = random.Random(seed)
+    ring = _some_ring(rng, instances)
+    m1, m2, u = corpus.random_endo_pair(ring, rng)
+    maps = u.maps
+    if rng.random() < 0.7:
+        maps = _perturb_maps(maps, m1, m2, rng, ring.n)
+    u = GradedMorphism(m1, m2, maps, validate=False)
+    assert _raised(u._validate) == _raised(
+        lambda: reference_validate_morphism(u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ring_hom_check_raises_the_reference_message(instances, seed):
+    rng = random.Random(seed)
+    h = instances[rng.choice(sorted(instances))]["h"]
+    maps = h.maps
+    if rng.random() < 0.8:
+        maps = _perturb_maps(maps, h.source, h.target, rng, h.source.n)
+    h = GradedRingHom(h.source, h.target, maps, validate=False)
+    assert _raised(h._validate) == _raised(
+        lambda: reference_validate_ring_hom(h))
+
+
+def test_module_check_names_the_first_failure_in_loop_order():
+    """R = F_2 e1 + F_2 e2 + F_2 e3 with orthogonal idempotents, in degree
+    0 of Z, and M = F_2^2 in degrees 0 and 1, on which e1, e2 act by A1,
+    A2 and e3 by 1 - A1 - A2.  With y = e1, associativity fails at x = e2
+    and e3 in degree 0 and at x = e1 in degree 1; the generators x are the
+    outer loop, so degree 1 is named."""
+    z0, z1 = (0,), (1,)
+    e = _identity_rows(3)
+    table = tuple(tuple(e[i] if i == j else (0, 0, 0) for j in range(3))
+                  for i in range(3))
+    ring = GradedRing(make_group([0]), 2, {z0: FpZnModule(2, 3)},
+                      {(z0, z0): table}, (1, 1, 1))
+    assert ring.algebra_generators[0] == (z0, e[0])
+
+    def acting(a1, a2):
+        a3 = tuple(tuple((int(r == c) + x + y) % 2
+                         for c, (x, y) in enumerate(zip(r1, r2)))
+                   for r, (r1, r2) in enumerate(zip(a1, a2)))
+        return a1, a2, a3
+    action = {(z0, z0): acting(((0, 0), (0, 1)), ((0, 0), (0, 1))),
+              (z0, z1): acting(((0, 0), (1, 0)), ((0, 0), (0, 0)))}
+    m = GradedModule(ring, {z0: FpZnModule(2, 2), z1: FpZnModule(2, 2)},
+                     action, validate=False)
+    expected = "associativity of the action fails at (0,),(0,),(1,)"
+    assert _raised(m._validate) == (GradedError, expected)
+    assert _raised(lambda: reference_validate_module(m)) == (GradedError,
+                                                             expected)
 
 
 def test_light_test_catches_failures_off_the_generators():

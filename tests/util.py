@@ -6,11 +6,13 @@ from gradedmod import analyze, canonical
 from gradedmod.abelian import make_group
 from gradedmod.functors import (coextend, hom_degree, mixed_hom, mixed_tensor,
                                 restrict)
-from gradedmod.graded import (GradedError, GradedModule, GradedMorphism,
-                              GradedRing, GradedRingHom, _unit_vec,
-                              apply_tensor, coarse_layout, coarsen_module,
-                              coarsen_ring, coarsen_ring_hom, free_module,
-                              graded_kernel, ring_as_module, shift)
+from gradedmod.graded import (_MODULE_WORDS, _RING_WORDS, GradedError,
+                              GradedModule, GradedMorphism, GradedRing,
+                              GradedRingHom, _image, _maps_well_defined,
+                              _product, _unit_vec, apply_tensor,
+                              coarse_layout, coarsen_module, coarsen_ring,
+                              coarsen_ring_hom, free_module, graded_kernel,
+                              ring_as_module, shift, zero_component)
 from gradedmod.znlinalg import FpZnModule, prune
 
 
@@ -626,3 +628,125 @@ def reference_ring_hom_failure(h):
                     != tgt.multiply(h.apply(x), h.apply(y))[1]):
                 return "multiplicativity", (x, y)
     return None
+
+
+# The library's validation loops as they stood before the checks read rows
+# and columns of the stored tensors: every product is a bilinear evaluation
+# by `apply_tensor`, every degree sum is taken in the innermost loop, and
+# absent tensors are evaluated like present ones.  Each raises the same
+# GradedError, with the same message, as the `_validate` it stands for.
+
+
+def reference_check_module_axioms(ring, comps, tensors, words):
+    """`graded._check_module_axioms`: support, unit, well-definedness, then
+    associativity with y over the ring's algebra generators."""
+    what, unit, assoc = words
+    g = ring.group
+    for dg, dh in tensors:
+        if g.add(dg, dh) not in comps:
+            raise GradedError(f"{what} leaves the declared support")
+    zero = g.zero()
+    for dh, ch in comps.items():
+        t = tensors.get((zero, dh))
+        for j in range(ch.ngens):
+            ej = _unit_vec(ch.ngens, j)
+            if apply_tensor(t, ring.one, ej, ch) != ch.reduce(ej):
+                raise GradedError(f"{unit} fails at degree {dh}")
+    none = zero_component(ring.n)
+    for dg, cg in ring.components.items():
+        for dh, ch in comps.items():
+            out = comps.get(g.add(dg, dh), none)
+            t = tensors.get((dg, dh))
+            for r in cg.rels:
+                for j in range(ch.ngens):
+                    if any(apply_tensor(t, r, _unit_vec(ch.ngens, j), out)):
+                        raise GradedError(
+                            f"{what} not well defined at {dg},{dh}")
+            for s in ch.rels:
+                for i in range(cg.ngens):
+                    if any(apply_tensor(t, _unit_vec(cg.ngens, i), s, out)):
+                        raise GradedError(
+                            f"{what} not well defined at {dg},{dh}")
+    rcomps, rmult = ring.components, ring.mult
+    for dy, y in ring.algebra_generators:
+        ym = {dh: (g.add(dy, dh),
+                   [_product(g, comps, tensors, dy, y, dh,
+                             _unit_vec(ch.ngens, k))[1]
+                    for k in range(ch.ngens)])
+              for dh, ch in comps.items()}
+        for dx, cx in rcomps.items():
+            for i in range(cx.ngens):
+                x = _unit_vec(cx.ngens, i)
+                dxy, xy = _product(g, rcomps, rmult, dx, x, dy, y)
+                for dh, ch in comps.items():
+                    dyh, yms = ym[dh]
+                    out = comps.get(g.add(dxy, dh), none)
+                    left = tensors.get((dxy, dh))
+                    right = tensors.get((dx, dyh))
+                    for k in range(ch.ngens):
+                        if (apply_tensor(left, xy, _unit_vec(ch.ngens, k), out)
+                                != apply_tensor(right, x, yms[k], out)):
+                            raise GradedError(
+                                f"{assoc} fails at {dx},{dy},{dh}")
+
+
+def reference_validate_ring(ring):
+    """`GradedRing._validate`: commutativity, then the module axioms."""
+    g, comps, mult = ring.group, ring.components, ring.mult
+    for dy, y in (ring.one_element(),) + ring.algebra_generators:
+        for dx, cx in comps.items():
+            for i in range(cx.ngens):
+                x = _unit_vec(cx.ngens, i)
+                if (_product(g, comps, mult, dx, x, dy, y)
+                        != _product(g, comps, mult, dy, y, dx, x)):
+                    lo, hi = sorted((dx, dy))
+                    raise GradedError(
+                        f"commutativity fails at degrees {lo},{hi}")
+    reference_check_module_axioms(ring, comps, mult, _RING_WORDS)
+
+
+def reference_validate_module(module):
+    """`GradedModule._validate`."""
+    reference_check_module_axioms(module.ring, module.components,
+                                  module.action, _MODULE_WORDS)
+
+
+def reference_validate_morphism(u):
+    """`GradedMorphism._validate`: well-definedness, then R-linearity."""
+    _maps_well_defined(u)
+    src, tgt = u.source, u.target
+    g = src.ring.group
+    for dr, r in src.ring.algebra_generators:
+        for dh, sc in src.components.items():
+            for j in range(sc.ngens):
+                x = _unit_vec(sc.ngens, j)
+                drx, rx = _product(g, src.components, src.action,
+                                   dr, r, dh, x)
+                _, rux = _product(g, tgt.components, tgt.action,
+                                  dr, r, dh, _image(u, dh, x))
+                if _image(u, drx, rx) != rux:
+                    raise GradedError(
+                        f"morphism is not linear at degrees {dr},{dh}")
+
+
+def reference_validate_ring_hom(h):
+    """`GradedRingHom._validate`: well-definedness, the unit, then
+    multiplicativity."""
+    _maps_well_defined(h)
+    _, one_img = h.apply(h.source.one_element())
+    if one_img != h.target.one:
+        raise GradedError("ring morphism does not preserve the unit")
+    src, tgt = h.source, h.target
+    g = src.group
+    for dy, y in src.algebra_generators:
+        hy = _image(h, dy, y)
+        for dx, cx in src.components.items():
+            for i in range(cx.ngens):
+                x = _unit_vec(cx.ngens, i)
+                dxy, xy = _product(g, src.components, src.mult,
+                                   dx, x, dy, y)
+                _, hxhy = _product(g, tgt.components, tgt.mult,
+                                   dx, _image(h, dx, x), dy, hy)
+                if _image(h, dxy, xy) != hxhy:
+                    raise GradedError(
+                        f"ring morphism not multiplicative at {dx},{dy}")
