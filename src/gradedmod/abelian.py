@@ -10,8 +10,6 @@ verified at construction, the latter via Smith normal form over Z.
 
 from __future__ import annotations
 
-import itertools
-
 
 class GroupError(Exception):
     """Raised for invalid groups, elements or would-be epimorphisms."""
@@ -127,17 +125,8 @@ class FgAbelianGroup:
         return f"FgAbelianGroup({list(self.moduli)})"
 
     @property
-    def rank(self) -> int:
-        """Number of infinite cyclic factors."""
-        return sum(1 for m in self.moduli if m == 0)
-
-    @property
     def is_trivial(self) -> bool:
         return not self.moduli
-
-    @property
-    def is_finite(self) -> bool:
-        return self.rank == 0
 
     def canon(self, coords) -> tuple[int, ...]:
         coords = tuple(coords)
@@ -192,20 +181,6 @@ class FgAbelianGroup:
 
     def element_order_divides(self, m: int, coords) -> bool:
         return self.canon([m * c for c in coords]) == self.zero()
-
-    def elements(self):
-        """All elements; only available for finite groups."""
-        if not self.is_finite:
-            raise GroupError("cannot enumerate an infinite group")
-        return (tuple(t) for t in itertools.product(*[range(m) for m in self.moduli]))
-
-    def cardinality(self) -> int:
-        if not self.is_finite:
-            raise GroupError("infinite group")
-        card = 1
-        for m in self.moduli:
-            card *= m
-        return card
 
 
 class GroupEpi:
@@ -285,18 +260,3 @@ def make_group(moduli) -> FgAbelianGroup:
 
 def make_epi(source: FgAbelianGroup, target: FgAbelianGroup, matrix) -> GroupEpi:
     return GroupEpi(source, target, matrix)
-
-
-def kernel_is_finite(psi: GroupEpi) -> bool:
-    """True iff ker(psi) is finite.
-
-    Since psi is surjective, the kernel is finite exactly when source and
-    target have equal torsion-free rank.
-    """
-    return psi.source.rank == psi.target.rank
-
-
-def kernel_elements(psi: GroupEpi):
-    """Enumerate the kernel; only available for finite sources."""
-    zero = psi.target.zero()
-    return (x for x in psi.source.elements() if psi.apply(x) == zero)

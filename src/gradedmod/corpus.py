@@ -4,20 +4,23 @@ The named instances are the recurring examples: the quotient Z/4 -> Z/2,
 the inclusion of F_2 into F_2[t]/(t^2) (graded by Z/2 with deg t = 1 and
 ungraded), the truncated polynomial ring F_2[X]/(X^3) with its quotient by
 (X^2) (ungraded, Z/3-graded, and Z-graded), and the coarsening maps between
-their grading groups.  The random generators draw modules from shifts, sums
-and quotients of the ring, up to a bounded size, and morphisms
-uniformly from the presentation of Hom(M, N)_0, so properties quantified
-over "all modules/morphisms" are exercised on a reproducible sample.
+their grading groups.  Every named ring but those of Z/4 -> Z/2 comes from
+`graded.monomial_ring`, and every named quotient from
+`graded.monomial_quotient`, on the standard monomial basis.  The random
+generators draw modules from shifts, sums and quotients of the ring, up to
+a bounded size, and morphisms uniformly from the presentation of
+Hom(M, N)_0, so properties quantified over "all modules/morphisms" are
+exercised on a reproducible sample.
 """
 
 from __future__ import annotations
 
 import random
 
-from .abelian import FgAbelianGroup, GroupEpi, make_epi, make_group
+from .abelian import GroupEpi, make_epi, make_group
 from .graded import (GradedModule, GradedMorphism, GradedRing, GradedRingHom,
                      direct_sum, graded_cokernel, graded_submodule,
-                     ring_as_module, shift)
+                     monomial_quotient, monomial_ring, ring_as_module, shift)
 from .functors import hom_degree
 from .znlinalg import FpZnModule
 
@@ -39,19 +42,18 @@ def z4_to_z2():
             "psi": GroupEpi.identity(g0)}
 
 
+def _frobenius(group, degt):
+    """F_2 -> F_2[t]/(t^2) over `group`, deg t = degt, and the epi onto 0."""
+    r = monomial_ring(group, 2, [], [])
+    s = monomial_ring(group, 2, [degt], [(2,)])
+    return {"ring_r": r, "ring_s": s,
+            "h": GradedRingHom(r, s, {group.zero(): (s.one,)}),
+            "psi": make_epi(group, make_group([]), [[]] * len(group.moduli))}
+
+
 def frobenius():
     """F_2 -> F_2[t]/(t^2), graded by Z/2 with deg t = 1 (n = 2)."""
-    g = make_group([2])
-    c1 = FpZnModule(2, 1, [])
-    s = GradedRing(g, 2, {(0,): c1, (1,): c1},
-                   {((0,), (0,)): (((1,),),),
-                    ((0,), (1,)): (((1,),),),
-                    ((1,), (0,)): (((1,),),)},
-                   (1,))
-    r = GradedRing(g, 2, {(0,): c1}, {((0,), (0,)): (((1,),),)}, (1,))
-    h = GradedRingHom(r, s, {(0,): ((1,),)})
-    psi = make_epi(g, make_group([]), [[]])
-    return {"ring_r": r, "ring_s": s, "h": h, "psi": psi}
+    return _frobenius(make_group([2]), (1,))
 
 
 def frobenius_ungraded():
@@ -62,77 +64,31 @@ def frobenius_ungraded():
     nontrivial grading the self-duality acquires a shift and the two
     functors differ.)
     """
-    g0 = make_group([])
-    d0 = ()
-    s = GradedRing(g0, 2, {d0: FpZnModule(2, 2, [])},
-                   {(d0, d0): (((1, 0), (0, 1)), ((0, 1), (0, 0)))},
-                   (1, 0))
-    r = GradedRing(g0, 2, {d0: FpZnModule(2, 1, [])},
-                   {(d0, d0): (((1,),),)}, (1,))
-    h = GradedRingHom(r, s, {d0: ((1, 0),)})
-    return {"ring_r": r, "ring_s": s, "h": h,
-            "psi": GroupEpi.identity(g0)}
+    return _frobenius(make_group([]), ())
 
 
-def _truncated_mult_tensor():
-    """Structure constants of F_2[X]/(X^3) on the basis 1, X, X^2."""
-    def basis(i, j):
-        out = [0, 0, 0]
-        if i + j <= 2:
-            out[i + j] = 1
-        return tuple(out)
-    return tuple(tuple(basis(i, j) for j in range(3)) for i in range(3))
+def _truncated_quotient(group, degx):
+    """F_2[X]/(X^3) ->> F_2[X]/(X^2) over `group`, deg X = degx, and the
+    epi onto 0."""
+    h = monomial_quotient(group, 2, [degx], [(3,)], [(2,)])
+    return {"ring_r": h.source, "ring_s": h.target, "h": h,
+            "psi": make_epi(group, make_group([]), [[]] * len(group.moduli))}
 
 
 def d25e():
     """R = F_2[X]/(X^3) ->> R/(X^2), ungraded (n = 2)."""
-    g0 = make_group([])
-    d0 = ()
-    t = _truncated_mult_tensor()
-    r = GradedRing(g0, 2, {d0: FpZnModule(2, 3, [])}, {(d0, d0): t},
-                   (1, 0, 0))
-    s = GradedRing(g0, 2, {d0: FpZnModule(2, 3, [(0, 0, 1)])},
-                   {(d0, d0): t}, (1, 0, 0))
-    h = GradedRingHom(r, s,
-                      {d0: ((1, 0, 0), (0, 1, 0), (0, 0, 1))})
-    return {"ring_r": r, "ring_s": s, "h": h,
-            "psi": GroupEpi.identity(g0)}
-
-
-def _graded_truncated(group: FgAbelianGroup, degx, quotient: bool):
-    """F_2[X]/(X^3) graded with deg X = degx; optionally modulo (X^2)."""
-    c1 = FpZnModule(2, 1, [])
-    zero = group.zero()
-    d1 = group.canon(degx)
-    d2 = group.add(d1, d1)
-    comps = {zero: c1, d1: c1,
-             d2: FpZnModule(2, 1, [(1,)] if quotient else [])}
-    mult = {}
-    degs = {zero: 0, d1: 1, d2: 2}
-    for da, pa in degs.items():
-        for db, pb in degs.items():
-            if pa + pb <= 2:
-                out = group.add(da, db)
-                if out in comps and comps[out].ngens:
-                    mult[(da, db)] = (((1,),),)
-    ring = GradedRing(group, 2, comps, mult, (1,))
-    return ring
+    return _truncated_quotient(make_group([]), ())
 
 
 def d25e_z3():
     """The d25e instance graded by Z/3 with deg X = 1 (n = 2)."""
-    g = make_group([3])
-    r = _graded_truncated(g, (1,), False)
-    s = _graded_truncated(g, (1,), True)
-    h = GradedRingHom(r, s, {d: ((1,),) for d in r.components})
-    psi = make_epi(g, make_group([]), [[]])
-    return {"ring_r": r, "ring_s": s, "h": h, "psi": psi}
+    return _truncated_quotient(make_group([3]), (1,))
 
 
 def zgraded_truncated():
     """F_2[X]/(X^3), Z-graded with deg X = 1, and psi: Z -> 0 (n = 2)."""
     g = make_group([0])
-    r = _graded_truncated(g, (1,), False)
+    r = monomial_ring(g, 2, [(1,)], [(3,)])
     psi = make_epi(g, make_group([]), [[]])
     return {"ring_r": r, "ring_s": r,
             "h": GradedRingHom.identity(r), "psi": psi}

@@ -29,6 +29,8 @@ is spelled out at `_check_module_axioms` and at the `_validate` methods.
 
 from __future__ import annotations
 
+import itertools
+
 from .abelian import FgAbelianGroup, GroupEpi
 from .znlinalg import (FpZnModule, howell, identity_matrix, mat_mul,
                        preimage_gens, reduce_mod_span, row_kernel, solve_rows,
@@ -560,7 +562,11 @@ class GradedRing:
         zero = group.zero()
         if zero not in self.components:
             raise GradedError("a nonzero graded ring needs a degree-zero component")
-        self.one = self.components[zero].reduce(one)
+        unit = self.components[zero]
+        if len(one) != unit.ngens:
+            raise GradedError(f"one: coefficient count {len(one)}, expected "
+                              f"{unit.ngens} (the generators of degree 0)")
+        self.one = unit.reduce(one)
         if not any(self.one):
             raise GradedError("the unit of the ring must be nonzero")
         self._algebra_gens = self._factors = self._nilpotents = None
@@ -1001,6 +1007,81 @@ class GradedRingHom:
     _key = _maps_key
     __eq__ = _key_eq
     __hash__ = _key_hash
+
+
+# ---------------------------------------------------------------------------
+# monomial rings
+
+
+def _divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _monomial_ring(group, n, degrees, ideal, killed=()):
+    """`monomial_ring`, and each standard monomial's degree and index among
+    the generators there; `killed` is only checked."""
+    degrees = [group.canon(d) for d in degrees]
+    if any(len(e) != len(degrees) or min(e, default=0) < 0
+           for e in [*ideal, *killed]):
+        raise GradedError(f"an exponent vector does not fit {len(degrees)} "
+                          "variables")
+    bounds = []
+    for i in range(len(degrees)):
+        powers = [e[i] for e in ideal if not any(e[:i] + e[i + 1:])]
+        if not powers:
+            raise GradedError(f"the ideal holds no power of X_{i + 1}, "
+                              "so the ring is not finite")
+        bounds.append(min(powers))
+    standard = sorted((e for e in itertools.product(*map(range, bounds))
+                       if not any(_divides(g, e) for g in ideal)),
+                      key=lambda e: (sum(e), [-x for x in e]))
+    where, sizes = {}, {}
+    for e in standard:
+        d = group.canon([sum(x * g[c] for x, g in zip(e, degrees))
+                         for c in range(len(group.moduli))])
+        where[e] = (d, sizes.get(d, 0))
+        sizes[d] = sizes.get(d, 0) + 1
+    mult = {}
+    for a, (da, i) in where.items():
+        for b, (db, j) in where.items():
+            c = tuple(x + y for x, y in zip(a, b))
+            if c in where:
+                dc, k = where[c]
+                t = mult.setdefault((da, db), [[(0,) * sizes[dc]] * sizes[db]
+                                               for _ in range(sizes[da])])
+                t[i][j] = _unit_vec(sizes[dc], k)
+    comps = {d: FpZnModule(n, k) for d, k in sizes.items()}
+    one = _unit_vec(sizes.get(group.zero(), 1), 0)
+    return GradedRing(group, n, comps, mult, one), where
+
+
+def monomial_ring(group: FgAbelianGroup, n: int, degrees, ideal) -> GradedRing:
+    """The ring (Z/n)[X_1..X_r]/I with deg X_i = degrees[i].
+
+    I is given by monomial generators, as exponent tuples of length r.  It
+    must hold a pure power of every variable, or the ring would not be
+    finite and GradedError is raised.  Each component is free on its
+    standard monomials (those no generator of I divides), by total degree
+    and then with X_1 before X_2: X_1^2, X_1 X_2, X_2^2.  With one variable
+    that is 1, X, X^2, ...; with none the ring is Z/n in degree 0.
+    """
+    return _monomial_ring(group, n, degrees, ideal)[0]
+
+
+def monomial_quotient(group: FgAbelianGroup, n: int, degrees, ideal,
+                      killed) -> GradedRingHom:
+    """R -> R/J for R = monomial_ring(group, n, degrees, ideal) and the
+    monomial ideal J generated by `killed`: R/J keeps R's generators and
+    adds relations that kill the standard monomials in J, so h has identity
+    matrices."""
+    r, where = _monomial_ring(group, n, degrees, ideal, killed)
+    rels = {}
+    for e, (d, i) in where.items():
+        if any(_divides(g, e) for g in killed):
+            rels.setdefault(d, []).append(_unit_vec(r.components[d].ngens, i))
+    s = GradedRing(group, n, {d: FpZnModule(n, c.ngens, rels.get(d, ()))
+                              for d, c in r.components.items()}, r.mult, r.one)
+    return GradedRingHom(r, s, _identity_maps(r))
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,7 @@ def _parse_ring_like(ws, tokens, lineno, lines, is_module: bool):
     ngens = {}
     rels = {}
     one = None
+    # (dc, dh, i, j) -> (coefficients, line, column of i)
     entries = {}
     while True:
         ln, toks = lines.next_tokens()
@@ -267,14 +268,14 @@ def _parse_ring_like(ws, tokens, lineno, lines, is_module: bool):
             (deg,), vals, _ = _degrees(toks, ln, k, 1)
             rels.setdefault(group.canon(deg), []).append(tuple(vals))
         elif head == "one" and not is_module:
-            one = tuple(_ints(toks, ln, 1))
+            one, one_ln = tuple(_ints(toks, ln, 1)), ln
         elif head == ("act" if is_module else "mult"):
             (dc, dh), vals, col = _degrees(toks, ln, k, 2)
             if len(vals) < 2:
                 raise ParseError(f"{head} needs indices "
                                  f"{'p' if is_module else 'i'} j", ln, col)
             entries[(group.canon(dc), group.canon(dh), vals[0], vals[1])] = \
-                tuple(vals[2:])
+                (tuple(vals[2:]), ln, col)
         else:
             raise ParseError(f"unknown {kind} line {head!r}", ln, 1)
     try:
@@ -284,27 +285,34 @@ def _parse_ring_like(ws, tokens, lineno, lines, is_module: bool):
         raise ValidationError(str(exc))
     if is_module:
         action = _assemble_tensors(entries, lambda dc: ring.component(dc),
-                                   comps, group, lineno)
+                                   comps, group, k)
         try:
             ws.modules[name] = GradedModule(ring, comps, action)
         except GradedError as exc:
             raise ValidationError(str(exc))
     else:
         action = _assemble_tensors(entries, lambda dc: comps.get(
-            dc, FpZnModule(ws.n, 0, [])), comps, group, lineno)
+            dc, FpZnModule(ws.n, 0, [])), comps, group, k)
         if one is None:
             raise ParseError("ring lacks a 'one' line", lineno, 1)
+        unit = comps.get(group.zero())
+        if unit is not None and unit.ngens and len(one) != unit.ngens:
+            raise ParseError(f"one: coefficient count {len(one)}, expected "
+                             f"{unit.ngens}", one_ln,
+                             2 + min(len(one), unit.ngens))
         try:
             ws.rings[name] = GradedRing(group, ws.n, comps, action, one)
-        except (GradedError, LinAlgError) as exc:
-            # LinAlgError: a unit of the wrong length
+        except GradedError as exc:
             raise ValidationError(str(exc))
     ws.meta[name] = (tokens[2],)
 
 
-def _assemble_tensors(entries, left_comp, comps, group, lineno):
+def _assemble_tensors(entries, left_comp, comps, group, k):
+    """The structure tensors of a section's `mult` or `act` lines; an error
+    names the line of its entry and the column of the offending token,
+    whose degrees take k integers each."""
     tensors = {}
-    for (dc, dh, i, j), coeffs in entries.items():
+    for (dc, dh, i, j), (coeffs, ln, col) in entries.items():
         out_deg = group.add(dc, dh)
         out = comps.get(out_deg)
         if out is None or not out.ngens:
@@ -316,16 +324,18 @@ def _assemble_tensors(entries, left_comp, comps, group, lineno):
         lc = left_comp(dc)
         rc = comps.get(dh)
         if rc is None:
-            raise ParseError(f"entry at undeclared degree {dh}", lineno)
+            raise ParseError(f"entry at undeclared degree {dh}", ln, col - k)
         t = tensors.setdefault(
             (dc, dh),
             [[[0] * out.ngens for _ in range(rc.ngens)]
              for _ in range(lc.ngens)])
-        if not (0 <= i < lc.ngens and 0 <= j < rc.ngens):
-            raise ParseError(f"index out of range at {dc},{dh}", lineno)
+        if not 0 <= i < lc.ngens:
+            raise ParseError(f"index out of range at {dc},{dh}", ln, col)
+        if not 0 <= j < rc.ngens:
+            raise ParseError(f"index out of range at {dc},{dh}", ln, col + 1)
         if len(coeffs) != out.ngens:
-            raise ParseError(f"coefficient count mismatch at {dc},{dh}",
-                             lineno)
+            raise ParseError(f"coefficient count mismatch at {dc},{dh}", ln,
+                             col + 2 + min(len(coeffs), out.ngens))
         t[i][j] = list(coeffs)
     return tensors
 

@@ -21,17 +21,18 @@ from gradedmod.abelian import make_epi, make_group
 from gradedmod.functors import coextend, extend, restrict
 from gradedmod.graded import (GradedModule, GradedMorphism, GradedRing,
                               GradedRingHom, RingMismatch, direct_sum,
-                              ring_as_module, shift)
+                              monomial_ring, ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
 from util import (IsoSearchExhausted, adjoin_truncated, diagonal,
                   group_ring, iso_search, product_ring, reference_d70_battery,
                   reference_is_free, reference_is_mono,
                   reference_is_projective, reference_is_ring_epimorphism,
-                  reference_morita_check, truncated_ring)
+                  reference_morita_check)
 from util import reference_homs as _reference_homs
 
 G0 = make_group([])
 D0 = ()
+Z = make_group([0])
 
 
 def _ungraded_ring(n, extra_rels=None):
@@ -142,8 +143,9 @@ def non_surjective_ring_maps(draw):
         ring = group_ring(n, draw(st.integers(2, 3)))
     else:
         moduli = draw(st.sampled_from([[], [0], [2], [3]]))
-        ring = truncated_ring(n, draw(st.integers(
-            1 if kind == "diagonal" else 2, 3)), moduli)
+        k = draw(st.integers(1 if kind == "diagonal" else 2, 3))
+        ring = monomial_ring(make_group(moduli), n, [[1] * len(moduli)],
+                             [(k,)])
     if kind == "diagonal":
         return diagonal(ring)
     deg_t = ring.group.canon([draw(st.integers(0, 2))
@@ -347,9 +349,10 @@ def _battery_morphism(instances, data):
         ["named", "identity", "diagonal", "adjoin"]))
     if kind == "named":
         return instances[data.draw(st.sampled_from(sorted(instances)))]["h"]
-    ring = truncated_ring(data.draw(st.sampled_from([2, 3, 4])),
-                          data.draw(st.integers(1, 3)),
-                          data.draw(st.sampled_from([[], [0], [2], [3]])))
+    n = data.draw(st.sampled_from([2, 3, 4]))
+    k = data.draw(st.integers(1, 3))
+    moduli = data.draw(st.sampled_from([[], [0], [2], [3]]))
+    ring = monomial_ring(make_group(moduli), n, [[1] * len(moduli)], [(k,)])
     if kind == "identity":
         return GradedRingHom.identity(ring)
     if kind == "diagonal":
@@ -382,7 +385,8 @@ def _orbit_morphisms(instances):
     """The named instances, then the identity and the inclusion
     R -> R[t]/(t^2) of F_2[X]/(X^2) graded by Z, Z/3 and Z/2."""
     named = [instances[name]["h"] for name in sorted(instances)]
-    rings = [truncated_ring(2, 2, moduli) for moduli in ([0], [3], [2])]
+    rings = [monomial_ring(make_group([m]), 2, [(1,)], [(2,)])
+             for m in (0, 3, 2)]
     return named + [h for ring in rings for h in (
         GradedRingHom.identity(ring),
         adjoin_truncated(ring, 2, ring.group.canon([1])))]
@@ -660,16 +664,10 @@ F2 = GradedRing(G0, 2, {D0: FpZnModule(2, 2)},
                 (1, 1))  # F_2 x F_2
 
 
-def _f3_in_degree_0(m):
-    """F_3 graded by Z/m, all in degree 0."""
-    zero = (0,)
-    return GradedRing(make_group([m]), 3, {zero: FpZnModule(3, 1)},
-                      {(zero, zero): (((1,),),)}, (1,))
-
-
-# F_3[Z/2] x F_3 graded by Z/2: its factors have the unit degrees Z/2
-# and {0}
-SPLIT_UNITS = product_ring(group_ring(3, 2), _f3_in_degree_0(2))
+# F_3[Z/2] x F_3 graded by Z/2 (F_3 in degree 0): its factors have the
+# unit degrees Z/2 and {0}
+SPLIT_UNITS = product_ring(group_ring(3, 2),
+                           monomial_ring(make_group([2]), 3, [], []))
 
 
 def _nakayama_rings():
@@ -682,11 +680,12 @@ def _nakayama_rings():
     rings = []
     for inst in corpus.named_instances().values():
         rings += [inst["ring_r"], inst["ring_s"]]
-    rings += [truncated_ring(n, k, moduli) for n, k in ((4, 3), (9, 2))
-              for moduli in ([], [0], [2])]
+    rings += [monomial_ring(make_group(moduli), n, [[1] * len(moduli)],
+                            [(k,)])
+              for n, k in ((4, 3), (9, 2)) for moduli in ([], [0], [2])]
     rings += [group_ring(n, m) for n, m in ((2, 2), (3, 2), (2, 3))]
-    rings += [truncated_ring(6, 2, []), truncated_ring(12, 2, [0]), F2,
-              SPLIT_UNITS]
+    rings += [monomial_ring(G0, 6, [()], [(2,)]),
+              monomial_ring(Z, 12, [(1,)], [(2,)]), F2, SPLIT_UNITS]
     return rings
 
 
@@ -741,7 +740,7 @@ def test_non_local_ring_splits_into_local_factors(seed):
 
 
 def test_locality_and_nilpotents():
-    zg = truncated_ring(9, 2, [0])
+    zg = monomial_ring(Z, 9, [(1,)], [(2,)])
     assert zg.factors == (((1,), 3),)
     # m = (3, X): 3 in degree 0, all of degree 1
     assert zg.nilpotent_ideals == ({(0,): ((3,),), (1,): ((1,),)},)
@@ -753,11 +752,11 @@ def test_locality_and_nilpotents():
     # CRT: 9 = 1 mod 4, 0 mod 3 and 4 = 0 mod 4, 1 mod 3 in (Z/12)[X]/(X^2);
     # J_e holds (1 - e)R: 2 and X for the first factor, 3 and X for the
     # second
-    z12 = truncated_ring(12, 2, [0])
+    z12 = monomial_ring(Z, 12, [(1,)], [(2,)])
     assert z12.factors == (((9,), 2), ((4,), 3))
     assert z12.nilpotent_ideals == ({(0,): ((2,),), (1,): ((1,),)},
                                     {(0,): ((3,),), (1,): ((1,),)})
-    assert not truncated_ring(6, 2, []).is_local
+    assert not monomial_ring(G0, 6, [()], [(2,)]).is_local
 
 
 def test_locality_is_judged_on_the_order_of_one():
@@ -798,7 +797,7 @@ def test_free_shift_walk_stops_at_an_unmatched_degree():
     # i < 30 is free, and with (R/2)(-35) and (R/3)(-39) added it is
     # projective with 31 generators per factor but not free; a walk that
     # went on past an unmatched degree would try 2^30 multisets
-    ring = truncated_ring(6, 2, [0])
+    ring = monomial_ring(Z, 6, [(1,)], [(2,)])
     factor = {m: GradedModule(ring, {d: FpZnModule(6, 1, [(m,)])
                                      for d in ring.components}, ring.mult)
               for m in (2, 3)}
@@ -819,7 +818,7 @@ def test_free_shift_walk_stops_at_an_unmatched_degree():
 @pytest.mark.parametrize("moduli", [[0], [2]])
 def test_order_9_to_the_6_modules_are_free_of_rank_3(moduli):
     # the search over candidates gave up on these at its default budget
-    ring = truncated_ring(9, 2, moduli)
+    ring = monomial_ring(make_group(moduli), 9, [(1,)], [(2,)])
     module = corpus.random_module(ring, random.Random(11))
     assert module.cardinality() == 9 ** 6
     free = A.is_free(module)
@@ -849,9 +848,9 @@ def test_morita_matches_the_reference(instances):
     # (Z/6)[X]/(X^2) ->> Z/6, the diagonal F_2 -> F_2 x F_2 and the
     # projection of SPLIT_UNITS onto F_3[Z/2], which make h_*S projective
     # and coextend(h, R) ~ S on each factor
-    z6 = truncated_ring(6, 2, [])
+    z6 = monomial_ring(G0, 6, [()], [(2,)])
     homs += [GradedRingHom.identity(r) for r in (z6, F2, SPLIT_UNITS)]
-    homs.append(GradedRingHom(z6, truncated_ring(6, 1, []),
+    homs.append(GradedRingHom(z6, monomial_ring(G0, 6, [], []),
                               {D0: ((1,), (0,))}))
     homs.append(GradedRingHom(_ungraded_ring(2), F2, {D0: ((1, 1),)}))
     homs.append(_projection(SPLIT_UNITS, group_ring(3, 2)))

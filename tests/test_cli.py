@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedmod import cli, corpus, scenarios
-from gradedmod.textio import parse_workspace, serialize_workspace
+from gradedmod.textio import (ParseError, ValidationError, parse_workspace,
+                              serialize_workspace)
 from util import reference_is_free, reference_is_projective
 
 WORKSPACE = """modulus 4
@@ -166,6 +167,8 @@ end
     RING_ONLY + "derive T frobnicate R\n",    # unknown derivation
     "modulus 1\ngroup G moduli\n",            # below the range, no component
     "modulus 4294967296\ngroup G moduli\n",   # above 2**31, no component
+    RING_ONLY.replace("one 1", "one"),        # a unit too short
+    RING_ONLY.replace("one 1", "one 1 0"),    # and too long
 ])
 def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text):
     p = tmp_path / "malformed.txt"
@@ -439,6 +442,20 @@ def test_canon_errors_name_no_scenario_line(capsys, argv, message):
     assert (code, json.loads(out)["error"]) == (2, message)
 
 
+def _exits_cleanly(argv):
+    """`cli.main(argv)` raises nothing and exits 0, 1 after `status:
+    failed`, or 2 with one error line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue().rstrip().endswith("status: failed")
+    if code == 2:
+        assert out.getvalue().startswith("error: ")
+        assert out.getvalue().count("\n") == 1
+
+
 # tokens for the name-resolution fuzz: built-in names and members, members
 # that do not exist, malformed names, and the names WORKSPACE defines
 _FUZZ_BASES = sorted(corpus.INSTANCE_BUILDERS) + ["", "nosuch"]
@@ -478,13 +495,7 @@ def test_name_resolution_never_crashes(ws_path, cmd, canon_name, tokens,
         argv = ["canon", canon_name] + tokens
     if with_input:
         argv = ["--input", ws_path] + argv
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert out.getvalue().startswith("error: ")
-        assert out.getvalue().count("\n") == 1
+    _exits_cleanly(argv)
 
 
 # a small valid workspace for the scenario-line fuzz: R = F_2[X]/(X^2)
@@ -561,15 +572,7 @@ def fuzz_dir(tmp_path_factory):
 def test_scenario_lines_never_crash(fuzz_dir, lines):
     p = fuzz_dir / "ws.txt"
     p.write_text(FUZZ_WORKSPACE + "\n".join(lines) + "\n")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["--input", str(p), "validate"])
-    assert code in (0, 1, 2)
-    if code == 1:
-        assert "status: failed" in out.getvalue()
-    if code == 2:
-        assert out.getvalue().startswith("error: ")
-        assert out.getvalue().count("\n") == 1
+    _exits_cleanly(["--input", str(p), "validate"])
 
 
 # whole shipped scenario files, mutated line by line: dropped, duplicated
@@ -610,15 +613,66 @@ def _mutated(text, edits):
 def test_mutated_scenario_files_never_crash(fuzz_dir, name, edits):
     p = fuzz_dir / "mutated.scn"
     p.write_text(_mutated(_SHIPPED[name], edits))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["--input", str(p), "validate"])
-    assert code in (0, 1, 2)
-    if code == 1:
-        assert out.getvalue().rstrip().endswith("status: failed")
-    if code == 2:
-        assert out.getvalue().startswith("error: ")
-        assert out.getvalue().count("\n") == 1
+    _exits_cleanly(["--input", str(p), "validate"])
+
+
+# raw token streams: sections whose lines carry small integers, names and
+# junk, after directive lines of such tokens.  Integers stay in [-2, 4]: a
+# component declared with thousands of generators runs its associativity
+# loop for minutes, as no work budget bounds it yet.
+_STREAM_INTS = st.integers(-2, 4).map(str)
+_STREAM_TOKENS = st.one_of(_STREAM_INTS, st.sampled_from(
+    ["moduli", "G", "R", "M", "h", "ringmod", "true", "x", "1.5", "#", "end"]))
+# header -> the keywords of its lines; "" stands for directive lines, and
+# each section defines its name before a later one refers to it
+_STREAM_SECTIONS = {
+    "": ["modulus", "group", "derive", "check", "end", "nosuch", "mult"],
+    "epi p G G": ["row"], "ring R G": ["component", "rel", "one", "mult"],
+    "ring S G": ["component", "one", "mult"],
+    "module M R": ["component", "rel", "act"], "ringhom h R S": ["map"],
+    "morphism u M M": ["map"]}
+# keyword -> (degrees on its line, integers after them): integer lines of
+# about this length get past the parser to the checks behind it
+_STREAM_SHAPES = {"component": (1, 1), "rel": (1, 1), "one": (0, 1),
+                  "mult": (2, 3), "act": (2, 3), "map": (1, 2), "row": (1, 0)}
+
+
+@st.composite
+def _streams(draw):
+    head, k = draw(st.sampled_from([
+        ("", 0), ("modulus 4\ngroup G moduli\n", 0),
+        ("modulus 6\ngroup G moduli 0\n", 1),
+        ("modulus 2\ngroup G moduli 2\n", 1)]))
+    headers = draw(st.lists(st.sampled_from(list(_STREAM_SECTIONS)),
+                            max_size=4)) + ["ring R G"] * draw(st.booleans())
+    lines = []
+    for header in sorted(headers, key=list(_STREAM_SECTIONS).index):
+        lines += [header] if header else []
+        for _ in range(draw(st.integers(0, 6 if header else 1))):
+            keyword = draw(st.sampled_from(_STREAM_SECTIONS[header]))
+            shape = _STREAM_SHAPES.get(keyword)
+            if shape and draw(st.integers(0, 3)):
+                size = max(0, shape[0] * k + shape[1]
+                           + draw(st.sampled_from([0, 0, -1, 1])))
+                tokens = draw(st.lists(_STREAM_INTS, min_size=size,
+                                       max_size=size))
+            else:
+                tokens = draw(st.lists(_STREAM_TOKENS, max_size=8))
+            lines.append(" ".join([keyword] + tokens))
+        lines += ["end"] if header and draw(st.integers(0, 9)) else []
+    return head + "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_streams())
+def test_token_streams_never_crash(fuzz_dir, text):
+    try:
+        parse_workspace(text)
+    except (ParseError, ValidationError):
+        pass
+    p = fuzz_dir / "stream.txt"
+    p.write_text(text)
+    _exits_cleanly(["--input", str(p), "validate"])
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from gradedmod.functors import (coextend, coextend_morphism, extend,
                                 extend_morphism, hom_degree, hom_graded,
                                 hom_map, mixed_tensor, restrict,
                                 restrict_morphism, tensor, tensor_map)
-from gradedmod.graded import (GradedModule, GradedMorphism, GradedRing,
-                              GradedRingHom, ring_as_module, shift)
+from gradedmod.graded import (GradedModule, GradedMorphism, GradedRingHom,
+                              monomial_ring, ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
 from util import reference_homs, reference_mixed_tensor
 
@@ -229,12 +229,11 @@ def _two_generator_quotients():
     linearity or balance condition written for one of them only misses
     the other.
     """
-    e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    zero = (0, 0, 0)
-    mult = (e, (e[1], zero, zero), (e[2], zero, zero))
-    ring = GradedRing(make_group([]), 2, {(): FpZnModule(2, 3, [])},
-                      {((), ()): mult}, e[0])
+    ring = monomial_ring(make_group([]), 2, [(), ()],
+                         [(2, 0), (1, 1), (0, 2)])
     assert len(ring.algebra_generators) == 2
+    mult = ring.mult[((), ())]
+    e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     return [(GradedModule(ring, {(): FpZnModule(2, 3, rels)},
                           {((), ()): mult}), rels)
             for rels in ([], [e[1]], [e[2]], [e[1], e[2]])]

@@ -1,5 +1,6 @@
 """Graded rings, modules and morphisms: validation, constructions, coarsening."""
 
+import itertools
 import random
 
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 from gradedmod import corpus
 from gradedmod.abelian import make_epi, make_group
+from gradedmod.analyze import is_ring_epimorphism
 from gradedmod.graded import (GradedError, GradedModule, GradedMorphism,
                               GradedRing, GradedRingHom, RingMismatch,
                               coarsen_module, coarsen_morphism, coarsen_ring,
                               coarsen_ring_hom, direct_sum, free_module,
                               graded_cokernel, graded_image, graded_kernel,
-                              graded_submodule, ring_as_module, shift,
+                              graded_submodule, monomial_quotient,
+                              monomial_ring, ring_as_module, shift,
                               shift_morphism)
 from gradedmod.znlinalg import FpZnModule, mat_mul
 from util import (reference_module_failure, reference_morphism_failure,
@@ -30,22 +33,10 @@ def _ungraded_ring(n, extra_rels=None):
     return GradedRing(G0, n, {D0: comp}, {(D0, D0): (((1,),),)}, (1,))
 
 
-def _truncated_poly_ring():
-    """F_2[t]/(t^2) graded by Z with deg t = 1."""
-    gz = make_group([0])
-    c1 = FpZnModule(2, 1, [])
-    return GradedRing(gz, 2, {(0,): c1, (1,): c1},
-                      {((0,), (0,)): (((1,),),),
-                       ((0,), (1,)): (((1,),),),
-                       ((1,), (0,)): (((1,),),)},
-                      (1,))
-
-
-def _dual_numbers():
-    """F_2[a]/(a^2), ungraded, on the basis 1, a."""
-    return GradedRing(G0, 2, {D0: FpZnModule(2, 2, [])},
-                      {(D0, D0): (((1, 0), (0, 1)), ((0, 1), (0, 0)))},
-                      (1, 0))
+# F_2[t]/(t^2) graded by Z with deg t = 1, and F_2[a]/(a^2) ungraded, on
+# the basis 1, a
+TRUNCATED = monomial_ring(make_group([0]), 2, [(1,)], [(2,)])
+DUAL = monomial_ring(G0, 2, [()], [(2,)])
 
 
 def test_ring_validation_messages():
@@ -68,6 +59,11 @@ def test_ring_validation_messages():
                     ((1,), (0,)): (((1,),),),
                     ((1,), (1,)): (((1,),),)},
                    (1,))
+    # a unit too short and too long for the two generators of F_2[a]/(a^2)
+    for one in ((1,), (1, 0, 0)):
+        with pytest.raises(GradedError, match=rf"^one: coefficient count "
+                                              rf"{len(one)}, expected 2 "):
+            GradedRing(G0, 2, DUAL.components, DUAL.mult, one)
     # a Z/2 component in a ring over Z/4
     with pytest.raises(GradedError, match="modulus"):
         GradedRing(G0, 4, {D0: FpZnModule(2, 1)}, {(D0, D0): (((1,),),)},
@@ -113,10 +109,10 @@ def test_module_validation_messages():
                      {(D0, D0): (((1,),),)})
     # a acting as the identity on F_2: (a * a) m = 0 but a (a m) = m
     with pytest.raises(GradedError, match="associativity of the action"):
-        GradedModule(_dual_numbers(), {D0: FpZnModule(2, 1)},
+        GradedModule(DUAL, {D0: FpZnModule(2, 1)},
                      {(D0, D0): (((1,),), ((1,),))})
     # t * m lands in degree 1, where the module has no component
-    s = _truncated_poly_ring()
+    s = TRUNCATED
     with pytest.raises(GradedError,
                        match="action leaves the declared support"):
         GradedModule(s, {(0,): FpZnModule(2, 1)},
@@ -137,7 +133,7 @@ def test_morphism_validation():
         other = ring_as_module(_ungraded_ring(4, [(2,)]))
         GradedMorphism(m, other, {D0: ((1,),)}).compose  # construction raises
     # 1 -> 1, a -> 0 on F_2[a]/(a^2): u(a * 1) = 0 but a * u(1) = a
-    d = ring_as_module(_dual_numbers())
+    d = ring_as_module(DUAL)
     with pytest.raises(GradedError, match="not linear"):
         GradedMorphism(d, d, {D0: ((1, 0), (0, 0))})
 
@@ -151,7 +147,7 @@ def test_ring_hom_validation():
     with pytest.raises(GradedError, match="ring morphism not well defined"):
         GradedRingHom(s2, r4, {D0: ((1,),)})
     # 1 -> 1, a -> 1 on F_2[a]/(a^2): h(a * a) = 0 but h(a) * h(a) = 1
-    d = _dual_numbers()
+    d = DUAL
     with pytest.raises(GradedError, match="not multiplicative"):
         GradedRingHom(d, d, {D0: ((1, 0), (1, 0))})
     h = GradedRingHom(r4, s2, {D0: ((1,),)})
@@ -160,7 +156,7 @@ def test_ring_hom_validation():
 
 
 def test_shift_and_shift_morphism():
-    s = _truncated_poly_ring()
+    s = TRUNCATED
     m = ring_as_module(s)
     m1 = shift(m, (1,))
     assert sorted(m1.components) == [(-1,), (0,)]
@@ -172,7 +168,7 @@ def test_shift_and_shift_morphism():
 
 
 def test_direct_sum_and_free_module():
-    s = _truncated_poly_ring()
+    s = TRUNCATED
     m = ring_as_module(s)
     total, injs, projs = direct_sum([m, shift(m, (1,))])
     assert total.cardinality() == 16
@@ -199,7 +195,7 @@ def test_kernel_image_cokernel_exactness():
 
 
 def test_graded_submodule_action_stability():
-    s = _truncated_poly_ring()
+    s = TRUNCATED
     m = ring_as_module(s)
     # (t) = span of t in degree 1 is a submodule
     sub, incl = graded_submodule(m, {(1,): [(1,)]})
@@ -211,7 +207,7 @@ def test_graded_submodule_action_stability():
 
 
 def test_coarsening_basics():
-    s = _truncated_poly_ring()
+    s = TRUNCATED
     psi = make_epi(s.group, make_group([]), [[]])
     cs = coarsen_ring(s, psi)
     assert cs.group.is_trivial
@@ -223,8 +219,7 @@ def test_coarsening_basics():
     u = GradedMorphism.identity(m)
     assert coarsen_morphism(u, psi, cs) == GradedMorphism.identity(cm)
     # and on ring maps
-    r = GradedRing(s.group, 2, {(0,): FpZnModule(2, 1, [])},
-                   {((0,), (0,)): (((1,),),)}, (1,))
+    r = monomial_ring(s.group, 2, [], [])
     h = GradedRingHom(r, s, {(0,): ((1,),)})
     ch = coarsen_ring_hom(h, psi)
     assert ch.target == cs
@@ -246,32 +241,18 @@ def test_coarsen_preserves_composition(instances):
 # exact validation on algebra generators, against the brute-force reference
 
 
-def _truncated(group, degx, n, k, rels_from=None):
-    """(Z/n)[X]/(X^k) on the basis 1, X, ..., X^(k-1), graded by `group`
-    with deg X = degx, as (components, mult, one).  `rels_from` = j adds
-    the relations X^m = 0 for m >= j, presenting the quotient by (X^j)."""
-    degs = [group.canon([i * c for c in degx]) for i in range(k)]
-    # basis index -> (degree, index within the component)
-    pos = {i: (d, degs[:i].count(d)) for i, d in enumerate(degs)}
-    sizes = {d: degs.count(d) for d in degs}
-    rels = {d: [] for d in sizes}
-    if rels_from is not None:
-        for m in range(rels_from, k):
-            d, at = pos[m]
-            rels[d].append(tuple(int(q == at) for q in range(sizes[d])))
-    comps = {d: FpZnModule(n, sizes[d], rels[d]) for d in sizes}
-    mult = {}
-    for i in range(k):
-        for j in range(k):
-            (di, a), (dj, b) = pos[i], pos[j]
-            out = group.add(di, dj)
-            t = mult.setdefault((di, dj), [[[0] * sizes.get(out, 0)
-                                            for _ in range(sizes[dj])]
-                                           for _ in range(sizes[di])])
-            if i + j < k:
-                t[a][b][pos[i + j][1]] = 1
-    one = tuple(int(q == 0) for q in range(sizes[group.zero()]))
-    return comps, mult, one
+def _full_tables(ring):
+    """The ring's (components, mult, one), mutable and with every tensor
+    written out in full, zero ones included, for `_random_ring_data` to
+    perturb."""
+    comps, mult = ring.components, {}
+    for da, db in itertools.product(comps, repeat=2):
+        t = ring.mult.get((da, db))
+        width = ring.component(ring.group.add(da, db)).ngens
+        mult[(da, db)] = [[list(t[i][j]) if t else [0] * width
+                           for j in range(comps[db].ngens)]
+                          for i in range(comps[da].ngens)]
+    return dict(comps), mult, ring.one
 
 
 def _identity_rows(k):
@@ -321,7 +302,8 @@ def _random_ring_data(rng):
     are random and symmetric."""
     group, degx = rng.choice(_GRADINGS)
     n = rng.choice([2, 3, 4, 6])
-    comps, mult, one = _truncated(group, degx, n, rng.randrange(2, 6))
+    comps, mult, one = _full_tables(
+        monomial_ring(group, n, [degx], [(rng.randrange(2, 6),)]))
     if rng.random() < 0.2:
         zero = group.zero()
         for (da, db), t in sorted(mult.items()):
@@ -452,11 +434,11 @@ def test_ring_hom_check_agrees_with_the_reference(seed):
     k = rng.randrange(2, 6)
     j = rng.randrange(1, k + 1)
     i = rng.randrange(j, k + 1)
-    comps, mult, one = _truncated(group, degx, n, k, i)
-    r = GradedRing(group, n, comps, mult, one)
-    # R/(X^i) ->> R/(X^j) on the same basis: the identity matrices
-    s = GradedRing(group, n, _truncated(group, degx, n, k, j)[0], mult, one)
-    maps = {d: _identity_rows(c.ngens) for d, c in comps.items()}
+    # R/(X^i) ->> R/(X^j) for R = (Z/n)[X]/(X^k), both presented on R's
+    # basis: the identity matrices
+    r, s = (monomial_quotient(group, n, [degx], [(k,)], [(e,)]).target
+            for e in (i, j))
+    maps = {d: _identity_rows(c.ngens) for d, c in r.components.items()}
     if rng.random() < 0.8:
         maps = _perturb_maps(maps, r, s, rng, n)
 
@@ -635,7 +617,7 @@ def test_light_test_catches_failures_off_the_generators():
     # F_2 over F_2[a]/(a^3) with a and a^2 both acting as 1: (a*a)m = a(am)
     # holds, and the brute-force loop first fails at (a*a^2)m = 0 != m =
     # a(a^2 m), whose middle factor a^2 is not a generator
-    r = GradedRing(G0, 2, *_truncated(G0, (), 2, 3))
+    r = monomial_ring(G0, 2, [()], [(3,)])
     assert r.algebra_generators == ((D0, (0, 1, 0)),)
     action = {(D0, D0): (((1,),), ((1,),), ((1,),))}
     m = GradedModule(r, {D0: FpZnModule(2, 1)}, action, validate=False)
@@ -653,7 +635,7 @@ def test_algebra_generators_of_truncated_polynomial_ring(group, degx, x):
     """(Z/2)[X]/(X^16) is generated by X alone, the unit being a basis
     vector, and 1 with the left-normed powers of X reaches every basis
     vector."""
-    ring = GradedRing(group, 2, *_truncated(group, degx, 2, 16))
+    ring = monomial_ring(group, 2, [degx], [(16,)])
     assert ring.algebra_generators == (x,)
     power, reached = ring.one_element(), {ring.one_element()}
     for _ in range(15):
@@ -662,3 +644,67 @@ def test_algebra_generators_of_truncated_polynomial_ring(group, degx, x):
     basis = {(d, row) for d, c in ring.components.items()
              for row in _identity_rows(c.ngens)}
     assert reached == basis
+
+
+# ---------------------------------------------------------------------------
+# monomial rings against an independent enumeration of exponent vectors
+
+
+@st.composite
+def monomial_ring_data(draw):
+    """(group, n, degrees, pure powers, ideal, killed): 1-3 variables, a
+    trivial, Z, Z/m or Z^2 grading, an ideal of the pure powers and up to
+    two more monomials, and one or two generators of an ideal J."""
+    moduli = draw(st.sampled_from([[], [0], [2], [3], [0, 0]]))
+    r = draw(st.integers(1, 3))
+    degrees = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * len(moduli)),
+                            min_size=r, max_size=r))
+    powers = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+    # nonconstant: the unit would generate the whole ring
+    monomial = st.tuples(*[st.integers(0, 3)] * r).filter(any)
+    ideal = [tuple(p * (q == i) for q in range(r))
+             for i, p in enumerate(powers)]
+    return (make_group(moduli), draw(st.sampled_from([2, 3, 4, 6, 9])),
+            degrees, powers, ideal + draw(st.lists(monomial, max_size=2)),
+            draw(st.lists(monomial, min_size=1, max_size=2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_ring_data())
+def test_monomial_ring_matches_the_enumeration(data):
+    group, n, degrees, powers, ideal, killed = data
+
+    def outside(e, gens):
+        return not any(all(a <= b for a, b in zip(g, e)) for g in gens)
+
+    def degree(e):
+        return group.canon([sum(x * d[c] for x, d in zip(e, degrees))
+                            for c in range(len(group.moduli))])
+    # the standard monomials in the documented order: by total degree, then
+    # larger powers of earlier variables first
+    standard = sorted((e for e in itertools.product(*map(range, powers))
+                       if outside(e, ideal)),
+                      key=lambda e: (sum(e), [-x for x in e]))
+    basis = {}
+    for e in standard:
+        basis.setdefault(degree(e), []).append(e)
+
+    def element(e):
+        return degree(e), tuple(int(f == e) for f in basis[degree(e)])
+    ring = monomial_ring(group, n, degrees, ideal)
+    assert ring.components == {d: FpZnModule(n, len(es))
+                               for d, es in basis.items()}
+    assert ring.one_element() == element(standard[0])
+    for a, b in itertools.product(standard, repeat=2):
+        c = tuple(x + y for x, y in zip(a, b))
+        assert ring.multiply(element(a), element(b)) == (
+            element(c) if c in standard
+            else (degree(c), ring.component(degree(c)).zero()))
+    assert ring_as_module(ring).cardinality() == n ** len(standard)
+    h = monomial_quotient(group, n, degrees, ideal, killed)
+    assert h.source == ring and is_ring_epimorphism(h)
+    kept = [e for e in standard if outside(e, killed)]
+    assert ring_as_module(h.target).cardinality() == n ** len(kept)
+    # without the pure powers of the last variable the ring is not finite
+    with pytest.raises(GradedError, match="not finite"):
+        monomial_ring(group, n, degrees, [g for g in ideal if any(g[:-1])])

@@ -198,7 +198,26 @@ def _line_cases():
                        " ".join(tokens[:count]), 2 + 2 * ndegs, after)
 
 
-_LINE_CASES = list(_line_cases())
+# an entry of a mult or act line names its own line and the column of the
+# offending token: an index out of range, too many or too few (the column
+# where the missing one would start) coefficients, and an undeclared degree
+# ((1, 0) + (-1, 0) is the declared degree 0); then a wrong-length unit
+_LINE_CASES = list(_line_cases()) + [
+    (f"{keyword}-{name}", section, f"{keyword} {ints}", col, message)
+    for keyword, section in (("mult", "ring"), ("act", "module"))
+    for name, ints, col, message in (
+        ("i", "0 0 0 0 1 0 1", 6, "index out of range at (0, 0),(0, 0)"),
+        ("negative-i", "0 0 0 0 -1 0 1", 6,
+         "index out of range at (0, 0),(0, 0)"),
+        ("j", "0 0 0 0 0 1 1", 7, "index out of range at (0, 0),(0, 0)"),
+        ("long", "0 0 0 0 0 0 1 1", 9,
+         "coefficient count mismatch at (0, 0),(0, 0)"),
+        ("short", "0 0 0 0 0 0", 8,
+         "coefficient count mismatch at (0, 0),(0, 0)"),
+        ("undeclared", "1 0 -1 0 0 0 1", 4,
+         "entry at undeclared degree (-1, 0)"))] + [
+    ("one-short", "ring", "one", 2, "one: coefficient count 0, expected 1"),
+    ("one-long", "ring", "one 1 0", 3, "one: coefficient count 2, expected 1")]
 
 
 @pytest.mark.parametrize("section,line,col,message",

@@ -232,27 +232,6 @@ def reference_morita_check(h, budget=DEFAULT_ISO_BUDGET):
     return iso_search(hr, ring_as_module(h.target), budget) is not None
 
 
-def truncated_ring(n, k, moduli):
-    """(Z/n)[X]/(X^k) graded by the group with these moduli (none, [0]
-    for Z, [m] for Z/m), with deg X = 1 in each coordinate.  Each
-    component is free on the monomials X^i of its degree, in order."""
-    grp = make_group(moduli)
-    deg = [grp.canon([i] * len(moduli)) for i in range(k)]
-    slot = [deg[:i].count(d) for i, d in enumerate(deg)]
-    size = {d: deg.count(d) for d in deg}
-    mult = {}
-    for i, j in itertools.product(range(k), repeat=2):
-        da, db = deg[i], deg[j]
-        t = mult.setdefault((da, db), [
-            [[0] * size.get(grp.add(da, db), 0) for _ in range(size[db])]
-            for _ in range(size[da])])
-        if i + j < k:
-            t[slot[i]][slot[j]][slot[i + j]] = 1
-    one = [int(s == 0) for s in range(size[deg[0]])]
-    return GradedRing(grp, n, {d: FpZnModule(n, s) for d, s in size.items()},
-                      mult, one)
-
-
 def group_ring(n, m):
     """The group ring (Z/n)[Z/m] graded by Z/m, deg x = 1.  As x^m = 1,
     x is a unit, and every degree holds a homogeneous unit."""
