@@ -5,10 +5,13 @@ A group is an explicit product of cyclic factors given by a moduli list:
 integer vectors in canonical form (coordinate i reduced into [0, m_i) for
 finite factors).  Epimorphisms carry an integer matrix sending source
 generators to target elements; well-definedness and surjectivity are
-verified at construction, the latter via Smith normal form over Z.
+verified at construction, the latter by one integer echelon pass that
+asks whether the rows and the target's relations span Z^k.
 """
 
 from __future__ import annotations
+
+from .znlinalg import _xgcd
 
 
 class GroupError(Exception):
@@ -21,75 +24,6 @@ class NotWellDefined(GroupError):
 
 class NotSurjective(GroupError):
     pass
-
-
-def smith_normal_form(matrix) -> list[int]:
-    """Elementary divisors (non-negative, each dividing the next) of an
-    integer matrix, including zeros up to min(rows, cols)."""
-    a = [list(map(int, row)) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    divisors = []
-    top = 0
-    while top < min(rows, cols):
-        # find a nonzero pivot below/right of (top, top)
-        pr = pc = -1
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if a[i][j]:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        a[top], a[pr] = a[pr], a[top]
-        for row in a:
-            row[top], row[pc] = row[pc], row[top]
-        while True:
-            # clear column top
-            for i in range(top + 1, rows):
-                while a[i][top]:
-                    q = a[top][top] // a[i][top] if a[i][top] else 0
-                    if abs(a[i][top]) < abs(a[top][top]) or a[top][top] == 0:
-                        a[top], a[i] = a[i], a[top]
-                        continue
-                    q = a[i][top] // a[top][top]
-                    for j in range(cols):
-                        a[i][j] -= q * a[top][j]
-            # clear row top
-            row_dirty = False
-            for j in range(top + 1, cols):
-                while a[top][j]:
-                    if abs(a[top][j]) < abs(a[top][top]) or a[top][top] == 0:
-                        for i in range(rows):
-                            a[i][top], a[i][j] = a[i][j], a[i][top]
-                        row_dirty = True
-                        continue
-                    q = a[top][j] // a[top][top]
-                    for i in range(rows):
-                        a[i][j] -= q * a[i][top]
-            if not row_dirty and all(a[i][top] == 0 for i in range(top + 1, rows)):
-                break
-        d = abs(a[top][top])
-        # enforce divisibility d | remaining entries
-        fixed = False
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if d and a[i][j] % d:
-                    for jj in range(cols):
-                        a[top][jj] += a[i][jj]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        divisors.append(d)
-        top += 1
-    while len(divisors) < min(rows, cols):
-        divisors.append(0)
-    return divisors
 
 
 class FgAbelianGroup:
@@ -123,10 +57,6 @@ class FgAbelianGroup:
 
     def __repr__(self):
         return f"FgAbelianGroup({list(self.moduli)})"
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.moduli
 
     def canon(self, coords) -> tuple[int, ...]:
         coords = tuple(coords)
@@ -225,13 +155,6 @@ class GroupEpi:
                 out[j] += c * row[j]
         return self.target.canon(out)
 
-    @property
-    def is_identity(self) -> bool:
-        return (self.source == self.target
-                and all(row == tuple(1 if j == i else 0
-                                     for j in range(len(self.target.moduli)))
-                        for i, row in enumerate(self.matrix)))
-
     @staticmethod
     def identity(group: FgAbelianGroup) -> "GroupEpi":
         k = len(group.moduli)
@@ -240,18 +163,34 @@ class GroupEpi:
 
 
 def _spans_target(matrix, target: FgAbelianGroup) -> bool:
-    """True if the rows of `matrix` generate the target group."""
+    """True if the rows of `matrix` generate the target group, that is,
+    span Z^k with the relations m_j e_j of its finite factors.  Column by
+    column, the rows nonzero there (entries a, b) merge into one pivot row
+    by steps (p, r) -> (s p + t r, (b/g) p - (a/g) r), g = s a + t b, of
+    determinant -1: the span stays and r gets a zero there.  The span is
+    Z^k iff every pivot entry is +-1.
+    """
     k = len(target.moduli)
-    if k == 0:
-        return True
-    rows = [list(r) for r in matrix]
-    for j, m in enumerate(target.moduli):
-        if m:
-            rows.append([m if jj == j else 0 for jj in range(k)])
-    if not rows:
-        return False
-    divisors = smith_normal_form(rows)
-    return len(divisors) >= k and all(d == 1 for d in divisors[:k])
+    rows = list(matrix) + [[m if i == j else 0 for i in range(k)]
+                           for j, m in enumerate(target.moduli) if m]
+    for col in range(k):
+        pivot, rest = None, []
+        for row in rows:
+            if not row[col]:
+                rest.append(row)
+            elif pivot is None:
+                pivot = row
+            else:
+                a, b = pivot[col], row[col]
+                g, s, t = _xgcd(a, b)
+                pivot, row = ([s * x + t * y for x, y in zip(pivot, row)],
+                              [b // g * x - a // g * y
+                               for x, y in zip(pivot, row)])
+                rest.append(row)
+        if pivot is None or abs(pivot[col]) != 1:
+            return False
+        rows = rest
+    return True
 
 
 def make_group(moduli) -> FgAbelianGroup:

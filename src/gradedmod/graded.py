@@ -12,7 +12,9 @@ commutative module over itself, so the support, unit, well-definedness
 and associativity checks of a module also check a ring's multiplication.
 Module morphisms and ring morphisms share one core for their degreewise
 matrix families: canonicalization, evaluation, composition, equality,
-well-definedness and surjectivity.
+well-definedness, surjectivity and linearity.  A ring morphism h: R -> S
+is checked multiplicative as an R-linear map R -> h_*(S), by the loop
+that checks a module morphism.
 
 Every axiom is checked exactly, by matrix equality, but each multilinear
 axiom runs one of its arguments over a set of homogeneous generators of
@@ -739,8 +741,8 @@ class GradedModule:
 # A module morphism and a ring morphism both hold `source`, `target` and
 # `maps`, one nonzero matrix per degree; a ring is a module over itself,
 # so `_ring` finds the coefficients of either kind of end.  Each class
-# words its own errors through `_MALFORMED`, `_ILL_DEFINED` and
-# `_MISMATCH`.
+# words its own errors through `_MALFORMED`, `_ILL_DEFINED`, `_MISMATCH`
+# and `_NOT_LINEAR`.
 
 
 def _ring(end):
@@ -825,6 +827,38 @@ def _maps_first_missed(self):
     return None
 
 
+def _maps_linear(self, s_tensors, t_tensors, acting):
+    """u(r x) = r u(x) for x over the Z/n-generators of the source and
+    (dr, r, r') over `acting`: r an algebra generator of the source's ring
+    in degree dr, acting on the target as r'.  With x = e_j in degree dh,
+    u(x) is row j of the matrix, r x column j of the source tensor at
+    (dr, dh), and r u(x) = sum_b u(x)_b (r' f_b) for the columns r' f_b of
+    the target's; absent tensors and matrices are zero.  The loops run
+    over r, dh and j; `_NOT_LINEAR` words the first failure.
+    """
+    src, tgt, maps = self.source, self.target, self.maps
+    g = _ring(src).group
+    for dr, r, tr in acting:
+        for dh, sc in src.components.items():
+            drx = g.add(dr, dh)
+            out = tgt.components.get(drx)
+            s_t, t_t = s_tensors.get((dr, dh)), t_tensors.get((dr, dh))
+            u_h, u_rx = maps.get(dh), maps.get(drx)
+            lhs_zero = s_t is None or u_rx is None
+            rhs_zero = t_t is None or u_h is None
+            if out is None or (lhs_zero and rhs_zero):
+                continue
+            if not rhs_zero:
+                rf = [_column(t_t, tr, b, out)
+                      for b in range(tgt.components[dh].ngens)]
+            for j in range(sc.ngens):
+                urx = (out.zero() if lhs_zero else _combine(
+                    _column(s_t, r, j, src.components[drx]), u_rx, out))
+                rux = out.zero() if rhs_zero else _combine(u_h[j], rf, out)
+                if urx != rux:
+                    raise GradedError(self._NOT_LINEAR.format(r=dr, x=dh))
+
+
 def _maps_compose(self, first):
     """self after first."""
     if first.target != self.source:
@@ -850,6 +884,7 @@ class GradedMorphism:
     _MALFORMED = "matrix at degree {} has wrong row count"
     _ILL_DEFINED = "morphism not well defined at degree {}"
     _MISMATCH = "composition endpoints do not match"
+    _NOT_LINEAR = "morphism is not linear at degrees {r},{x}"
 
     def __init__(self, source: GradedModule, target: GradedModule, maps,
                  validate: bool = True):
@@ -864,42 +899,17 @@ class GradedMorphism:
     first_missed = _maps_first_missed
 
     def _validate(self):
-        """Well-definedness, then R-linearity u(rx) = r u(x) with x over the
-        Z/n-generators of the source and r over the ring's algebra
-        generators only.  Given the module axioms of both ends, the r that
-        satisfy it form a Z/n-submodule that holds 1 and is closed under
-        products, since u((r1 r2)x) = u(r1(r2 x)) = r1 u(r2 x) =
-        r1(r2 u(x)) = (r1 r2)u(x); so it is all of R.
-
-        With x = e_j, u(x) is row j of the stored matrix, r x a column of
-        the source's action tensor, and r u(x) = sum_b u(x)_b (r f_b) for
-        the columns r f_b of the target's; a side with an absent tensor or
-        matrix is zero.
+        """Well-definedness, then R-linearity u(rx) = r u(x) by
+        `_maps_linear`, with r over the ring's algebra generators only.
+        Given the module axioms of both ends, the r that satisfy it form a
+        Z/n-submodule that holds 1 and is closed under products, since
+        u((r1 r2)x) = u(r1(r2 x)) = r1 u(r2 x) = r1(r2 u(x)) = (r1 r2)u(x);
+        so it is all of R.
         """
         _maps_well_defined(self)
-        src, tgt, maps = self.source, self.target, self.maps
-        g = src.ring.group
-        for dr, r in src.ring.algebra_generators:
-            for dh, sc in src.components.items():
-                drx = g.add(dr, dh)
-                out = tgt.components.get(drx)
-                s_t, t_t = src.action.get((dr, dh)), tgt.action.get((dr, dh))
-                u_h, u_rx = maps.get(dh), maps.get(drx)
-                lhs_zero = s_t is None or u_rx is None
-                rhs_zero = t_t is None or u_h is None
-                if out is None or (lhs_zero and rhs_zero):
-                    continue
-                if not rhs_zero:
-                    rf = [_column(t_t, r, b, out)
-                          for b in range(tgt.components[dh].ngens)]
-                for j in range(sc.ngens):
-                    urx = (out.zero() if lhs_zero else _combine(
-                        _column(s_t, r, j, src.components[drx]), u_rx, out))
-                    rux = (out.zero() if rhs_zero
-                           else _combine(u_h[j], rf, out))
-                    if urx != rux:
-                        raise GradedError(
-                            f"morphism is not linear at degrees {dr},{dh}")
+        gens = self.source.ring.algebra_generators
+        _maps_linear(self, self.source.action, self.target.action,
+                     ((dr, r, r) for dr, r in gens))
 
     @property
     def is_zero(self) -> bool:
@@ -941,6 +951,7 @@ class GradedRingHom:
     _MALFORMED = "ring morphism matrix at {} malformed"
     _ILL_DEFINED = "ring morphism not well defined at {}"
     _MISMATCH = "ring morphism composition mismatch"
+    _NOT_LINEAR = "ring morphism not multiplicative at {x},{r}"
 
     def __init__(self, source: GradedRing, target: GradedRing, maps,
                  validate: bool = True):
@@ -957,46 +968,22 @@ class GradedRingHom:
     first_missed = _maps_first_missed
 
     def _validate(self):
-        """Well-definedness, the unit, then h(xy) = h(x)h(y) with x over the
-        Z/n-generators of R and y over its algebra generators only.  Given
-        that both ends are rings and h(1) = 1, the y that satisfy it form a
-        Z/n-submodule that holds 1 and is closed under products, since
-        h(x(y1 y2)) = h((x y1)y2) = h(x y1)h(y2) = (h(x)h(y1))h(y2) =
-        h(x)h(y1 y2); so it is all of R.
-
-        With x = e_i, h(x) is row i of the stored matrix, x y a row of the
-        source's multiplication tensor, and h(x)h(y) = sum_b h(x)_b (f_b
-        h(y)) for the rows f_b h(y) of the target's; a side with an absent
-        tensor or matrix is zero.
+        """Well-definedness, the unit, then h(xy) = h(x)h(y) for y over the
+        algebra generators of R only: given that both ends are rings and
+        h(1) = 1, the y that satisfy it form a Z/n-submodule that holds 1
+        and is closed under products, since h(x(y1 y2)) = h((x y1)y2) =
+        h(x y1)h(y2) = (h(x)h(y1))h(y2) = h(x)h(y1 y2).  That is R-linearity
+        of h: R -> h_*(S), y acting on S as h(y); `_maps_linear` reads
+        `mult` at (dy, dx) by columns, its rows at (dx, dy) since both
+        rings passed commutativity when built.
         """
         _maps_well_defined(self)
         _, one_img = self.apply(self.source.one_element())
         if one_img != self.target.one:
             raise GradedError("ring morphism does not preserve the unit")
-        src, tgt, maps = self.source, self.target, self.maps
-        g = src.group
-        for dy, y in src.algebra_generators:
-            hy = _image(self, dy, y)
-            for dx, cx in src.components.items():
-                dxy = g.add(dx, dy)
-                out = tgt.components.get(dxy)
-                s_t, t_t = src.mult.get((dx, dy)), tgt.mult.get((dx, dy))
-                h_x, h_xy = maps.get(dx), maps.get(dxy)
-                lhs_zero = s_t is None or h_xy is None
-                rhs_zero = t_t is None or h_x is None
-                if out is None or (lhs_zero and rhs_zero):
-                    continue
-                if not rhs_zero:
-                    fhy = [_combine(hy, t_t[b], out)
-                           for b in range(tgt.components[dx].ngens)]
-                for i in range(cx.ngens):
-                    hxy = (out.zero() if lhs_zero else _combine(
-                        _combine(y, s_t[i], src.components[dxy]), h_xy, out))
-                    hxhy = (out.zero() if rhs_zero
-                            else _combine(h_x[i], fhy, out))
-                    if hxy != hxhy:
-                        raise GradedError(
-                            f"ring morphism not multiplicative at {dx},{dy}")
+        _maps_linear(self, self.source.mult, self.target.mult,
+                     ((dy, y, _image(self, dy, y))
+                      for dy, y in self.source.algebra_generators))
 
     compose = _maps_compose
 

@@ -201,6 +201,7 @@ def _parse_epi(ws, tokens, lineno, lines):
     _check_fresh(ws, name, lineno)
     source = _lookup(ws.groups, tokens[2], lineno, "group")
     target = _lookup(ws.groups, tokens[3], lineno, "group")
+    k = len(target.moduli)
     rows = []
     while True:
         ln, toks = lines.next_tokens()
@@ -210,7 +211,14 @@ def _parse_epi(ws, tokens, lineno, lines):
             break
         if toks[0] != "row":
             raise ParseError("expected 'row' or 'end'", ln, 1)
-        rows.append(_ints(toks, ln, 1))
+        row = _ints(toks, ln, 1)
+        if len(row) != k:
+            raise ParseError("coordinate length mismatch", ln,
+                             2 + min(len(row), k))
+        rows.append(row)
+    if len(rows) != len(source.moduli):
+        raise ParseError("matrix row count must match source generator "
+                         "count", lineno)
     try:
         ws.epis[name] = GroupEpi(source, target, rows)
     except GroupError as exc:
@@ -263,6 +271,8 @@ def _parse_ring_like(ws, tokens, lineno, lines, is_module: bool):
             if len(vals) != 1:
                 raise ParseError("component needs one generator count", ln,
                                  col)
+            if vals[0] < 0:
+                raise ParseError("negative generator count", ln, col)
             ngens[deg] = vals[0]
         elif head == "rel":
             (deg,), vals, _ = _degrees(toks, ln, k, 1)

@@ -298,9 +298,6 @@ class FpZnModule:
     def scale(self, c: int, a) -> tuple[int, ...]:
         return self.reduce([c * x for x in a])
 
-    def contains_zero(self, vec) -> bool:
-        return not any(self.reduce(vec))
-
     def _pivot_sizes(self) -> list[int]:
         """Per generator, the number of canonical values of its coordinate."""
         sizes = [self.n] * self.ngens

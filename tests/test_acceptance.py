@@ -97,7 +97,7 @@ def test_criterion_4_d80(instances):
         assert before == after
     # including psi: Z ->> 0
     zg = instances["zgraded"]
-    assert zg["psi"].target.is_trivial
+    assert zg["psi"].target.moduli == ()
     assert A.d80_check(zg["h"], zg["psi"]) == (True, True)
     assert scenarios.run_scenario("d80-coarsen").ok
 

@@ -160,6 +160,7 @@ ring R G
   mult 0 0 1
 end
 """
+EPI_HEAD = "modulus 4\ngroup G moduli 0\ngroup H moduli 0\nepi p G H\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -169,6 +170,10 @@ end
     "modulus 4294967296\ngroup G moduli\n",   # above 2**31, no component
     RING_ONLY.replace("one 1", "one"),        # a unit too short
     RING_ONLY.replace("one 1", "one 1 0"),    # and too long
+    RING_ONLY.replace("component 1", "component -1"),  # a negative count
+    # an epi row one coordinate too long, and an epi with no rows
+    EPI_HEAD + "  row 1 0\nend\n",
+    EPI_HEAD + "end\n",
 ])
 def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text):
     p = tmp_path / "malformed.txt"

@@ -210,7 +210,7 @@ def test_coarsening_basics():
     s = TRUNCATED
     psi = make_epi(s.group, make_group([]), [[]])
     cs = coarsen_ring(s, psi)
-    assert cs.group.is_trivial
+    assert cs.group.moduli == ()
     assert cs.component(()).ngens == 2
     m = ring_as_module(s)
     cm = coarsen_module(m, psi, cs)
@@ -556,11 +556,27 @@ def test_morphism_check_raises_the_reference_message(instances, seed):
         lambda: reference_validate_morphism(u))
 
 
+# ring morphisms beyond the named instances: R -> R/(X^2 Y) for
+# R = (Z/4)[X, Y]/(X^3, Y^2) over Z^2, whose S has two algebra generators,
+# and (Z/6)[X]/(X^4) -> (Z/6)[X]/(X^3) over Z/3, whose rings are not *local
+MORE_HOMS = (
+    monomial_quotient(make_group([0, 0]), 4, [(1, 0), (0, 1)],
+                      [(3, 0), (0, 2)], [(2, 1)]),
+    monomial_quotient(make_group([3]), 6, [(1,)], [(4,)], [(3,)]))
+
+
+def test_more_ring_homs_are_as_described():
+    two, non_local = MORE_HOMS
+    assert len(two.target.algebra_generators) == 2
+    assert not non_local.source.is_local and not non_local.target.is_local
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_ring_hom_check_raises_the_reference_message(instances, seed):
     rng = random.Random(seed)
-    h = instances[rng.choice(sorted(instances))]["h"]
+    h = rng.choice([instances[name]["h"] for name in sorted(instances)]
+                   + list(MORE_HOMS))
     maps = h.maps
     if rng.random() < 0.8:
         maps = _perturb_maps(maps, h.source, h.target, rng, h.source.n)

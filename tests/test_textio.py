@@ -130,7 +130,8 @@ end
 # own column, and a short line names the column where the missing part
 # would start
 
-# degrees of G = Z x Z/2 take two integers; "{line}" is line 7
+# degrees of G = Z x Z/2 take two integers; "{line}" is line 7 of a ring,
+# and an epi G ->> H = Z needs two rows of one integer each
 _SECTION = {
     "ring": """modulus 4
 group G moduli 0 2
@@ -161,6 +162,14 @@ ring R G
   mult 0 0 0 0 0 0 1
 end
 ringhom h R R
+  {line}
+end
+""",
+    "epi": """modulus 4
+group G moduli 0 2
+group H moduli 0
+epi p G H
+  row 1
   {line}
 end
 """,
@@ -217,7 +226,11 @@ _LINE_CASES = list(_line_cases()) + [
         ("undeclared", "1 0 -1 0 0 0 1", 4,
          "entry at undeclared degree (-1, 0)"))] + [
     ("one-short", "ring", "one", 2, "one: coefficient count 0, expected 1"),
-    ("one-long", "ring", "one 1 0", 3, "one: coefficient count 2, expected 1")]
+    ("one-long", "ring", "one 1 0", 3, "one: coefficient count 2, expected 1"),
+    ("component-negative", "ring", "component 1 0 -1", 4,
+     "negative generator count"),
+    ("row-short", "epi", "row", 2, "coordinate length mismatch"),
+    ("row-long", "epi", "row 0 1", 3, "coordinate length mismatch")]
 
 
 @pytest.mark.parametrize("section,line,col,message",
@@ -230,6 +243,18 @@ def test_integer_line_errors_name_their_column(section, line, col, message):
         textio.parse_workspace(text)
     assert (exc.value.line, exc.value.col) == (lineno, col)
     assert str(exc.value) == f"line {lineno}, column {col}: {message}"
+
+
+@pytest.mark.parametrize("rows", ["", "  row 0\n  row 0\n"],
+                         ids=["one-row", "three-rows"])
+def test_epi_row_count_names_the_header_line(rows):
+    text = _SECTION["epi"].replace("  {line}\n", rows)
+    with pytest.raises(textio.ParseError) as exc:
+        textio.parse_workspace(text)
+    assert str(exc.value) == ("line 4, column 1: matrix row count must "
+                              "match source generator count")
+    ws = textio.parse_workspace(_SECTION["epi"].replace("{line}", "row 0"))
+    assert ws.epis["p"].matrix == ((1,), (0,))
 
 
 def test_well_formed_integer_lines_parse():
