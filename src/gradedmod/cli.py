@@ -12,12 +12,14 @@ name.  Reports are deterministic: degrees sorted lexicographically,
 matrices row-major, flags alphabetical.  Exit codes: 0 success, 1 failed
 assertion, 2 input error.  Every question is decided: `is_free` in module
 reports and `check morita` count on the *local factors of the ring
-(graded Nakayama), without a search.
+(graded Nakayama), without a search.  Each command's argument parser is
+built once per process, at its first call, and reused by later calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -385,8 +387,14 @@ def _add_command(sub, name, specs, **kwargs):
             p.add_argument(arg, **kw)
 
 
+@functools.cache
 def build_parser(cmd=None) -> argparse.ArgumentParser:
-    """The parser with the subparser of `cmd` alone, or of every command."""
+    """The parser with the subparser of `cmd` alone, or of every command.
+
+    It depends only on `COMMANDS` and `cmd`, so each is built once per
+    process and reused: argparse does not change a parser while parsing,
+    and it reads the streams and the terminal width only when it prints.
+    """
     parser = argparse.ArgumentParser(
         prog="gradedmod",
         description="Exact change-of-ring calculus for finitely supported "

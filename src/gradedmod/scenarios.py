@@ -25,6 +25,9 @@ expected and is echoed in reports):
 where <property> is one of is_zero/is_mono/is_epi/is_iso (expected
 true|false) or source_card/target_card (expected integer).
 
+Check lines that name one canonical map on the same operands share one
+construction of it per run.
+
 Operands are counted and each literal is checked where it is read: a
 line with an operand missing or one too many, a non-integer degree or
 cardinality, or a word other than true/false where one is expected is
@@ -203,14 +206,19 @@ def _parse_bool(token, lineno):
 
 
 def run_checks(ws: Workspace, env: dict | None = None) -> list[CheckResult]:
+    """Run the `check` lines of `ws` in order.  Check lines that name one
+    canonical map on the same operands share its construction: the names
+    in `env` are fixed before the first check runs."""
     env = env if env is not None else build_env(ws)
     results = []
+    # `check canon` map tokens -> the morphism built for them
+    built = {}
     for lineno, tokens in ws.checks:
         tokens, tag = _split_tag(tokens)
         _usage(tokens, lineno, "check <kind> <operands...> [tag:<word>]")
         text = " ".join(tokens)
         try:
-            expected, actual = _run_check(env, tokens, lineno)
+            expected, actual = _run_check(env, tokens, lineno, built)
         except (GradedError, GroupError) as exc:
             raise ScenarioError(f"line {lineno}: {exc}")
         results.append(CheckResult(lineno, text, expected, actual,
@@ -218,7 +226,7 @@ def run_checks(ws: Workspace, env: dict | None = None) -> list[CheckResult]:
     return results
 
 
-def _run_check(env, tokens, lineno):
+def _run_check(env, tokens, lineno, built):
     kind = tokens[0]
     if kind in ("ringepi", "morita"):
         _usage(len(tokens) == 3, lineno, f"check {kind} <ringhom> true|false")
@@ -245,7 +253,7 @@ def _run_check(env, tokens, lineno):
         return f"({str(expected).lower()}, {str(expected).lower()})", \
             f"({str(pair[0]).lower()}, {str(pair[1]).lower()})"
     if kind == "canon":
-        return _run_canon_check(env, tokens, lineno)
+        return _run_canon_check(env, tokens, lineno, built)
     raise ScenarioError(f"line {lineno}: unknown check {kind!r}")
 
 
@@ -281,12 +289,15 @@ def build_canon(env, tokens, lineno):
         raise ScenarioError(f"{_at(lineno)}{name}: {exc}")
 
 
-def _run_canon_check(env, tokens, lineno):
+def _run_canon_check(env, tokens, lineno, built):
     usage = "check canon <map> <args...> <property> <expected>"
     _usage(len(tokens) >= 2, lineno, usage)
     pos = canon_arity(tokens[1:], lineno)
     _usage(len(tokens) == pos + 3, lineno, usage)
-    u = build_canon(env, tokens[1:pos + 1], lineno).morphism
+    key = tuple(tokens[1:pos + 1])
+    if key not in built:
+        built[key] = build_canon(env, key, lineno).morphism
+    u = built[key]
     prop, expected = tokens[pos + 1:]
     if prop in ("source_card", "target_card"):
         module = u.source if prop == "source_card" else u.target
@@ -302,21 +313,28 @@ def _run_canon_check(env, tokens, lineno):
 # shipped scenarios
 
 
+def _scenario_files() -> dict:
+    """Scenario name -> its shipped .scn resource, sorted by name; no file
+    is read."""
+    return dict(sorted((entry.name[:-4], entry) for entry
+                       in resources.files("gradedmod.data").iterdir()
+                       if entry.name.endswith(".scn")))
+
+
 def available_scenarios() -> dict[str, str]:
     """Scenario name -> file text, for every shipped .scn file."""
-    out = {}
-    for entry in resources.files("gradedmod.data").iterdir():
-        if entry.name.endswith(".scn"):
-            out[entry.name[:-4]] = entry.read_text()
-    return dict(sorted(out.items()))
+    return {name: entry.read_text()
+            for name, entry in _scenario_files().items()}
 
 
 def load_scenario(name: str) -> Workspace:
-    scenarios = available_scenarios()
-    if name not in scenarios:
+    """The workspace of the shipped scenario `name`; only its file is
+    read."""
+    files = _scenario_files()
+    if name not in files:
         raise ScenarioError(f"unknown scenario {name!r}; available: "
-                            + ", ".join(scenarios))
-    return parse_workspace(scenarios[name])
+                            + ", ".join(files))
+    return parse_workspace(files[name].read_text())
 
 
 def run_scenario(name: str) -> ScenarioReport:

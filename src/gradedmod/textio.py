@@ -159,10 +159,11 @@ def parse_workspace(text: str, workspace: Workspace | None = None) -> Workspace:
             if tokens[2] != "moduli":
                 raise ParseError("expected 'moduli'", lineno, 3)
             _check_fresh(ws, name, lineno)
-            try:
-                ws.groups[name] = FgAbelianGroup(_ints(tokens, lineno, 3))
-            except GroupError as exc:
-                raise ValidationError(str(exc))
+            moduli = _ints(tokens, lineno, 3)
+            for col, m in enumerate(moduli, 4):
+                if m < 0 or m == 1:
+                    raise ParseError("moduli must be 0 or >= 2", lineno, col)
+            ws.groups[name] = FgAbelianGroup(moduli)
         elif head == "epi":
             _parse_epi(ws, tokens, lineno, lines)
         elif head == "ring":
@@ -275,8 +276,8 @@ def _parse_ring_like(ws, tokens, lineno, lines, is_module: bool):
                 raise ParseError("negative generator count", ln, col)
             ngens[deg] = vals[0]
         elif head == "rel":
-            (deg,), vals, _ = _degrees(toks, ln, k, 1)
-            rels.setdefault(group.canon(deg), []).append(tuple(vals))
+            (deg,), vals, col = _degrees(toks, ln, k, 1)
+            rels.setdefault(group.canon(deg), []).append((vals, ln, col))
         elif head == "one" and not is_module:
             one, one_ln = tuple(_ints(toks, ln, 1)), ln
         elif head == ("act" if is_module else "mult"):
@@ -288,11 +289,14 @@ def _parse_ring_like(ws, tokens, lineno, lines, is_module: bool):
                 (tuple(vals[2:]), ln, col)
         else:
             raise ParseError(f"unknown {kind} line {head!r}", ln, 1)
-    try:
-        comps = {d: FpZnModule(ws.n, g, rels.get(d, []))
-                 for d, g in ngens.items()}
-    except LinAlgError as exc:
-        raise ValidationError(str(exc))
+    comps = {}
+    for d, g in ngens.items():
+        rows = rels.get(d, ())
+        for vals, ln, col in rows:
+            if len(vals) != g:
+                raise ParseError("row length mismatch", ln,
+                                 col + min(len(vals), g))
+        comps[d] = FpZnModule(ws.n, g, [vals for vals, _, _ in rows])
     if is_module:
         action = _assemble_tensors(entries, lambda dc: ring.component(dc),
                                    comps, group, k)
@@ -358,12 +362,10 @@ def _parse_maps_section(ws, tokens, lineno, lines, kind: str):
         source = _lookup(ws.rings, tokens[2], lineno, "ring")
         target = _lookup(ws.rings, tokens[3], lineno, "ring")
         group = source.group
-        comp_of = source.component
     else:
         source = _lookup(ws.modules, tokens[2], lineno, "module")
         target = _lookup(ws.modules, tokens[3], lineno, "module")
         group = source.ring.group
-        comp_of = source.component
     k = len(group.moduli)
     rows = {}
     while True:
@@ -377,20 +379,21 @@ def _parse_maps_section(ws, tokens, lineno, lines, kind: str):
         (deg,), vals, col = _degrees(toks, ln, k, 1)
         if not vals:
             raise ParseError("map needs a generator index", ln, col)
-        rows.setdefault(group.canon(deg), {})[vals[0]] = tuple(vals[1:])
-    maps = {}
-    for deg, by_idx in rows.items():
-        ngens = comp_of(deg).ngens
+        deg = group.canon(deg)
+        ngens = source.component(deg).ngens
+        if not ngens:
+            raise ParseError(f"entry at undeclared degree {deg}", ln, col - k)
+        i, row = vals[0], tuple(vals[1:])
+        if not 0 <= i < ngens:
+            raise ParseError(f"index out of range at {deg}", ln, col)
         width = target.component(deg).ngens
-        mat = []
-        for i in range(ngens):
-            row = by_idx.get(i, ())
-            if len(row) > width:
-                raise ValidationError(
-                    f"map row at degree {deg} has {len(row)} entries, "
-                    f"target component has {width} generators")
-            mat.append(tuple(row) + (0,) * (width - len(row)))
-        maps[deg] = tuple(mat)
+        if len(row) > width:
+            raise ParseError(f"map row at degree {deg} has {len(row)} "
+                             f"entries, target component has {width} "
+                             "generators", ln, col + 1 + width)
+        rows.setdefault(deg, [(0,) * width] * ngens)[i] = \
+            row + (0,) * (width - len(row))
+    maps = {deg: tuple(mat) for deg, mat in rows.items()}
     try:
         if kind == "ringhom":
             ws.ringhoms[name] = GradedRingHom(source, target, maps)

@@ -174,6 +174,17 @@ EPI_HEAD = "modulus 4\ngroup G moduli 0\ngroup H moduli 0\nepi p G H\n"
     # an epi row one coordinate too long, and an epi with no rows
     EPI_HEAD + "  row 1 0\nend\n",
     EPI_HEAD + "end\n",
+    # a relation of the wrong length and a group modulus of 1
+    RING_ONLY.replace("one 1", "rel 1 0\n  one 1"),
+    "modulus 2\ngroup G moduli 1\n",
+    # map rows: too long, out of range, negative, at an empty degree
+    RING_ONLY + "ringhom h R R\n  map 0 1 1\nend\n",
+    RING_ONLY + "module M R\n  component 1\n  act 0 0 1\nend\n"
+    "morphism u M M\n  map 5 1\nend\n",
+    RING_ONLY + "module M R\n  component 1\n  act 0 0 1\nend\n"
+    "morphism u M M\n  map -1 1\nend\n",
+    "modulus 2\ngroup G moduli 2\nring R G\n  component 0 1\n  one 1\n"
+    "  mult 0 0 0 0 1\nend\nringhom h R R\n  map 1 0 1\nend\n",
 ])
 def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text):
     p = tmp_path / "malformed.txt"
@@ -244,6 +255,49 @@ def test_canon_operand_count_is_checked_before_construction(
     assert _run(capsys, ["canon", "theta", "zgraded", "zgraded.RR",
                          "zgraded.SS", "extra"]) == (
         2, "error: canonical map 'theta': too many arguments\n")
+
+
+def _counting(monkeypatch, name):
+    """Wrap the constructor of the canonical map `name` so that each call
+    is recorded; the list of calls is returned."""
+    calls = []
+    ctor, takes_h, nmods = scenarios.CANON_SPECS[name]
+
+    def counted(*args):
+        calls.append(args)
+        return ctor(*args)
+    monkeypatch.setitem(scenarios.CANON_SPECS, name,
+                        (counted, takes_h, nmods))
+    return calls
+
+
+@pytest.mark.parametrize("scenario, name, lines, builds", [
+    ("d25E", "epsilon", 4, 2),
+    ("d40C", "theta", 3, 1),
+])
+def test_check_lines_share_a_canonical_map(capsys, monkeypatch, scenario,
+                                           name, lines, builds):
+    # one construction per map and operands, however many lines check it
+    expected = _run(capsys, ["scenario", "run", scenario])
+    calls = _counting(monkeypatch, name)
+    assert _run(capsys, ["scenario", "run", scenario]) == expected
+    assert expected[1].count(f"check: canon {name} ") == lines
+    assert len(calls) == builds
+
+
+def test_a_shared_map_that_fails_reports_its_first_line(capsys, tmp_path,
+                                                        monkeypatch):
+    # sigma needs a module over S, and M is over R: the first of the two
+    # lines that name sigma h M stops the run with its own error
+    p = tmp_path / "shared.txt"
+    p.write_text(WORKSPACE + "check canon sigma h M is_zero true\n"
+                 "check canon sigma h M is_iso true\n")
+    calls = _counting(monkeypatch, "sigma")
+    first = len(WORKSPACE.splitlines()) + 1
+    assert _run(capsys, ["--input", str(p), "validate"]) == (
+        2, f"error: line {first}: sigma: restriction expects a module over "
+           "the target ring\n")
+    assert len(calls) == 1
 
 
 # Z/6 presented on two generators a, b with a = b: R itself, presented
@@ -750,9 +804,14 @@ def _parse_outcome(parse, argv, capsys):
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS)
 def test_parse_args_reads_argv_as_the_full_parser(capsys, argv):
+    # the parsers are built once per process, so each argv is parsed twice
+    # in a row by the same cached parsers, with the same outcome
     expected = _parse_outcome(lambda a: cli.build_parser().parse_args(a),
                               argv, capsys)
-    assert _parse_outcome(cli.parse_args, argv, capsys) == expected
+    for _ in range(2):
+        assert _parse_outcome(cli.parse_args, argv, capsys) == expected
+    assert _parse_outcome(lambda a: cli.build_parser().parse_args(a),
+                          argv, capsys) == expected
 
 
 def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch,
@@ -765,6 +824,9 @@ def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch,
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    code, _ = _run(capsys, ["--input", ws_file, "validate"])
-    assert code == 0
-    assert built == ["validate"]
+    cli.build_parser.cache_clear()
+    for expected in (["validate"], []):
+        built.clear()
+        code, _ = _run(capsys, ["--input", ws_file, "validate"])
+        assert code == 0
+        assert built == expected

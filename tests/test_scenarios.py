@@ -1,5 +1,7 @@
 """Shipped scenario files and the check DSL."""
 
+import pathlib
+
 import pytest
 
 from gradedmod import scenarios
@@ -27,6 +29,26 @@ def test_shipped_scenarios_pass(name):
 def test_unknown_scenario():
     with pytest.raises(scenarios.ScenarioError):
         scenarios.load_scenario("no-such-scenario")
+
+
+def test_load_scenario_reads_only_its_file(monkeypatch):
+    texts = scenarios.available_scenarios()
+    reads = []
+    read_text = pathlib.Path.read_text
+
+    def counted(path, *args, **kwargs):
+        reads.append(path.name)
+        return read_text(path, *args, **kwargs)
+    monkeypatch.setattr(pathlib.Path, "read_text", counted)
+    assert scenarios.load_scenario("d40C") == parse_workspace(texts["d40C"])
+    assert reads == ["d40C.scn"]
+    # only a listed name is a scenario, and the error lists them all
+    for name in ("no-such-scenario", "../d25E", "d25E.scn", "D25E"):
+        with pytest.raises(scenarios.ScenarioError) as exc:
+            scenarios.load_scenario(name)
+        assert str(exc.value) == (f"unknown scenario {name!r}; available: "
+                                  + ", ".join(EXPECTED))
+    assert reads == ["d40C.scn"]
 
 
 def test_check_dsl_reports_failures():

@@ -165,6 +165,21 @@ ringhom h R R
   {line}
 end
 """,
+    "morphism": """modulus 4
+group G moduli 0 2
+ring R G
+  component 0 0 1
+  one 1
+  mult 0 0 0 0 0 0 1
+end
+module M R
+  component 0 0 1
+  act 0 0 0 0 0 0 1
+end
+morphism u M M
+  {line}
+end
+""",
     "epi": """modulus 4
 group G moduli 0 2
 group H moduli 0
@@ -172,6 +187,9 @@ epi p G H
   row 1
   {line}
 end
+""",
+    "group": """modulus 4
+  {line}
 """,
 }
 
@@ -210,7 +228,9 @@ def _line_cases():
 # an entry of a mult or act line names its own line and the column of the
 # offending token: an index out of range, too many or too few (the column
 # where the missing one would start) coefficients, and an undeclared degree
-# ((1, 0) + (-1, 0) is the declared degree 0); then a wrong-length unit
+# ((1, 0) + (-1, 0) is the declared degree 0); then a wrong-length unit,
+# epi row, relation and map row, a rejected group modulus, and map entries
+# out of range or at a degree without source generators ((0, 2) is (0, 0))
 _LINE_CASES = list(_line_cases()) + [
     (f"{keyword}-{name}", section, f"{keyword} {ints}", col, message)
     for keyword, section in (("mult", "ring"), ("act", "module"))
@@ -230,7 +250,23 @@ _LINE_CASES = list(_line_cases()) + [
     ("component-negative", "ring", "component 1 0 -1", 4,
      "negative generator count"),
     ("row-short", "epi", "row", 2, "coordinate length mismatch"),
-    ("row-long", "epi", "row 0 1", 3, "coordinate length mismatch")]
+    ("row-long", "epi", "row 0 1", 3, "coordinate length mismatch")] + [
+    (f"rel-{name}-{section}", section, f"rel 0 0 {ints}".rstrip(), col,
+     "row length mismatch")
+    for section in ("ring", "module")
+    for name, ints, col in (("long", "2 1", 5), ("short", "", 4))] + [
+    (f"moduli-{name}", "group", f"group G moduli {ints}", col,
+     "moduli must be 0 or >= 2")
+    for name, ints, col in (("one", "1", 4), ("negative", "0 2 -3", 6))] + [
+    (f"map-{name}-{section}", section, f"map {ints}", col, message)
+    for section in ("ringhom", "morphism")
+    for name, ints, col, message in (
+        ("i", "0 0 1 1", 4, "index out of range at (0, 0)"),
+        ("negative-i", "0 0 -1 1", 4, "index out of range at (0, 0)"),
+        ("long", "0 0 0 1 1", 6, "map row at degree (0, 0) has 2 entries, "
+                                 "target component has 1 generators"),
+        ("undeclared", "1 0 0 1", 2, "entry at undeclared degree (1, 0)"),
+        ("canonical", "0 2 1 1", 4, "index out of range at (0, 0)"))]
 
 
 @pytest.mark.parametrize("section,line,col,message",
