@@ -16,6 +16,7 @@ coextension.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -24,7 +25,8 @@ from .abelian import GroupEpi
 from .graded import (GradedError, GradedModule, GradedMorphism,
                      GradedRingHom, RingMismatch, _unit_vec, apply_tensor,
                      coarsen_ring_hom, free_module, ring_as_module, shift)
-from .functors import HomDegree, coextend, hom_degree, restrict
+from .functors import (HomDegree, coextend, extend, hom_degree, hom_graded,
+                       restrict, restrict_witness, tensor)
 from .znlinalg import (FpZnModule, howell, identity_matrix, mat_mul,
                        preimage_gens, solve_row, solve_rows, vec_mat)
 from . import canonical
@@ -82,6 +84,18 @@ def is_epi(u: GradedMorphism):
 
 
 def is_iso(u: GradedMorphism):
+    """(verdict, witness): the witness of a non-isomorphism is that of
+    `is_mono` if u is not mono, else that of `is_epi`.
+
+    A surjection between finite modules of equal order is a bijection, so
+    when |source| = |target| and u is epi, u is an isomorphism and no
+    kernel is computed.  Otherwise mono is tested first, as the witness
+    asks; at equal orders a u that is not epi is not mono either, so
+    that test fails and gives the witness.
+    """
+    if (u.source.cardinality() == u.target.cardinality()
+            and is_epi(u)[0]):
+        return True, None
     mono, w1 = is_mono(u)
     if not mono:
         return False, w1
@@ -460,8 +474,17 @@ def d70_battery(h: GradedRingHom, family) -> EpiBatteryReport:
     stay pairwise.  (ii) and (iii) share sigma at S, and (vii) is row S
     of the eta table of (vi).  Every member is checked to live over S up
     front, so a member over another ring is refused even when the
-    battery stops early.  A member N is restricted when an instance
-    first needs it, and every instance on N is built on that h_*(N).
+    battery stops early.
+
+    Every build is made once, when an instance first needs it, and
+    shared: per member N, h_*(N), its extension h^*(h_*(N)) and its
+    coextension coextend(h, h_*(N)).  sigma at N is built on that
+    extension and rho_tilde on that coextension.  Restriction along h
+    commutes with the mixed functors (`functors.restrict_witness`): the
+    restricted extension is h_*(S) (x)_R h_*(N), the source of gamma at
+    (S, N), and the restricted coextension is Hom_R(h_*(S), h_*(N)), the
+    target of eta at (S, N).  So those instances solve no tensor and no
+    Hom system of their own.
     """
     family = list(family)
     group = h.target.group
@@ -474,20 +497,41 @@ def d70_battery(h: GradedRingHom, family) -> EpiBatteryReport:
     rep = [s_at if m in shifts else i for i, m in enumerate(family)]
     if any(m.ring != h.target for m in family):
         raise RingMismatch("restriction expects a module over the target ring")
-    restricted, decided = {}, {}
+    @functools.cache
+    def res(i):
+        return restrict(h, family[i])
+
+    @functools.cache
+    def ext(i):
+        return extend(h, res(i))
+
+    @functools.cache
+    def coext(i):
+        return coextend(h, res(i))
+
+    def gamma_source(i, j):
+        if i == s_at:
+            return restrict_witness(ext(j), res(i))
+        return tensor(res(i), res(j))
+
+    def eta_target(i, j):
+        if i == s_at:
+            return restrict_witness(coext(j), res(i))
+        return hom_graded(res(i), res(j))
+
+    shared = {canonical._sigma: ext, canonical._rho_tilde: coext,
+              canonical._gamma: gamma_source, canonical._eta: eta_target}
+
+    @functools.cache
+    def decide(fn, at):
+        return is_iso(fn(h, *[family[i] for i in at],
+                         shared[fn](*at)).morphism)[0]
 
     def iso(fn, *at):
         """Whether the builder fn on the family members at `at`, given
-        their restrictions, is an isomorphism; members on the shift orbit
+        its shared build, is an isomorphism; members on the shift orbit
         of S stand for S."""
-        at = tuple(rep[i] for i in at)
-        if (fn, at) not in decided:
-            for i in at:
-                if i not in restricted:
-                    restricted[i] = restrict(h, family[i])
-            mods = [family[i] for i in at] + [restricted[i] for i in at]
-            decided[(fn, at)] = is_iso(fn(h, *mods).morphism)[0]
-        return decided[(fn, at)]
+        return decide(fn, tuple(rep[i] for i in at))
 
     members = range(len(family))
     pairs = list(itertools.product(members, repeat=2))

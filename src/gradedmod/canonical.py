@@ -135,12 +135,11 @@ def rho(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
 
 def sigma(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
     """The counit h^*(h_*(N)) -> N, s (x) x -> sx."""
-    return _sigma(h, module, restrict(h, module))
+    return _sigma(h, module, extend(h, restrict(h, module)))
 
 
-def _sigma(h, module, restricted) -> CanonicalMap:
-    """`sigma` on N = `module`, given h_*(N) as `restricted`."""
-    tw = extend(h, restricted)
+def _sigma(h, module, tw) -> CanonicalMap:
+    """`sigma` on N = `module`, given h^*(h_*(N)) as the witness `tw`."""
     maps = {d: [module.act(_gen(h.target, c, p), _gen(module, a, j))[1]
                 for (c, p, a, j) in pairs]
             for d, pairs in tw.index.items()}
@@ -150,12 +149,12 @@ def _sigma(h, module, restricted) -> CanonicalMap:
 
 def rho_tilde(h: GradedRingHom, module: GradedModule) -> CanonicalMap:
     """The unit N -> coextend(h, h_*(N)), x -> (s -> sx)."""
-    return _rho_tilde(h, module, restrict(h, module))
+    return _rho_tilde(h, module, coextend(h, restrict(h, module)))
 
 
-def _rho_tilde(h, module, restricted) -> CanonicalMap:
-    """`rho_tilde` on N = `module`, given h_*(N) as `restricted`."""
-    hw = coextend(h, restricted)
+def _rho_tilde(h, module, hw) -> CanonicalMap:
+    """`rho_tilde` on N = `module`, given coextend(h, h_*(N)) as the
+    witness `hw`."""
     maps = {}
     for a, comp in module.components.items():
         rows = []
@@ -219,13 +218,12 @@ def delta(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
 
 def gamma(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
     """h_*(M) (x)_R h_*(N) -> h_*(M (x)_S N), x (x) y -> x (x) y."""
-    return _gamma(h, m, n, restrict(h, m), restrict(h, n))
+    return _gamma(h, m, n, tensor(restrict(h, m), restrict(h, n)))
 
 
-def _gamma(h, m, n, rm, rn) -> CanonicalMap:
-    """`gamma` on M = `m` and N = `n`, given h_*(M) and h_*(N) as `rm`
-    and `rn`."""
-    src = tensor(rm, rn)
+def _gamma(h, m, n, src) -> CanonicalMap:
+    """`gamma` on M = `m` and N = `n`, given h_*(M) (x)_R h_*(N) as the
+    witness `src`."""
     ttw = tensor(m, n)
     target = restrict(h, ttw.module)
     maps = {d: [ttw.pure(_gen(m, a, i), _gen(n, b, j))[1]
@@ -272,15 +270,14 @@ def eta(h: GradedRingHom, m: GradedModule, n: GradedModule) -> CanonicalMap:
     if m.ring != n.ring:
         # the error of Hom^G_S(M, N), which comes before the restrictions
         raise RingMismatch("Hom endpoints live over different rings")
-    return _eta(h, m, n, restrict(h, m), restrict(h, n))
+    return _eta(h, m, n, hom_graded(restrict(h, m), restrict(h, n)))
 
 
-def _eta(h, m, n, rm, rn) -> CanonicalMap:
-    """`eta` on M = `m` and N = `n`, given h_*(M) and h_*(N) as `rm` and
-    `rn`."""
+def _eta(h, m, n, target) -> CanonicalMap:
+    """`eta` on M = `m` and N = `n`, given Hom^G_R(h_*(M), h_*(N)) as the
+    witness `target`."""
     hw_s = hom_graded(m, n)
     src = restrict(h, hw_s.module)
-    target = mixed_hom(GradedRingHom.identity(h.source), rm, rn)
     maps = {g: [_hom_coords(target, g,
                             lambda a, i: hw_s.apply(g, u, _gen(m, a, i))[1],
                             "eta") for u in family]

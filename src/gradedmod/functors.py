@@ -589,6 +589,39 @@ def hom_map(h: GradedRingHom, u: GradedMorphism, v: GradedMorphism,
 
 
 # ---------------------------------------------------------------------------
+# restriction of Hom and tensor witnesses
+
+
+def restrict_witness(witness, left: GradedModule):
+    """The witness of a mixed Hom or tensor along h: R -> S, restricted to
+    R: for an S-module L and an R-module N', given `left` = h_*(L),
+
+        restrict(h, mixed_hom(h, L, N').module)
+            == mixed_hom(id_R, h_*(L), N').module,
+        restrict(h, mixed_tensor(h, L, N').module)
+            == tensor(h_*(L), N').module.
+
+    R acts on h_*(L) as h(r) on L, so for every algebra generator r of R
+    the linearity rows of `hom_degree` and the balance rows of
+    `mixed_tensor` are the same on both sides: each side solves the same
+    linear systems, with the same `HomDegree`s, or the same pruned
+    components with the same `index` and `pos`.  The R-action on the
+    right is written at the basis of R_c, in canonical coordinates; so is
+    the restricted S-action at h of that basis.  So the returned witness,
+    over id_R with h_*(L) as its left end, is the right-hand side's, with
+    the systems of `witness` and no linear algebra of its own.
+    """
+    h = witness.h
+    identity = GradedRingHom.identity(h.source)
+    module = restrict(h, witness.module)
+    if isinstance(witness, HomWitness):
+        return HomWitness(identity, left, witness.target, module,
+                          witness.degrees)
+    return TensorWitness(identity, left, witness.right, module,
+                         witness.index, witness.pos)
+
+
+# ---------------------------------------------------------------------------
 # scalar extension and coextension
 
 

@@ -550,10 +550,17 @@ def _check_module_axioms(ring, comps, tensors, words):
 
 
 class GradedRing:
-    """Finitely supported commutative G-graded ring over Z/nZ."""
+    """Finitely supported commutative G-graded ring over Z/nZ.
+
+    Data derived from the ring alone sits in slots filled on first use:
+    the algebra generators, the factors and the nilpotent ideals, and two
+    objects built on the ring, the ring as a module over itself
+    (`ring_as_module`) and its identity morphism
+    (`GradedRingHom.identity`).  Each is built once per ring.
+    """
 
     __slots__ = ("group", "n", "components", "mult", "one", "_algebra_gens",
-                 "_factors", "_nilpotents")
+                 "_factors", "_nilpotents", "_as_module", "_identity")
 
     def __init__(self, group: FgAbelianGroup, n: int, components, mult, one,
                  validate: bool = True):
@@ -572,6 +579,7 @@ class GradedRing:
         if not any(self.one):
             raise GradedError("the unit of the ring must be nonzero")
         self._algebra_gens = self._factors = self._nilpotents = None
+        self._as_module = self._identity = None
         if validate:
             self._validate()
 
@@ -814,12 +822,15 @@ def _maps_first_missed(self):
 
     In each degree the matrix rows with the target relations, in Howell
     form, span the image plus the relations; a generator outside that span
-    is nonzero in the target and missed.
+    is nonzero in the target and missed.  A span whose Howell form is the
+    identity is everything, so no generator is tested there.
     """
     for deg in sorted(self.target.components):
         tc = self.target.components[deg]
         span = howell(list(self.maps.get(deg, ())) + list(tc.rels),
                       tc.ngens, tc.n)
+        if span == identity_matrix(tc.ngens):
+            continue
         for i in range(tc.ngens):
             e = _unit_vec(tc.ngens, i)
             if not span_contains(e, span, tc.n):
@@ -989,7 +1000,11 @@ class GradedRingHom:
 
     @staticmethod
     def identity(ring: GradedRing) -> "GradedRingHom":
-        return GradedRingHom(ring, ring, _identity_maps(ring), validate=False)
+        """The identity of `ring`, built once per ring."""
+        if ring._identity is None:
+            ring._identity = GradedRingHom(ring, ring, _identity_maps(ring),
+                                           validate=False)
+        return ring._identity
 
     _key = _maps_key
     __eq__ = _key_eq
@@ -1076,9 +1091,12 @@ def monomial_quotient(group: FgAbelianGroup, n: int, degrees, ideal,
 
 
 def ring_as_module(ring: GradedRing) -> GradedModule:
-    """The ring viewed as a graded module over itself."""
-    return GradedModule(ring, dict(ring.components), dict(ring.mult),
-                        validate=False)
+    """The ring viewed as a graded module over itself, built once per
+    ring."""
+    if ring._as_module is None:
+        ring._as_module = GradedModule(ring, dict(ring.components),
+                                       dict(ring.mult), validate=False)
+    return ring._as_module
 
 
 def shift(module: GradedModule, g) -> GradedModule:

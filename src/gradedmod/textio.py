@@ -23,6 +23,11 @@ generator, so the trivial group contributes no tokens):
     morphism <name> <module> <module> / map <deg> <i> <coeffs> / end
     derive <name> <operation> <args...>
     check <tokens...>
+
+Within a section each `component` degree, the `one` line and each entry
+(the degrees and indices of a `mult`, `act` or `map` line) is given at
+most once, and every `rel` degree has a `component` line; a repeat or an
+undeclared degree is an error that names its line.
 """
 
 from __future__ import annotations
@@ -274,21 +279,32 @@ def _parse_ring_like(ws, tokens, lineno, lines, is_module: bool):
                                  col)
             if vals[0] < 0:
                 raise ParseError("negative generator count", ln, col)
+            if deg in ngens:
+                raise ParseError(f"repeated component at degree {deg}", ln,
+                                 2)
             ngens[deg] = vals[0]
         elif head == "rel":
             (deg,), vals, col = _degrees(toks, ln, k, 1)
             rels.setdefault(group.canon(deg), []).append((vals, ln, col))
         elif head == "one" and not is_module:
+            if one is not None:
+                raise ParseError("repeated one line", ln, 1)
             one, one_ln = tuple(_ints(toks, ln, 1)), ln
         elif head == ("act" if is_module else "mult"):
             (dc, dh), vals, col = _degrees(toks, ln, k, 2)
             if len(vals) < 2:
                 raise ParseError(f"{head} needs indices "
                                  f"{'p' if is_module else 'i'} j", ln, col)
-            entries[(group.canon(dc), group.canon(dh), vals[0], vals[1])] = \
-                (tuple(vals[2:]), ln, col)
+            key = (group.canon(dc), group.canon(dh), vals[0], vals[1])
+            if key in entries:
+                raise ParseError(f"repeated {head} entry {vals[0]} {vals[1]} "
+                                 f"at {key[0]},{key[1]}", ln, 2)
+            entries[key] = (tuple(vals[2:]), ln, col)
         else:
             raise ParseError(f"unknown {kind} line {head!r}", ln, 1)
+    for d, rows in rels.items():
+        if d not in ngens:
+            raise ParseError(f"rel at undeclared degree {d}", rows[0][1], 2)
     comps = {}
     for d, g in ngens.items():
         rows = rels.get(d, ())
@@ -298,15 +314,14 @@ def _parse_ring_like(ws, tokens, lineno, lines, is_module: bool):
                                  col + min(len(vals), g))
         comps[d] = FpZnModule(ws.n, g, [vals for vals, _, _ in rows])
     if is_module:
-        action = _assemble_tensors(entries, lambda dc: ring.component(dc),
-                                   comps, group, k)
+        action = _assemble_tensors(entries, ring.components, comps, group,
+                                   k)
         try:
             ws.modules[name] = GradedModule(ring, comps, action)
         except GradedError as exc:
             raise ValidationError(str(exc))
     else:
-        action = _assemble_tensors(entries, lambda dc: comps.get(
-            dc, FpZnModule(ws.n, 0, [])), comps, group, k)
+        action = _assemble_tensors(entries, comps, comps, group, k)
         if one is None:
             raise ParseError("ring lacks a 'one' line", lineno, 1)
         unit = comps.get(group.zero())
@@ -321,10 +336,11 @@ def _parse_ring_like(ws, tokens, lineno, lines, is_module: bool):
     ws.meta[name] = (tokens[2],)
 
 
-def _assemble_tensors(entries, left_comp, comps, group, k):
-    """The structure tensors of a section's `mult` or `act` lines; an error
-    names the line of its entry and the column of the offending token,
-    whose degrees take k integers each."""
+def _assemble_tensors(entries, left, comps, group, k):
+    """The structure tensors of a section's `mult` or `act` lines, whose
+    left factors have the components `left`; an error names the line of
+    its entry and the column of the offending token, whose degrees take k
+    integers each."""
     tensors = {}
     for (dc, dh, i, j), (coeffs, ln, col) in entries.items():
         out_deg = group.add(dc, dh)
@@ -335,15 +351,15 @@ def _assemble_tensors(entries, left_comp, comps, group, k):
                     f"product at {dc},{dh} leaves the declared support",
                     "support-closure")
             continue
-        lc = left_comp(dc)
+        lgens = left[dc].ngens if dc in left else 0
         rc = comps.get(dh)
         if rc is None:
             raise ParseError(f"entry at undeclared degree {dh}", ln, col - k)
         t = tensors.setdefault(
             (dc, dh),
             [[[0] * out.ngens for _ in range(rc.ngens)]
-             for _ in range(lc.ngens)])
-        if not 0 <= i < lc.ngens:
+             for _ in range(lgens)])
+        if not 0 <= i < lgens:
             raise ParseError(f"index out of range at {dc},{dh}", ln, col)
         if not 0 <= j < rc.ngens:
             raise ParseError(f"index out of range at {dc},{dh}", ln, col + 1)
@@ -368,6 +384,7 @@ def _parse_maps_section(ws, tokens, lineno, lines, kind: str):
         group = source.ring.group
     k = len(group.moduli)
     rows = {}
+    seen = set()  # (degree, index) of every map line
     while True:
         ln, toks = lines.next_tokens()
         if toks is None:
@@ -386,6 +403,10 @@ def _parse_maps_section(ws, tokens, lineno, lines, kind: str):
         i, row = vals[0], tuple(vals[1:])
         if not 0 <= i < ngens:
             raise ParseError(f"index out of range at {deg}", ln, col)
+        if (deg, i) in seen:
+            raise ParseError(f"repeated map entry {i} at degree {deg}", ln,
+                             2)
+        seen.add((deg, i))
         width = target.component(deg).ngens
         if len(row) > width:
             raise ParseError(f"map row at degree {deg} has {len(row)} "

@@ -81,6 +81,17 @@ def howell(rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
     pivot are reduced modulo that pivot, and the row set is span-closed:
     any span element with leading zeros lies in the span of the later rows.
     The form is unique for a given row span.
+
+    Column by column, the first row nonzero there becomes the pivot and
+    every other such row is cleared against it.  When the pivot's entry a
+    divides the row's entry b, the row becomes r - (b/a)*pivot and the
+    pivot stays: one row update.  Otherwise an xgcd step replaces both by
+    the gcd row and the two remainders.  Either way the span is unchanged,
+    and so is the form, which the span alone determines.  The pivot is
+    then scaled by a unit to a divisor d of n (skipped when that unit is
+    1), and its multiple by n/d, zero in this column, joins the rows still
+    to be reduced (skipped when d is 1, as it is then zero).  The loop
+    stops once no row is left, so zero rows alone give () at once.
     """
     pool = []  # nonzero rows only
     for r in rows:
@@ -92,16 +103,25 @@ def howell(rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
     result: list[list[int]] = []
     cols: list[int] = []
     for j in range(ncols):
+        if not pool:
+            break
         pivot = None
         rest = []
         for r in pool:
-            if r[j] == 0:
+            b = r[j]
+            if b == 0:
                 rest.append(r)
                 continue
             if pivot is None:
                 pivot = r
                 continue
-            a, b = pivot[j], r[j]
+            a = pivot[j]
+            if b % a == 0:
+                q = b // a
+                red_r = [(y - q * x) % n for x, y in zip(pivot, r)]
+                if any(red_r):
+                    rest.append(red_r)
+                continue
             g, s, t = _xgcd(a, b)
             new = [(s * x + t * y) % n for x, y in zip(pivot, r)]
             red_p = [(x - (a // g) * z) % n for x, z in zip(pivot, new)]
@@ -113,11 +133,13 @@ def howell(rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
             pivot = new
         if pivot is not None:
             u = _unit_scale(pivot[j], n)
-            pivot = [(u * x) % n for x in pivot]
+            if u != 1:
+                pivot = [(u * x) % n for x in pivot]
             d = pivot[j]
-            ann = [((n // d) * x) % n for x in pivot]
-            if any(ann):
-                rest.append(ann)
+            if d != 1:
+                ann = [((n // d) * x) % n for x in pivot]
+                if any(ann):
+                    rest.append(ann)
             result.append(pivot)
             cols.append(j)
         pool = rest
@@ -173,7 +195,14 @@ def _solve_augmented(h, pivots, b, ncols: int, k: int, n: int):
 
 
 def row_kernel(rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Generators of {v in (Z/n)^k : v*A == 0} for A with k rows."""
+    """Generators of {v in (Z/n)^k : v*A == 0} for A with k rows, in
+    Howell form.
+
+    A matrix with no columns kills every v: its kernel is all of
+    (Z/n)^k, whose Howell form is the identity.
+    """
+    if not ncols and not any(rows):
+        return identity_matrix(len(rows))
     h, pivots = _augmented(rows, ncols, n)
     return _kernel_of(h, pivots, ncols, len(rows), n)
 
@@ -391,8 +420,7 @@ class Subquotient:
         # the gens part of the row kernel of [gens; dgens] is the preimage
         # of span(dgens): the relations among the generators
         ker = _kernel_of(self._aug, self._aug_pivots, dim, len(stacked), n)
-        rels = howell([row[:k] for row in ker], k, n)
-        self.module = FpZnModule(n, k, rels)
+        self.module = FpZnModule(n, k, [row[:k] for row in ker])
 
     def lift(self, coords) -> tuple[int, ...]:
         """An ambient representative of the element with the given coordinates."""

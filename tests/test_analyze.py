@@ -25,7 +25,7 @@ from gradedmod.graded import (GradedModule, GradedMorphism, GradedRing,
 from gradedmod.znlinalg import FpZnModule
 from util import (IsoSearchExhausted, adjoin_truncated, diagonal,
                   group_ring, iso_search, product_ring, reference_d70_battery,
-                  reference_is_free, reference_is_mono,
+                  reference_is_free, reference_is_iso, reference_is_mono,
                   reference_is_projective, reference_is_ring_epimorphism,
                   reference_morita_check)
 from util import reference_homs as _reference_homs
@@ -85,6 +85,34 @@ def _mono_draws(instances, seed):
 def test_is_mono_matches_the_kernel_module(instances, seed):
     for u in _mono_draws(instances, seed):
         assert A.is_mono(u) == reference_is_mono(u), u
+
+
+def _iso_draws(instances, seed):
+    """`_mono_draws`, then a random endomorphism of a random module over R
+    and over S of every named instance: equal orders, iso or not."""
+    yield from _mono_draws(instances, seed)
+    rng = random.Random(seed)
+    for name in sorted(instances):
+        h = instances[name]["h"]
+        for ring in (h.source, h.target):
+            m = corpus.random_module(ring, rng)
+            yield corpus.random_morphism(m, m, rng)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_is_iso_matches_the_reference(instances, seed):
+    # the verdict and the witness: at equal orders an epi is decided
+    # without a kernel, and a non-iso keeps the kernel element of is_mono
+    for u in _iso_draws(instances, seed):
+        assert A.is_iso(u) == reference_is_iso(u), u
+
+
+def test_is_iso_decides_both_ways_at_equal_orders(instances):
+    verdicts = [A.is_iso(u)[0] for seed in range(3)
+                for u in _iso_draws(instances, seed)
+                if u.source.cardinality() == u.target.cardinality()]
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_is_mono_by_enumerating_the_source(instances):
@@ -222,14 +250,14 @@ def _support_shifts(ring):
 def _log_battery_calls(monkeypatch, family):
     """Patch the builders of the four canonical maps of the battery to log
     each call as (map name, positions of its modules in `family`).  A
-    builder takes the family members, then their restrictions."""
+    builder takes the family members, then the build it shares."""
     log = []
     for name in ("sigma", "rho_tilde", "gamma", "eta"):
-        def logged(h, *mods, _fn=getattr(C, "_" + name), _name=name):
+        def logged(h, *args, _fn=getattr(C, "_" + name), _name=name):
             log.append((_name, tuple(
                 next(i for i, m in enumerate(family) if m == mod)
-                for mod in mods[:len(mods) // 2])))
-            return _fn(h, *mods)
+                for mod in args[:-1])))
+            return _fn(h, *args)
         monkeypatch.setattr(C, "_" + name, logged)
     return log
 
@@ -365,20 +393,49 @@ def _battery_morphism(instances, data):
 @given(st.data())
 def test_battery_matches_the_pairwise_reference(instances, data):
     # the support shifts of S, reordered and repeated, with other members
-    # put in anywhere: S + S, and S(g) for g with every coordinate 1, a
-    # support shift iff S has a component of degree -g (never under Z)
+    # put in anywhere: S + S, S(g) for g with every coordinate 1, a
+    # support shift iff S has a component of degree -g (never under Z),
+    # and a random S-module, rarely a shift of S; gamma and eta at (S, N)
+    # are built on the restricted extension and coextension of N, the
+    # reference's on N alone
     h = _battery_morphism(instances, data)
     shifts = _support_shifts(h.target)
     family = data.draw(st.permutations(shifts))
     family += data.draw(st.lists(st.sampled_from(shifts), max_size=2))
     s_mod, grp = shifts[0], h.target.group
-    for other in data.draw(st.lists(st.sampled_from(["sum", "shift"]),
-                                    max_size=2)):
-        member = (direct_sum([s_mod, s_mod])[0] if other == "sum" else
-                  shift(s_mod, grp.canon([1] * len(grp.moduli))))
+    for other in data.draw(st.lists(st.sampled_from(
+            ["sum", "shift", "random"]), max_size=2)):
+        if other == "random":
+            member = corpus.random_module(
+                h.target, random.Random(data.draw(st.integers(0, 2**32 - 1))),
+                1)
+        else:
+            member = (direct_sum([s_mod, s_mod])[0] if other == "sum" else
+                      shift(s_mod, grp.canon([1] * len(grp.moduli))))
         family.insert(data.draw(st.integers(0, len(family))), member)
     assert A.d70_battery(h, family).verdicts == \
         reference_d70_battery(h, family).verdicts
+
+
+@pytest.mark.parametrize("name", sorted(corpus.named_instances()))
+def test_shared_battery_builds_give_the_public_maps(instances, name):
+    # each builder on the build the battery shares is the public map: sigma
+    # and rho_tilde on the extension and coextension of h_*(N), gamma and
+    # eta at (S, N) on their restrictions
+    h = instances[name]["h"]
+    s_mod = ring_as_module(h.target)
+    rs = restrict(h, s_mod)
+    rng = random.Random(7)
+    for n_mod in [s_mod] + [corpus.random_module(h.target, rng)
+                            for _ in range(2)]:
+        rn = restrict(h, n_mod)
+        ext, coext = extend(h, rn), coextend(h, rn)
+        assert C._sigma(h, n_mod, ext) == C.sigma(h, n_mod)
+        assert C._rho_tilde(h, n_mod, coext) == C.rho_tilde(h, n_mod)
+        assert C._gamma(h, s_mod, n_mod, F.restrict_witness(ext, rs)) == \
+            C.gamma(h, s_mod, n_mod)
+        assert C._eta(h, s_mod, n_mod, F.restrict_witness(coext, rs)) == \
+            C.eta(h, s_mod, n_mod)
 
 
 def _orbit_morphisms(instances):
@@ -398,11 +455,9 @@ def test_battery_maps_agree_along_the_shift_orbit_of_s(instances, at):
     # four maps is an isomorphism at every support shift of S, or at none
     h = _orbit_morphisms(instances)[at]
     family = _support_shifts(h.target)
-    restricted = [restrict(h, m) for m in family]
-    for fn, arity in ((C._sigma, 1), (C._rho_tilde, 1), (C._gamma, 2),
-                      (C._eta, 2)):
-        verdicts = {A.is_iso(fn(h, *[family[i] for i in pos],
-                                *[restricted[i] for i in pos]).morphism)[0]
+    for fn, arity in ((C.sigma, 1), (C.rho_tilde, 1), (C.gamma, 2),
+                      (C.eta, 2)):
+        verdicts = {A.is_iso(fn(h, *[family[i] for i in pos]).morphism)[0]
                     for pos in itertools.product(range(len(family)),
                                                  repeat=arity)}
         assert len(verdicts) == 1, fn.__name__

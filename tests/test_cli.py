@@ -185,6 +185,16 @@ EPI_HEAD = "modulus 4\ngroup G moduli 0\ngroup H moduli 0\nepi p G H\n"
     "morphism u M M\n  map -1 1\nend\n",
     "modulus 2\ngroup G moduli 2\nring R G\n  component 0 1\n  one 1\n"
     "  mult 0 0 0 0 1\nend\nringhom h R R\n  map 1 0 1\nend\n",
+    # a relation at a degree without a component line
+    "modulus 2\ngroup G moduli 2\nring R G\n  component 0 1\n"
+    "  rel 1 1 1 1\n  one 1\n  mult 0 0 0 0 1\nend\n",
+    # a repeated component, one, mult, act and map line
+    RING_ONLY.replace("component 1", "component 1\n  component 1"),
+    RING_ONLY.replace("one 1", "one 1\n  one 1"),
+    RING_ONLY.replace("mult 0 0 1", "mult 0 0 1\n  mult 0 0 0"),
+    RING_ONLY + "module M R\n  component 1\n  act 0 0 1\n  act 0 0 1\nend\n",
+    RING_ONLY + "module M R\n  component 1\n  act 0 0 1\nend\n"
+    "morphism u M M\n  map 0 1\n  map 0 0\nend\n",
 ])
 def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text):
     p = tmp_path / "malformed.txt"

@@ -20,8 +20,9 @@ from gradedmod import corpus
 from gradedmod.abelian import make_group
 from gradedmod.functors import (coextend, coextend_morphism, extend,
                                 extend_morphism, hom_degree, hom_graded,
-                                hom_map, mixed_tensor, restrict,
-                                restrict_morphism, tensor, tensor_map)
+                                hom_map, mixed_hom, mixed_tensor, restrict,
+                                restrict_morphism, restrict_witness, tensor,
+                                tensor_map)
 from gradedmod.graded import (GradedModule, GradedMorphism, GradedRingHom,
                               monomial_ring, ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
@@ -326,3 +327,34 @@ def test_mixed_tensor_matches_balance_over_every_basis_element(instances,
         for tw in (mixed_tensor(h, left, right), tensor(right, other)):
             assert (tw.module, tw.index, tw.pos) == \
                 reference_mixed_tensor(tw.h, tw.left, tw.right), name
+
+
+def _hom_systems(witness):
+    """Per Hom degree, the layout and the solved system: blocks,
+    relations, generators and the presented module."""
+    return {g: (deg.blocks, deg.dim, deg.rels, deg.sq.gens, deg.sq.dgens,
+                deg.sq.module) for g, deg in witness.degrees.items()}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(ALL), st.integers(0, 2**32 - 1))
+def test_restriction_commutes_with_the_mixed_functors(instances, name, seed):
+    # for L over S and N' over R, h_* of the mixed Hom and tensor is the
+    # Hom and tensor over R from h_*(L): the same module, the same Hom
+    # systems, and the same pair index and pair images; N' is a random
+    # R-module and, as in the battery, the restriction of an S-module
+    h = instances[name]["h"]
+    ident = GradedRingHom.identity(h.source)
+    rng = random.Random(seed)
+    left = corpus.random_module(h.target, rng)
+    rl = restrict(h, left)
+    for right in (corpus.random_module(h.source, rng),
+                  restrict(h, corpus.random_module(h.target, rng))):
+        got = restrict_witness(mixed_hom(h, left, right), rl)
+        want = mixed_hom(ident, rl, right)
+        assert got.module == want.module, name
+        assert _hom_systems(got) == _hom_systems(want), name
+        got = restrict_witness(mixed_tensor(h, left, right), rl)
+        want = tensor(rl, right)
+        assert (got.module, got.index, got.pos) == \
+            (want.module, want.index, want.pos), name

@@ -130,14 +130,23 @@ end
 # own column, and a short line names the column where the missing part
 # would start
 
-# degrees of G = Z x Z/2 take two integers; "{line}" is line 7 of a ring,
-# and an epi G ->> H = Z needs two rows of one integer each
+# degrees of G = Z x Z/2 take two integers; "{line}" is line 6 of a ring,
+# which has a unit and no product (the line may give one), and of a unit
+# section, a ring with a product and no unit; an epi G ->> H = Z needs two
+# rows of one integer each
 _SECTION = {
     "ring": """modulus 4
 group G moduli 0 2
 ring R G
   component 0 0 1
   one 1
+  {line}
+end
+""",
+    "unit": """modulus 4
+group G moduli 0 2
+ring R G
+  component 0 0 1
   mult 0 0 0 0 0 0 1
   {line}
 end
@@ -230,7 +239,9 @@ def _line_cases():
 # where the missing one would start) coefficients, and an undeclared degree
 # ((1, 0) + (-1, 0) is the declared degree 0); then a wrong-length unit,
 # epi row, relation and map row, a rejected group modulus, and map entries
-# out of range or at a degree without source generators ((0, 2) is (0, 0))
+# out of range or at a degree without source generators ((0, 2) is (0, 0)),
+# a relation at a degree without a component line, and a repeated
+# component, unit or entry
 _LINE_CASES = list(_line_cases()) + [
     (f"{keyword}-{name}", section, f"{keyword} {ints}", col, message)
     for keyword, section in (("mult", "ring"), ("act", "module"))
@@ -245,8 +256,8 @@ _LINE_CASES = list(_line_cases()) + [
          "coefficient count mismatch at (0, 0),(0, 0)"),
         ("undeclared", "1 0 -1 0 0 0 1", 4,
          "entry at undeclared degree (-1, 0)"))] + [
-    ("one-short", "ring", "one", 2, "one: coefficient count 0, expected 1"),
-    ("one-long", "ring", "one 1 0", 3, "one: coefficient count 2, expected 1"),
+    ("one-short", "unit", "one", 2, "one: coefficient count 0, expected 1"),
+    ("one-long", "unit", "one 1 0", 3, "one: coefficient count 2, expected 1"),
     ("component-negative", "ring", "component 1 0 -1", 4,
      "negative generator count"),
     ("row-short", "epi", "row", 2, "coordinate length mismatch"),
@@ -266,7 +277,26 @@ _LINE_CASES = list(_line_cases()) + [
         ("long", "0 0 0 1 1", 6, "map row at degree (0, 0) has 2 entries, "
                                  "target component has 1 generators"),
         ("undeclared", "1 0 0 1", 2, "entry at undeclared degree (1, 0)"),
-        ("canonical", "0 2 1 1", 4, "index out of range at (0, 0)"))]
+        ("canonical", "0 2 1 1", 4, "index out of range at (0, 0)"))] + [
+    (f"rel-undeclared-{section}", section, "rel 1 0 1", 2,
+     "rel at undeclared degree (1, 0)") for section in ("ring", "module")] + [
+    # a repeat, also under another name of its degree ((0, 2) is (0, 0)),
+    # names its own line, the last one of the case
+    (f"repeat-{name}", section, line, col, message)
+    for name, section, line, col, message in (
+        ("component-ring", "ring", "component 0 2 3", 2,
+         "repeated component at degree (0, 0)"),
+        ("component-module", "module", "component 0 0 1", 2,
+         "repeated component at degree (0, 0)"),
+        ("one", "ring", "one 3", 1, "repeated one line"),
+        ("mult", "ring", "mult 0 0 0 0 0 0 1\n  mult 0 2 0 0 0 0 3", 2,
+         "repeated mult entry 0 0 at (0, 0),(0, 0)"),
+        ("act", "module", "act 0 0 0 0 0 0 1\n  act 0 2 0 0 0 0 3", 2,
+         "repeated act entry 0 0 at (0, 0),(0, 0)"),
+        ("map-ringhom", "ringhom", "map 0 0 0 1\n  map 0 2 0 0", 2,
+         "repeated map entry 0 at degree (0, 0)"),
+        ("map-morphism", "morphism", "map 0 0 0 1\n  map 0 0 0 0", 2,
+         "repeated map entry 0 at degree (0, 0)"))]
 
 
 @pytest.mark.parametrize("section,line,col,message",
@@ -274,7 +304,9 @@ _LINE_CASES = list(_line_cases()) + [
                          ids=[case[0] for case in _LINE_CASES])
 def test_integer_line_errors_name_their_column(section, line, col, message):
     text = _SECTION[section].replace("{line}", line)
-    lineno = text.splitlines().index("  " + line) + 1
+    # the last line of the case, found from the end of the text
+    lines = text.splitlines()[::-1]
+    lineno = len(lines) - lines.index("  " + line.split("\n  ")[-1])
     with pytest.raises(textio.ParseError) as exc:
         textio.parse_workspace(text)
     assert (exc.value.line, exc.value.col) == (lineno, col)

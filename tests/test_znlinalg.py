@@ -18,6 +18,7 @@ from gradedmod.znlinalg import (MAX_MODULUS, FpZnModule, LinAlgError,
                                 Subquotient, howell, identity_matrix,
                                 mat_mul, prune, reduce_mod_span, row_kernel,
                                 solve_row, span_contains, vec_mat)
+from util import reference_howell, reference_row_kernel
 
 MODULI = (2, 3, 4, 6, 8)
 SHAPES = [(r, c) for r in range(1, 5) for c in range(1, 5)]
@@ -368,3 +369,35 @@ def test_prune_presents_the_same_module(data):
     # with equal (finite) orders, a well-defined onto map is a bijection
     assert pruned.cardinality() == ambient.cardinality()
     assert all(row[j] != 1 for row, j in zip(pruned.rels, pruned.pivots))
+
+
+# ---------------------------------------------------------------------------
+# `howell` and `row_kernel` against the xgcd-only reference in tests/util
+
+
+@st.composite
+def _reference_matrix(draw):
+    """A matrix over Z/n for n in {2, 4, 6, 8, 9, 12, 2^31 - 1}, wide or
+    tall, with zero rows and repeated rows mixed in; n = 2^31 - 1 draws
+    entries near both ends of the range."""
+    n = draw(st.sampled_from((2, 4, 6, 8, 9, 12, 2**31 - 1)))
+    r = draw(st.integers(0, 7))
+    c = draw(st.integers(0, 7))
+    entries = (st.integers(0, n - 1) if n < 100 else st.one_of(
+        st.integers(0, 3), st.integers(n - 3, n - 1), st.integers(0, n - 1)))
+    rows = [tuple(draw(entries) for _ in range(c)) for _ in range(r)]
+    for _ in range(draw(st.integers(0, 2))):
+        extra = ((0,) * c if not rows or draw(st.booleans())
+                 else draw(st.sampled_from(rows)))
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return n, c, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reference_matrix())
+def test_howell_matches_the_reference(data):
+    n, c, rows = data
+    assert howell(rows, c, n) == reference_howell(rows, c, n)
+    # with c = 0 the kernel is everything: the identity
+    assert row_kernel(rows, c, n) == reference_row_kernel(rows, c, n)
+
