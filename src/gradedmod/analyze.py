@@ -124,6 +124,8 @@ def _one_sided_inverse(u: GradedMorphism, side: str, back):
     identity modulo the relations of E.  One `solve_row` against the
     flattened identity decides, and the first coefficients c_k of a
     solution give v = sum_k c_k w_k, checked to be a one-sided inverse.
+    A combination of the w_k is a morphism by construction, so v is
+    built without a second axiom check; the composite check stays.
     """
     ring = u.source.ring
     n = ring.n
@@ -143,7 +145,8 @@ def _one_sided_inverse(u: GradedMorphism, side: str, back):
     sol = solve_row(rows + end_deg.rels, ident, end_deg.dim, n)
     if sol is None:
         return False, None
-    v = GradedMorphism(u.target, u.source, back.matrices(sol[:len(gens)]))
+    v = GradedMorphism(u.target, u.source, back.matrices(sol[:len(gens)]),
+                       validate=False)
     composite = v.compose(u) if side == "left" else u.compose(v)
     if composite != GradedMorphism.identity(end):
         what = "section" if side == "left" else "retraction"

@@ -33,6 +33,14 @@ component.  The builders write raw action tensors, entries unreduced
 and zero tensors included, and leave reduction and dropping to the
 `GradedModule` constructor (`graded._canon_structure`); the linear
 systems are solved by `znlinalg`.
+
+Every output is a trusted derivation (the validation policy in
+`graded`): the modules of `restrict`, `mixed_tensor` and `mixed_hom`,
+and so of `extend`, `tensor`, `coextend` and `hom_graded`, and the
+morphisms of `restrict_morphism`, `tensor_map` and `hom_map` are built
+with `validate=False`.  Their inputs were validated, and the functors
+take graded modules and morphisms to graded modules and morphisms, so
+the constructors only canonicalize.
 """
 
 from __future__ import annotations
@@ -73,13 +81,13 @@ def restrict(h: GradedRingHom, module: GradedModule) -> GradedModule:
             out = module.component(grp.add(c, a))
             action[(c, a)] = [[apply_tensor(t, hr, _unit_vec(ma.ngens, j), out)
                                for j in range(ma.ngens)] for hr in hrs]
-    return GradedModule(ring, dict(module.components), action)
+    return GradedModule(ring, dict(module.components), action, validate=False)
 
 
 def restrict_morphism(h: GradedRingHom, u: GradedMorphism) -> GradedMorphism:
     """Scalar restriction on morphisms: same underlying maps."""
     return GradedMorphism(restrict(h, u.source), restrict(h, u.target),
-                          dict(u.maps))
+                          dict(u.maps), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +261,7 @@ def mixed_tensor(h: GradedRingHom, left: GradedModule,
                     block.append(vec)
                 tensor.append(block)
             action[(c, d)] = tensor
-    module = GradedModule(ring_s, comps, action)
+    module = GradedModule(ring_s, comps, action, validate=False)
     return TensorWitness(h, left, right, module, index, pos)
 
 
@@ -285,7 +293,7 @@ def tensor_map(h: GradedRingHom, u: GradedMorphism, v: GradedMorphism,
             _, img = target.pure((a, urow), (b, vrow))
             rows.append(img)
         maps[d] = rows
-    return GradedMorphism(source.module, target.module, maps)
+    return GradedMorphism(source.module, target.module, maps, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +546,7 @@ def mixed_hom(h: GradedRingHom, source: GradedModule,
                     block.append(coords)
                 tensor_rows.append(block)
             action[(c, g)] = tensor_rows
-    module = GradedModule(ring_s, comps, action)
+    module = GradedModule(ring_s, comps, action, validate=False)
     witness.module = module
     return witness
 
@@ -585,7 +593,7 @@ def hom_map(h: GradedRingHom, u: GradedMorphism, v: GradedMorphism,
             rows.append(coords)
         if rows:
             maps[g] = rows
-    return GradedMorphism(source.module, target.module, maps)
+    return GradedMorphism(source.module, target.module, maps, validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,30 @@
 A G-graded ring holds one finitely presented Z/nZ-module per supported
 degree plus bilinear structure tensors for multiplication; modules carry
 action tensors R_g x M_h -> M_{g+h}.  Morphisms are degree-zero and stored
-as one matrix per degree.  All objects are validated on construction and
-immutable afterwards; any degree outside the stored support denotes the
-zero component.
+as one matrix per degree.  Objects are immutable after construction; any
+degree outside the stored support denotes the zero component.
 
-One validation policy serves rings and modules: a ring is checked as a
+One rule says which objects are checked against their axioms: validate
+at the trust boundary and trust derivations.
+- The boundary: every constructor a caller uses defaults to
+  `validate=True`, and `textio` builds every object it parses that way.
+- Derivations are built with `validate=False` from objects that passed:
+  here `shift`, `direct_sum`, submodules, kernels, images, cokernels and
+  coarsening, and in `functors` every output of restriction, extension,
+  coextension, tensor and Hom, modules and morphisms alike, and the
+  one-sided inverses that `analyze` solves from a Hom presentation.
+  Each is a graded object by the construction that builds it, so a
+  second axiom pass repeats checks that correct code cannot fail.
+  Construction still canonicalizes every object (`_canon_structure`,
+  `_init_maps`), so only the axiom checks are skipped.
+- The maps of `canonical` stay validated.  Each is built from an element
+  formula, and its validation is the check of that formula; a formula
+  that needs h onto fails there, and `canonical` names the degree h
+  misses.
+The test suite validates every functor output and every solved inverse
+in full all the same, through `tests/conftest.py`.
+
+One axiom checker serves rings and modules: a ring is checked as a
 commutative module over itself, so the support, unit, well-definedness
 and associativity checks of a module also check a ring's multiplication.
 Module morphisms and ring morphisms share one core for their degreewise
@@ -1049,8 +1068,10 @@ def _monomial_ring(group, n, degrees, ideal, killed=()):
             c = tuple(x + y for x, y in zip(a, b))
             if c in where:
                 dc, k = where[c]
-                t = mult.setdefault((da, db), [[(0,) * sizes[dc]] * sizes[db]
-                                               for _ in range(sizes[da])])
+                t = mult.get((da, db))
+                if t is None:
+                    t = mult[(da, db)] = [[(0,) * sizes[dc]] * sizes[db]
+                                          for _ in range(sizes[da])]
                 t[i][j] = _unit_vec(sizes[dc], k)
     comps = {d: FpZnModule(n, k) for d, k in sizes.items()}
     one = _unit_vec(sizes.get(group.zero(), 1), 0)
@@ -1318,9 +1339,11 @@ def _coarse_tensors(tensors, left, comps, left_off, off, psi):
     for (d1, d2), t in tensors.items():
         i1, i2 = psi.apply(d1), psi.apply(d2)
         out = comps[psi.target.add(i1, i2)]
-        tensor = coarse.setdefault(
-            (i1, i2), [[[0] * out.ngens for _ in range(comps[i2].ngens)]
-                       for _ in range(left[i1].ngens)])
+        tensor = coarse.get((i1, i2))
+        if tensor is None:
+            tensor = coarse[(i1, i2)] = [
+                [[0] * out.ngens for _ in range(comps[i2].ngens)]
+                for _ in range(left[i1].ngens)]
         _place(tensor, t, left_off[d1], off[d2], off[psi.source.add(d1, d2)])
     return coarse
 
@@ -1365,9 +1388,10 @@ def _coarse_maps(fine, src, tgt, psi):
     maps = {}
     for deg, mat in fine.maps.items():
         img = psi.apply(deg)
-        smat = maps.setdefault(
-            img, [[0] * tgt.component(img).ngens
-                  for _ in range(src.component(img).ngens)])
+        smat = maps.get(img)
+        if smat is None:
+            smat = maps[img] = [[0] * tgt.component(img).ngens
+                                for _ in range(src.component(img).ngens)]
         so, to = soff[deg], toff.get(deg)
         if to is None:
             continue

@@ -355,10 +355,11 @@ def _assemble_tensors(entries, left, comps, group, k):
         rc = comps.get(dh)
         if rc is None:
             raise ParseError(f"entry at undeclared degree {dh}", ln, col - k)
-        t = tensors.setdefault(
-            (dc, dh),
-            [[[0] * out.ngens for _ in range(rc.ngens)]
-             for _ in range(lgens)])
+        t = tensors.get((dc, dh))
+        if t is None:
+            t = tensors[(dc, dh)] = [
+                [[0] * out.ngens for _ in range(rc.ngens)]
+                for _ in range(lgens)]
         if not 0 <= i < lgens:
             raise ParseError(f"index out of range at {dc},{dh}", ln, col)
         if not 0 <= j < rc.ngens:
@@ -412,8 +413,10 @@ def _parse_maps_section(ws, tokens, lineno, lines, kind: str):
             raise ParseError(f"map row at degree {deg} has {len(row)} "
                              f"entries, target component has {width} "
                              "generators", ln, col + 1 + width)
-        rows.setdefault(deg, [(0,) * width] * ngens)[i] = \
-            row + (0,) * (width - len(row))
+        mat = rows.get(deg)
+        if mat is None:
+            mat = rows[deg] = [(0,) * width] * ngens
+        mat[i] = row + (0,) * (width - len(row))
     maps = {deg: tuple(mat) for deg, mat in rows.items()}
     try:
         if kind == "ringhom":

@@ -174,10 +174,21 @@ def _augmented(rows, ncols: int, n: int):
     return h, _pivots(h)
 
 
-def _kernel_of(h, pivots, ncols: int, k: int, n: int):
-    """Howell form of the row kernel of A, from the augmented form of A."""
-    return howell([row[ncols:] for row, j in zip(h, pivots) if j >= ncols],
-                  k, n)
+def _kernel_of(h, pivots, ncols: int):
+    """Howell form of the row kernel of A, from the Howell form H of [A | I].
+
+    The rows of H pivoting at or right of `ncols` are zero on A's columns;
+    cut to the identity part they are the answer, with no second Howell
+    form taken.  They span the kernel: (0 | v) lies in span(H) exactly
+    when v*A == 0, and by span closure such a vector, zero on A's
+    columns, lies in the span of these rows.  Cutting off A's columns
+    keeps their echelon shape and reduced entries, and keeps span
+    closure: a vector of their span with leading zeros is, with the zero
+    columns put back, a vector of span(H) with the same leading zeros,
+    so it lies in the span of the rows pivoting at or after its first
+    nonzero column.
+    """
+    return tuple(row[ncols:] for row, j in zip(h, pivots) if j >= ncols)
 
 
 def _solve_augmented(h, pivots, b, ncols: int, k: int, n: int):
@@ -204,7 +215,7 @@ def row_kernel(rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
     if not ncols and not any(rows):
         return identity_matrix(len(rows))
     h, pivots = _augmented(rows, ncols, n)
-    return _kernel_of(h, pivots, ncols, len(rows), n)
+    return _kernel_of(h, pivots, ncols)
 
 
 def preimage_gens(rows, rel_rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
@@ -236,7 +247,7 @@ def solve_rows(rows, targets, ncols: int, n: int) -> list:
         coeffs = _solve_augmented(h, pivots, b, ncols, k, n)
         if coeffs is not None:
             if kernel is None:
-                kernel = _kernel_of(h, pivots, ncols, k, n)
+                kernel = _kernel_of(h, pivots, ncols)
             coeffs = reduce_mod_span(coeffs, kernel, n)
         out.append(coeffs)
     return out
@@ -419,7 +430,7 @@ class Subquotient:
         self._aug, self._aug_pivots = _augmented(stacked, dim, n)
         # the gens part of the row kernel of [gens; dgens] is the preimage
         # of span(dgens): the relations among the generators
-        ker = _kernel_of(self._aug, self._aug_pivots, dim, len(stacked), n)
+        ker = _kernel_of(self._aug, self._aug_pivots, dim)
         self.module = FpZnModule(n, k, [row[:k] for row in ker])
 
     def lift(self, coords) -> tuple[int, ...]:

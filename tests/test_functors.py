@@ -9,6 +9,7 @@ pruned, with a bilinear, well-defined and balanced pure-tensor locator.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from gradedmod import analyze
 from gradedmod import canonical as C
-from gradedmod import corpus
+from gradedmod import corpus, functors, graded
 from gradedmod.abelian import make_group
 from gradedmod.functors import (coextend, coextend_morphism, extend,
                                 extend_morphism, hom_degree, hom_graded,
@@ -24,7 +25,8 @@ from gradedmod.functors import (coextend, coextend_morphism, extend,
                                 restrict_morphism, restrict_witness, tensor,
                                 tensor_map)
 from gradedmod.graded import (GradedModule, GradedMorphism, GradedRingHom,
-                              monomial_ring, ring_as_module, shift)
+                              direct_sum, monomial_quotient, monomial_ring,
+                              ring_as_module, shift)
 from gradedmod.znlinalg import FpZnModule
 from util import reference_homs, reference_mixed_tensor
 
@@ -358,3 +360,88 @@ def test_restriction_commutes_with_the_mixed_functors(instances, name, seed):
         want = tensor(rl, right)
         assert (got.module, got.index, got.pos) == \
             (want.module, want.index, want.pos), name
+
+
+# ---------------------------------------------------------------------------
+# functor outputs are trusted derivations, fully valid all the same
+
+# h: R -> S on monomial rings in two variables X and Y: quotients by a
+# monomial ideal, Z-graded with deg X = deg Y = 1 over F_2 and ungraded
+# over Z/4, and the identity of a Z/2-graded ring with deg X = 1
+TWO_VARIABLES = {
+    "xy_quotient_z": lambda: monomial_quotient(
+        make_group([0]), 2, [(1,), (1,)], [(2, 0), (1, 1), (0, 2)],
+        [(1, 0)]),
+    "xy_quotient_z4": lambda: monomial_quotient(
+        make_group([]), 4, [(), ()], [(2, 0), (0, 2)], [(0, 1)]),
+    "xy_identity_z2": lambda: GradedRingHom.identity(monomial_ring(
+        make_group([2]), 2, [(1,), (0,)], [(2, 0), (0, 2)])),
+}
+
+
+def _functor_outputs(h, rng):
+    """Every module and morphism that the functors and the one-sided
+    inverse solver build without validating, on random modules over both
+    ends of h."""
+    m_s, n_s = (corpus.random_module(h.target, rng) for _ in range(2))
+    m_r, n_r = (corpus.random_module(h.source, rng) for _ in range(2))
+    u_s = corpus.random_morphism(m_s, n_s, rng)
+    v_r = corpus.random_morphism(m_r, n_r, rng)
+    morphisms = [restrict_morphism(h, u_s), tensor_map(h, u_s, v_r),
+                 hom_map(h, u_s, v_r), extend_morphism(h, v_r),
+                 coextend_morphism(h, v_r)]
+    modules = [restrict(h, n_s), mixed_tensor(h, m_s, n_r).module,
+               mixed_hom(h, m_s, n_r).module, extend(h, m_r).module,
+               coextend(h, m_r).module, tensor(m_r, n_r).module,
+               hom_graded(m_r, n_r).module]
+    _, (inj, _), (proj, _) = direct_sum([m_s, n_s])
+    for found, v in (analyze.is_section(inj), analyze.is_retraction(proj)):
+        assert found
+        morphisms.append(v)
+    for u in morphisms:
+        modules += [u.source, u.target]
+    return modules, morphisms
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(ALL + sorted(TWO_VARIABLES)), st.integers(0, 2**32 - 1))
+def test_functor_outputs_pass_full_validation(instances, name, seed):
+    # the functors skip the axiom checks of their outputs; every output
+    # passes them in full
+    h = instances[name]["h"] if name in ALL else TWO_VARIABLES[name]()
+    modules, morphisms = _functor_outputs(h, random.Random(seed))
+    for obj in modules + morphisms:
+        obj._validate()
+
+
+def test_battery_validates_no_functor_output(instances, monkeypatch):
+    # the program's own policy, without the validating stand-ins of
+    # conftest.py: no functor output is validated during a battery run
+    def stack_has_functors():
+        frame = sys._getframe(2)
+        while frame is not None:
+            if frame.f_globals.get("__name__") == functors.__name__:
+                return True
+            frame = frame.f_back
+        return False
+
+    seen = []
+    for cls in (graded.GradedModule, graded.GradedMorphism):
+        def spy(self, _check=cls._validate):
+            seen.append(stack_has_functors())
+            _check(self)
+        monkeypatch.setattr(cls, "_validate", spy)
+    inst = instances["zgraded"]
+    h, s_mod = inst["h"], ring_as_module(inst["ring_s"])
+    # the stand-ins are in place: a restriction is validated, and seen
+    restrict(h, s_mod)
+    assert seen == [True]
+    for name in ("GradedModule", "GradedMorphism"):
+        monkeypatch.setattr(functors, name, getattr(graded, name))
+    monkeypatch.setattr(analyze, "GradedMorphism", graded.GradedMorphism)
+    seen.clear()
+    grp = h.target.group
+    rep = analyze.d70_battery(h, [shift(s_mod, grp.neg(g))
+                                  for g in s_mod.support])
+    assert rep.decisive and all(rep.verdicts.values())
+    assert seen and not any(seen)

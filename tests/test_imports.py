@@ -73,3 +73,31 @@ def test_no_private_layout_helper_crosses_a_module(path):
                  if isinstance(node, ast.Attribute)
                  and node.attr in PRIVATE_LAYOUT]
     assert not crossing, f"{path.name} imports private helpers: {crossing}"
+
+
+def _built_default(call):
+    """The default of a `setdefault` call when Python must build it anew
+    on every call: anything but a constant, a name or an empty display."""
+    if not (isinstance(call.func, ast.Attribute)
+            and call.func.attr == "setdefault" and len(call.args) == 2):
+        return None
+    default = call.args[1]
+    if isinstance(default, (ast.Constant, ast.Name)):
+        return None
+    if isinstance(default, (ast.List, ast.Tuple, ast.Set)) and not default.elts:
+        return None
+    if isinstance(default, ast.Dict) and not default.keys:
+        return None
+    return default
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_setdefault_builds_its_default_on_every_call(path):
+    # `d.setdefault(key, <block>)` builds the block even when the key is
+    # there; per entry of a k x k table that made reading a declared
+    # ring grow like k^5.  Build a block on a miss only.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    built = [f"line {node.lineno}: {ast.unparse(default)}"
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             for default in [_built_default(node)] if default is not None]
+    assert not built, f"{path.name} builds setdefault defaults: {built}"
