@@ -27,8 +27,8 @@ from .graded import (GradedError, GradedModule, GradedMorphism,
                      coarsen_ring_hom, free_module, ring_as_module, shift)
 from .functors import (HomDegree, coextend, extend, hom_degree, hom_graded,
                        restrict, restrict_witness, tensor)
-from .znlinalg import (FpZnModule, howell, identity_matrix, mat_mul,
-                       preimage_gens, solve_row, solve_rows, vec_mat)
+from .znlinalg import (FpZnModule, identity_matrix, mat_mul, preimage_gens,
+                       solve_row, solve_rows, vec_mat)
 from . import canonical
 
 
@@ -61,15 +61,16 @@ def is_mono(u: GradedMorphism):
     """(verdict, witness): witness is a nonzero kernel element if not mono.
 
     Decided degreewise in sorted order, without building the kernel
-    module: the kernel generators of u_d with the source relations, in
-    Howell form, give the first row that is nonzero modulo the relations.
-    That is the first basis row of `graded_kernel(u)` in that degree.
+    module: the first row of the Howell form `preimage_gens(u_d, ...)`
+    that is nonzero modulo the source relations, which is the first
+    basis row of `graded_kernel(u)` in that degree.  A well-defined u
+    sends the source relations into the target relations, so they lie in
+    that span already, and adding them would change no Howell form.
     """
     for deg in sorted(u.source.components):
         sc = u.source.components[deg]
         tc = u.target.component(deg)
-        gens = preimage_gens(u.matrix(deg), tc.rels, tc.ngens, sc.n)
-        for row in howell(list(gens) + list(sc.rels), sc.ngens, sc.n):
+        for row in preimage_gens(u.matrix(deg), tc.rels, tc.ngens, sc.n):
             vec = sc.reduce(row)
             if any(vec):
                 return False, (deg, vec)

@@ -48,7 +48,7 @@ from __future__ import annotations
 from .graded import (GradedModule, GradedMorphism, GradedRingHom,
                      GradedError, RingMismatch, _unit_vec, apply_tensor,
                      ring_as_module)
-from .znlinalg import (FpZnModule, Subquotient, mat_mul, prune, row_kernel,
+from .znlinalg import (FpZnModule, Subquotient, mat_mul, preimage_gens, prune,
                        vec_mat)
 # re-exported: perfbench's tracer test checks that it patches this binding
 from .znlinalg import howell as howell
@@ -422,9 +422,10 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
     of columns B, one per generator of the target component T it lands
     in, and asks that x*B lie in the relations of T.  The blocks sit side
     by side in one matrix with a row per unknown; below it go the
-    relations of each block's T, in that block's columns.  The unknowns'
-    part of the row kernel of the stacked rows spans the families meeting
-    every condition; `Subquotient` takes it modulo `rels` as it is.
+    relations of each block's T, in that block's columns.  The families
+    meeting every condition are the preimage of those relations,
+    `preimage_gens` of the unknowns' rows, and `Subquotient` takes them
+    modulo `rels`.
     """
     ring_r = h.source
     grp = ring_r.group
@@ -489,16 +490,14 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
                     constrain(block, out_mod)
 
     ncols = len(columns)
-    stacked = [[0] * ncols for _ in range(dim)]
+    rows = [[0] * ncols for _ in range(dim)]
     for col, terms in enumerate(columns):
         for idx, coeff in terms.items():
-            stacked[idx][col] = coeff % n
-    for off, s in rel_rows:
-        row = [0] * ncols
-        row[off:off + len(s)] = s
-        stacked.append(row)
-    ker = row_kernel(stacked, ncols, n)
-    deg.sq = Subquotient(n, dim, [row[:dim] for row in ker], deg.rels)
+            rows[idx][col] = coeff % n
+    rels = [[0] * off + list(s) + [0] * (ncols - off - len(s))
+            for off, s in rel_rows]
+    deg.sq = Subquotient(n, dim, preimage_gens(rows, rels, ncols, n),
+                         deg.rels)
     return deg
 
 

@@ -53,9 +53,9 @@ from __future__ import annotations
 import itertools
 
 from .abelian import FgAbelianGroup, GroupEpi
-from .znlinalg import (FpZnModule, howell, identity_matrix, mat_mul,
-                       preimage_gens, reduce_mod_span, row_kernel, solve_rows,
-                       span_contains, submodule, vec_mat, zero_matrix)
+from .znlinalg import (FpZnModule, Subquotient, howell, identity_matrix,
+                       mat_mul, preimage_gens, reduce_mod_span, row_kernel,
+                       span_contains, vec_mat, zero_matrix)
 
 
 class GradedError(Exception):
@@ -1222,55 +1222,55 @@ def direct_sum(modules):
 # kernels, images, cokernels
 
 
-def _sub_action(module: GradedModule, sub_comps, incl_mats):
-    """Inherited action tensors for a graded submodule given by inclusions.
+def graded_submodule(module: GradedModule, gens_by_degree):
+    """Submodule generated per degree (already R-stable), with inclusion.
 
-    The entry for r_i . e_j is the inclusion part of the solution x of
-    x*[incl; rels] = r_i . e_j in the ambient component (none: not
-    stable); the entries at one pair of degrees share one factoring.
+    `gens_by_degree` maps a degree to ambient coordinate vectors; keys
+    naming one degree pool their vectors, and the span must be stable
+    under the ring action degreewise.  Each degree is the `Subquotient`
+    of its vectors modulo the ambient relations: its reduced generators
+    give the inclusion, and its coordinates the inherited action, with
+    the ambient system factored once per degree.
     """
     g = module.ring.group
-    n = module.ring.n
+    gens = {}
+    for deg, vecs in gens_by_degree.items():
+        gens.setdefault(g.canon(deg), []).extend(vecs)
+    subs = {}
+    for deg, vecs in gens.items():
+        amb = module.component(deg)
+        sq = Subquotient(module.ring.n, amb.ngens, vecs, amb.rels)
+        if sq.gens:
+            subs[deg] = sq
+    incl_mats = {deg: tuple(module.component(deg).reduce(row)
+                            for row in sq.gens)
+                 for deg, sq in subs.items()}
     action = {}
     for dc, rc in module.ring.components.items():
-        for dh, sc in sub_comps.items():
+        for dh, incl in incl_mats.items():
             t = module.action.get((dc, dh))
             if t is None:
                 continue
             out_deg = g.add(dc, dh)
             amb_out = module.component(out_deg)
-            incl = list(incl_mats.get(out_deg, ()))
-            ambs = [apply_tensor(t, _unit_vec(rc.ngens, i), incl_mats[dh][j],
-                                 amb_out)
-                    for i in range(rc.ngens) for j in range(sc.ngens)]
-            sols = solve_rows(incl + list(amb_out.rels), ambs, amb_out.ngens,
-                              n)
-            if None in sols:
-                raise GradedError("submodule is not action-stable")
-            cut = [sol[:len(incl)] for sol in sols]
-            action[(dc, dh)] = [cut[i:i + sc.ngens]
-                                for i in range(0, len(cut), sc.ngens)]
-    return action
-
-
-def graded_submodule(module: GradedModule, gens_by_degree):
-    """Submodule generated per degree (already R-stable), with inclusion.
-
-    `gens_by_degree` maps a degree to ambient coordinate vectors; the span
-    must be stable under the ring action degreewise.
-    """
-    comps = {}
-    incl_mats = {}
-    for deg, gens in gens_by_degree.items():
-        amb = module.component(deg)
-        sub, basis = submodule(amb, gens)
-        if sub.ngens:
-            comps[deg] = sub
-            incl_mats[deg] = basis
-    action = _sub_action(module, comps, incl_mats)
-    sub = GradedModule(module.ring, comps, action, validate=False)
-    maps = {deg: incl_mats[deg] for deg in comps}
-    incl = GradedMorphism(sub, module, maps, validate=False)
+            out = subs.get(out_deg)
+            tensor = []
+            for i in range(rc.ngens):
+                block = []
+                for vec in incl:
+                    img = apply_tensor(t, _unit_vec(rc.ngens, i), vec, amb_out)
+                    # an output degree without generators takes zero only
+                    coords = (out.coords(img) if out is not None
+                              else None if any(img) else ())
+                    if coords is None:
+                        raise GradedError("submodule is not action-stable")
+                    block.append(coords)
+                tensor.append(block)
+            action[(dc, dh)] = tensor
+    sub = GradedModule(module.ring,
+                       {deg: sq.module for deg, sq in subs.items()}, action,
+                       validate=False)
+    incl = GradedMorphism(sub, module, incl_mats, validate=False)
     return sub, incl
 
 

@@ -5,7 +5,10 @@ canonical form is the Howell normal form: unlike plain row echelon form it
 is unique for a given row span even in the presence of zero divisors, which
 makes structural equality of module presentations coincide with mathematical
 equality.  On top of it we build finitely presented Z/nZ-modules together
-with submodules, pruned (unit-pivot-free) presentations and subquotients.
+with pruned (unit-pivot-free) presentations and subquotients: a submodule
+of a presented module is the subquotient of its generators modulo its
+relations, and a kernel is the preimage of the relations
+(`preimage_gens`).
 
 All arithmetic uses exact Python integers; moduli above 2**31 are rejected
 at construction.
@@ -219,12 +222,24 @@ def row_kernel(rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def preimage_gens(rows, rel_rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Generators of {x : x*A lies in span(rel_rows)} for A with k rows."""
+    """Generators of {x : x*A lies in span(rel_rows)} for A with k rows,
+    in Howell form.
+
+    x*A lies in span(C) exactly when (x | y) lies in the row kernel K of
+    [A; C] for some y, so the answer is the projection of K to its first
+    k coordinates.  The rows of the Howell form of K that pivot in those
+    columns, cut to them, are the Howell form of the projection, with no
+    second Howell form taken; this is the argument of `_kernel_of` for a
+    leading cut.  The other rows are zero there, so the cut rows span it.
+    Cutting keeps their echelon shape and reduced entries, and keeps span
+    closure: a projected vector with leading zeros is the cut of a vector
+    of K with the same leading zeros, which lies in the span of the rows
+    pivoting at or after its first nonzero column; those pivoting past
+    the cut add nothing to it.
+    """
     k = len(rows)
-    stacked = list(rows) + list(rel_rows)
-    ker = row_kernel(stacked, ncols, n)
-    gens = [row[:k] for row in ker]
-    return howell(gens, k, n)
+    ker = row_kernel(list(rows) + list(rel_rows), ncols, n)
+    return tuple(row[:k] for row in ker if any(row[:k]))
 
 
 def solve_row(rows, b, ncols: int, n: int):
@@ -361,22 +376,6 @@ class FpZnModule:
         return (tuple(t) for t in itertools.product(*ranges))
 
 
-def submodule(ambient: FpZnModule, gens) -> tuple[FpZnModule, tuple]:
-    """The submodule of `ambient` generated by `gens`, with its basis.
-
-    The submodule is presented on the Howell basis of span(gens) + relations;
-    generators lying in the relation span are dropped.  Row i of the
-    returned matrix is the reduced ambient image of generator i (the
-    inclusion).
-    """
-    n = ambient.n
-    basis = [row for row in howell(list(gens) + list(ambient.rels), ambient.ngens, n)
-             if any(ambient.reduce(row))]
-    rels = preimage_gens(basis, ambient.rels, ambient.ngens, n)
-    return (FpZnModule(n, len(basis), rels),
-            tuple(ambient.reduce(row) for row in basis))
-
-
 def prune(module: FpZnModule):
     """Drop the generators that a unit-pivot relation expresses by the rest.
 
@@ -406,7 +405,8 @@ class Subquotient:
     """Presentation of (span(wgens) + span(dgens)) / span(dgens) in (Z/n)^dim.
 
     Used wherever a module arises as "solutions modulo trivial solutions",
-    e.g. hom modules.  Exposes lifts of the presentation generators into the
+    e.g. hom modules, and for every graded submodule: its generators
+    modulo the ambient relations.  Exposes lifts of the presentation generators into the
     ambient space and a coordinate solver for arbitrary ambient vectors.
 
     The matrix [gens; dgens] is factored once, when the object is built:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gradedmod import corpus
 from gradedmod.abelian import make_epi, make_group
-from gradedmod.analyze import is_ring_epimorphism
+from gradedmod.analyze import is_mono, is_ring_epimorphism
 from gradedmod.graded import (GradedError, GradedModule, GradedMorphism,
                               GradedRing, GradedRingHom, RingMismatch,
                               coarsen_module, coarsen_morphism, coarsen_ring,
@@ -204,6 +204,74 @@ def test_graded_submodule_action_stability():
     # degree-0 span of 1 is not stable: t * 1 leaves it
     with pytest.raises(GradedError, match="stable"):
         graded_submodule(m, {(0,): [(1,)]})
+
+
+def test_graded_submodule_canonicalizes_its_degree_keys(instances):
+    # Z/3-graded F_2[X]/(X^3), deg X = 1: the keys 4 and 5 name the
+    # degrees 1 and 2, and the action between them is kept
+    m = ring_as_module(instances["d25e_z3"]["ring_r"])
+    sub, incl = graded_submodule(m, {(4,): [(1,)], (5,): [(1,)]})
+    canonical, _ = graded_submodule(m, {(1,): [(1,)], (2,): [(1,)]})
+    assert sub == canonical and len(sub.action) == 3
+    sub._validate()
+    incl._validate()
+    # two keys naming degree 1 pool their generators in R + R
+    mm, _, _ = direct_sum([m, m])
+    sub, incl = graded_submodule(mm, {(1,): [(1, 0)], (4,): [(0, 1)],
+                                      (2,): [(1, 0), (0, 1)]})
+    assert sub.component((1,)).ngens == 2 and sub.cardinality() == 16
+    sub._validate()
+    incl._validate()
+
+
+def _images(u):
+    """Per degree of the source, the set of images of its elements,
+    by enumerating them."""
+    return {d: {u.apply((d, x))[1] for x in c.elements()}
+            for d, c in u.source.components.items()}
+
+
+def _check_inclusion(incl, expected, ambient):
+    """`incl` is a validated mono whose image in each degree of `ambient`
+    is the set `expected[d]` (only zero where absent)."""
+    incl.source._validate()
+    incl._validate()
+    assert is_mono(incl) == (True, None)
+    got = _images(incl)
+    for d, c in ambient.components.items():
+        assert got.get(d, {c.zero()}) == expected.get(d, {c.zero()}), d
+    order = 1
+    for elements in expected.values():
+        order *= len(elements)
+    assert incl.source.cardinality() == order
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_kernel_image_and_submodule_match_the_enumeration(instances, seed):
+    # an oracle independent of the linear algebra: the elements that u
+    # kills and the elements it reaches, enumerated degree by degree
+    rng = random.Random(seed)
+    for name in sorted(instances):
+        h = instances[name]["h"]
+        for ring in (h.source, h.target):
+            m = corpus.random_module(ring, rng)
+            n_mod = corpus.random_module(ring, rng)
+            u = corpus.random_morphism(m, n_mod, rng)
+            killed = {d: {x for x in c.elements()
+                          if not any(u.apply((d, x))[1])}
+                      for d, c in m.components.items()}
+            image = _images(u)
+            _check_inclusion(graded_kernel(u)[1], killed, m)
+            _check_inclusion(graded_image(u)[1], image, n_mod)
+            gens = {d: sorted(elements) for d, elements in image.items()}
+            _check_inclusion(graded_submodule(n_mod, gens)[1], image, n_mod)
+            # is_mono's witness is a nonzero element that u kills
+            mono, witness = is_mono(u)
+            assert mono == all(len(k) == 1 for k in killed.values())
+            if not mono:
+                d, x = witness
+                assert any(x) and x in killed[d]
 
 
 def test_coarsening_basics():

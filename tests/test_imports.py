@@ -101,3 +101,33 @@ def test_no_setdefault_builds_its_default_on_every_call(path):
              for node in ast.walk(tree) if isinstance(node, ast.Call)
              for default in [_built_default(node)] if default is not None]
     assert not built, f"{path.name} builds setdefault defaults: {built}"
+
+
+def _references_to(module, tree):
+    """Names of `module` that `tree` imports from it or reads as
+    `module.name`."""
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == module):
+            names |= {alias.name for alias in node.names}
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == module):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_linear_algebra_name_has_a_caller():
+    # L0 API that no other module of the package uses is dead: a deleted
+    # caller must take the routine it alone called with it
+    path = next(p for p in SOURCES if p.name == "znlinalg.py")
+    public = [node.name for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    used = set()
+    for other in SOURCES:
+        if other != path:
+            used |= _references_to("znlinalg", ast.parse(other.read_text()))
+    dead = [name for name in public if name not in used]
+    assert not dead, f"znlinalg defines names no other module uses: {dead}"

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from gradedmod.znlinalg import (MAX_MODULUS, FpZnModule, LinAlgError,
                                 Subquotient, howell, identity_matrix,
-                                mat_mul, prune, reduce_mod_span, row_kernel,
-                                solve_row, span_contains, vec_mat)
+                                mat_mul, preimage_gens, prune,
+                                reduce_mod_span, row_kernel, solve_row,
+                                span_contains, vec_mat)
 from util import reference_howell, reference_row_kernel
 
 MODULI = (2, 3, 4, 6, 8)
@@ -338,6 +339,60 @@ def test_row_kernel_at_large_moduli(data):
         assert not any(vec_mat(x, mat, n))
     # |kernel| * |image| = n^rows for the map x -> x * A on (Z/n)^rows
     assert _span_order(ker, r, n) * _span_order(mat, c, n) == n ** r
+
+
+# ---------------------------------------------------------------------------
+# preimages of a span: {x : x*A in span(C)}
+
+
+def _times(x, rows, ncols, n):
+    """x*A for A = `rows` with `ncols` columns, also when A has no rows."""
+    return vec_mat(x, rows, n) if rows else (0,) * ncols
+
+
+def _span_elements(rows, ncols, n):
+    """Every element of the row span, by enumerating the coefficients."""
+    return {_times(x, rows, ncols, n) for x in _all_vectors(len(rows), n)}
+
+
+@st.composite
+def _preimage_problem(draw):
+    """(n, A, C, ncols): A with k <= 3 rows and C with up to 3 rows over
+    Z/n, n <= 12, small enough to enumerate (Z/n)^k and span(C)."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(0, 3))
+    c = draw(st.integers(0, 3))
+    entry = st.integers(0, n - 1)
+    rows = [tuple(draw(entry) for _ in range(c)) for _ in range(k)]
+    rels = [tuple(draw(entry) for _ in range(c))
+            for _ in range(draw(st.integers(0, 3)))]
+    return n, rows, rels, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_preimage_problem())
+def test_preimage_gens_matches_the_enumeration(data):
+    n, rows, rels, c = data
+    k = len(rows)
+    gens = preimage_gens(rows, rels, c, n)
+    assert howell(gens, k, n) == gens
+    allowed = _span_elements(rels, c, n)
+    expected = {x for x in _all_vectors(k, n)
+                if _times(x, rows, c, n) in allowed}
+    assert _span_elements(gens, k, n) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_large_matrix(), st.data())
+def test_preimage_gens_at_large_moduli(data, more):
+    n, mat = data
+    c = len(mat[0])
+    rels = more.draw(_entries(n, more.draw(st.integers(0, 3)), c))
+    k = len(mat)
+    gens = preimage_gens(mat, rels, c, n)
+    # the Howell form of the kernel of [A; C], cut to A's rows
+    cut = [row[:k] for row in reference_row_kernel(list(mat) + rels, c, n)]
+    assert gens == howell(cut, k, n) == reference_howell(cut, k, n)
 
 
 # ---------------------------------------------------------------------------
