@@ -120,10 +120,10 @@ def _one_sided_inverse(u: GradedMorphism, side: str, back):
     so every candidate is well defined and R-linear.  The composite is
     linear in v: each presentation generator w_k gives one row, its
     composite w.u (left) or u.w (right) flattened by the layout of
-    End(E)_0, where E is M (left) or N (right).  Below those rows sit the
-    relation rows of that layout, since the composite need only equal the
-    identity modulo the relations of E.  One `solve_row` against the
-    flattened identity decides, and the first coefficients c_k of a
+    End(E)_0, where E is M (left) or N (right).  The relations of that
+    layout enter as rows without unknowns, since the composite need only
+    equal the identity modulo the relations of E.  One `solve_row` against
+    the flattened identity decides, and the coefficients c_k of its
     solution give v = sum_k c_k w_k, checked to be a one-sided inverse.
     A combination of the w_k is a morphism by construction, so v is
     built without a second axiom check; the composite check stays.
@@ -143,10 +143,10 @@ def _one_sided_inverse(u: GradedMorphism, side: str, back):
         rows.append(end_deg.flatten(composite))
     ident = end_deg.flatten({a: identity_matrix(k)
                              for (a, k, _, _) in end_deg.blocks})
-    sol = solve_row(rows + end_deg.rels, ident, end_deg.dim, n)
+    sol = solve_row(rows, end_deg.rels, ident, end_deg.dim, n)
     if sol is None:
         return False, None
-    v = GradedMorphism(u.target, u.source, back.matrices(sol[:len(gens)]),
+    v = GradedMorphism(u.target, u.source, back.matrices(sol),
                        validate=False)
     composite = v.compose(u) if side == "left" else u.compose(v)
     if composite != GradedMorphism.identity(end):
@@ -185,17 +185,13 @@ def _nonzero_support(module: GradedModule):
     return sorted(d for d, c in module.components.items() if not c.is_zero)
 
 
-def _cardinality(ring) -> int:
-    return math.prod(c.cardinality() for c in ring.components.values())
-
-
 def _factor_orders(ring):
     """|eR| for each factor e of the ring: |eR_d| = |R_d/(1 - e)R_d|."""
     zero = ring.group.zero()
     orders = []
     for e, _ in ring.factors:
         if e == ring.one:
-            orders.append(_cardinality(ring))
+            orders.append(ring_as_module(ring).cardinality())
             continue
         order = 1
         for d, c in ring.components.items():
@@ -358,13 +354,11 @@ def _cover_section(p: GradedMorphism) -> GradedMorphism:
 
     maps = {}
     for d, comp in module.components.items():
-        fc = cover.component(d)
-        rows = list(p.matrix(d)) + list(comp.rels)
-        sols = solve_rows(rows, identity_matrix(comp.ngens), comp.ngens,
-                          ring.n)
+        sols = solve_rows(p.matrix(d), comp.rels, identity_matrix(comp.ngens),
+                          comp.ngens, ring.n)
         if None in sols:
             raise AnalyzeError("the minimal cover is not onto")
-        maps[d] = [part_in_e(d, x[:fc.ngens]) for x in sols]
+        maps[d] = [part_in_e(d, x) for x in sols]
     v = GradedMorphism(module, cover, maps, validate=False)
     if p.compose(v) != GradedMorphism.identity(module):
         raise AnalyzeError("the minimal cover has no section")
@@ -580,4 +574,4 @@ def morita_check(h: GradedRingHom) -> bool:
     hr = coextend(h, ring_as_module(h.source)).module
     return (all(len(gens) == 1 and gens[0][0] in units for gens, units in
                 zip(hr.minimal_generators, _unit_degrees(h.target)))
-            and hr.cardinality() == _cardinality(h.target))
+            and hr.cardinality() == ring_as_module(h.target).cardinality())

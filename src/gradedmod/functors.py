@@ -309,7 +309,8 @@ class HomDegree:
     span the families whose rows all lie in the relations of the target:
     row i of U_a may move by any relation of target_{g+a}.  `sq`, set by
     `hom_degree`, presents the families that are well defined and
-    R-linear modulo `rels`; it is None until then.
+    R-linear as a `Subquotient` whose `ambient` is (Z/n)^dim modulo
+    `rels`; it is None until then.
     """
 
     __slots__ = ("blocks", "dim", "rels", "sq")
@@ -421,11 +422,11 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
     Hom degree g is a preimage.  Each condition on a family x is a block
     of columns B, one per generator of the target component T it lands
     in, and asks that x*B lie in the relations of T.  The blocks sit side
-    by side in one matrix with a row per unknown; below it go the
-    relations of each block's T, in that block's columns.  The families
-    meeting every condition are the preimage of those relations,
+    by side in one matrix with a row per unknown; the relations of each
+    block's T, in that block's columns, are rows without unknowns.  The
+    families meeting every condition are the preimage of those relations,
     `preimage_gens` of the unknowns' rows, and `Subquotient` takes them
-    modulo `rels`.
+    modulo `deg.rels`.
     """
     ring_r = h.source
     grp = ring_r.group
@@ -496,8 +497,8 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
             rows[idx][col] = coeff % n
     rels = [[0] * off + list(s) + [0] * (ncols - off - len(s))
             for off, s in rel_rows]
-    deg.sq = Subquotient(n, dim, preimage_gens(rows, rels, ncols, n),
-                         deg.rels)
+    deg.sq = Subquotient(preimage_gens(rows, rels, ncols, n),
+                         FpZnModule(n, dim, deg.rels))
     return deg
 
 

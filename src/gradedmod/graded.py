@@ -1238,12 +1238,10 @@ def graded_submodule(module: GradedModule, gens_by_degree):
         gens.setdefault(g.canon(deg), []).extend(vecs)
     subs = {}
     for deg, vecs in gens.items():
-        amb = module.component(deg)
-        sq = Subquotient(module.ring.n, amb.ngens, vecs, amb.rels)
+        sq = Subquotient(vecs, module.component(deg))
         if sq.gens:
             subs[deg] = sq
-    incl_mats = {deg: tuple(module.component(deg).reduce(row)
-                            for row in sq.gens)
+    incl_mats = {deg: tuple(sq.ambient.reduce(row) for row in sq.gens)
                  for deg, sq in subs.items()}
     action = {}
     for dc, rc in module.ring.components.items():

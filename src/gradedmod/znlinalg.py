@@ -10,6 +10,12 @@ of a presented module is the subquotient of its generators modulo its
 relations, and a kernel is the preimage of the relations
 (`preimage_gens`).
 
+Every linear system is solved from one Howell form, that of
+[A | I; C | 0] (`_augmented`): the rows of A carry the unknowns, and the
+relation rows C, the solutions that count as trivial, enter without
+unknowns.  Preimages, row kernels (C empty), solutions of x*A == b modulo
+span(C) and subquotient coordinates are all read off it.
+
 All arithmetic uses exact Python integers; moduli above 2**31 are rejected
 at construction.
 """
@@ -163,28 +169,32 @@ def span_contains(vec, hrows, n: int) -> bool:
     return not any(reduce_mod_span(vec, hrows, n))
 
 
-def _augmented(rows, ncols: int, n: int):
-    """Howell form of [A | I] for A = `rows`, with its pivot columns.
+def _augmented(rows, rel_rows, ncols: int, n: int):
+    """Howell form of [A | I; C | 0] for A = `rows` and C = `rel_rows`,
+    with its pivot columns.
 
-    The rows pivoting left of `ncols` come first; they record how each
-    vector of A's row span is reached.  The rest, cut to their last k
-    columns, span the row kernel of A.
+    Only the k rows of A carry unknowns; the relation rows C enter with a
+    zero identity part.  The rows pivoting left of `ncols` come first;
+    they record how each vector of span(A) + span(C) is reached.  The
+    rest, cut to their last k columns, span {x : x*A in span(C)}.
     """
     k = len(rows)
     aug = [tuple(rows[i]) + (0,) * i + (1,) + (0,) * (k - i - 1)
            for i in range(k)]
+    aug += [tuple(row) + (0,) * k for row in rel_rows]
     h = howell(aug, ncols + k, n)
     return h, _pivots(h)
 
 
 def _kernel_of(h, pivots, ncols: int):
-    """Howell form of the row kernel of A, from the Howell form H of [A | I].
+    """Howell form of {x : x*A in span(C)}, from the Howell form H of
+    [A | I; C | 0].
 
     The rows of H pivoting at or right of `ncols` are zero on A's columns;
     cut to the identity part they are the answer, with no second Howell
-    form taken.  They span the kernel: (0 | v) lies in span(H) exactly
-    when v*A == 0, and by span closure such a vector, zero on A's
-    columns, lies in the span of these rows.  Cutting off A's columns
+    form taken.  They span it: (0 | x) lies in span(H) exactly when
+    x*A + y*C == 0 for some y, and by span closure such a vector, zero on
+    A's columns, lies in the span of these rows.  Cutting off A's columns
     keeps their echelon shape and reduced entries, and keeps span
     closure: a vector of their span with leading zeros is, with the zero
     columns put back, a vector of span(H) with the same leading zeros,
@@ -195,11 +205,14 @@ def _kernel_of(h, pivots, ncols: int):
 
 
 def _solve_augmented(h, pivots, b, ncols: int, k: int, n: int):
-    """Some x with x*A == b, from the augmented form of A; None if none.
+    """Some x with x*A - b in span(C), from the augmented form of A and C;
+    None if none.
 
     Reducing (b | 0) against the rows pivoting left of `ncols` leaves
-    (0 | -x) exactly when b lies in the row span of A.
+    (0 | -x) exactly when b lies in span(A) + span(C).
     """
+    if len(b) != ncols:
+        raise LinAlgError("vector length mismatch")
     split = bisect_left(pivots, ncols)
     v = _reduce_pivoted([x % n for x in b] + [0] * k, h[:split],
                         pivots[:split], n)
@@ -210,52 +223,38 @@ def _solve_augmented(h, pivots, b, ncols: int, k: int, n: int):
 
 def row_kernel(rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Generators of {v in (Z/n)^k : v*A == 0} for A with k rows, in
-    Howell form.
-
-    A matrix with no columns kills every v: its kernel is all of
-    (Z/n)^k, whose Howell form is the identity.
-    """
-    if not ncols and not any(rows):
-        return identity_matrix(len(rows))
-    h, pivots = _augmented(rows, ncols, n)
-    return _kernel_of(h, pivots, ncols)
+    Howell form: the preimage of the zero span."""
+    return preimage_gens(rows, (), ncols, n)
 
 
 def preimage_gens(rows, rel_rows, ncols: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Generators of {x : x*A lies in span(rel_rows)} for A with k rows,
-    in Howell form.
+    in Howell form, read off the form [A | I; C | 0] by `_kernel_of`.
 
-    x*A lies in span(C) exactly when (x | y) lies in the row kernel K of
-    [A; C] for some y, so the answer is the projection of K to its first
-    k coordinates.  The rows of the Howell form of K that pivot in those
-    columns, cut to them, are the Howell form of the projection, with no
-    second Howell form taken; this is the argument of `_kernel_of` for a
-    leading cut.  The other rows are zero there, so the cut rows span it.
-    Cutting keeps their echelon shape and reduced entries, and keeps span
-    closure: a projected vector with leading zeros is the cut of a vector
-    of K with the same leading zeros, which lies in the span of the rows
-    pivoting at or after its first nonzero column; those pivoting past
-    the cut add nothing to it.
+    A matrix with no columns sends every x into the span: the answer is
+    all of (Z/n)^k, whose Howell form is the identity.
     """
-    k = len(rows)
-    ker = row_kernel(list(rows) + list(rel_rows), ncols, n)
-    return tuple(row[:k] for row in ker if any(row[:k]))
+    if not ncols and not any(rows):
+        return identity_matrix(len(rows))
+    return _kernel_of(*_augmented(rows, rel_rows, ncols, n), ncols)
 
 
-def solve_row(rows, b, ncols: int, n: int):
-    """Some x with x*A == b (mod n), canonical within its solution coset.
+def solve_row(rows, rel_rows, b, ncols: int, n: int):
+    """Some x with x*A - b in span(rel_rows) (mod n), canonical within its
+    solution coset.
 
     Returns None when no solution exists.  The representative is obtained by
-    reducing a particular solution modulo the Howell form of the row kernel,
-    which makes the choice deterministic.
+    reducing a particular solution modulo `preimage_gens(rows, rel_rows)`,
+    the Howell form of the differences of two solutions, which makes the
+    choice deterministic.
     """
-    return solve_rows(rows, [b], ncols, n)[0]
+    return solve_rows(rows, rel_rows, [b], ncols, n)[0]
 
 
-def solve_rows(rows, targets, ncols: int, n: int) -> list:
-    """`solve_row` for each b in `targets`, factoring A once."""
+def solve_rows(rows, rel_rows, targets, ncols: int, n: int) -> list:
+    """`solve_row` for each b in `targets`, factoring A and C once."""
     k = len(rows)
-    h, pivots = _augmented(rows, ncols, n)
+    h, pivots = _augmented(rows, rel_rows, ncols, n)
     kernel = None
     out = []
     for b in targets:
@@ -402,55 +401,55 @@ def prune(module: FpZnModule):
 
 
 class Subquotient:
-    """Presentation of (span(wgens) + span(dgens)) / span(dgens) in (Z/n)^dim.
+    """Presentation of (span(wgens) + R) / R inside the module `ambient`,
+    where R is the span of its relations.
 
     Used wherever a module arises as "solutions modulo trivial solutions",
     e.g. hom modules, and for every graded submodule: its generators
-    modulo the ambient relations.  Exposes lifts of the presentation generators into the
-    ambient space and a coordinate solver for arbitrary ambient vectors.
+    modulo the ambient relations.  Exposes lifts of the presentation
+    generators into the ambient space and a coordinate solver for
+    arbitrary ambient vectors.  The ambient `FpZnModule` brings its
+    relations in Howell form with their pivots, so none is taken here.
 
-    The matrix [gens; dgens] is factored once, when the object is built:
-    its augmented Howell form [gens; dgens | I] yields the relations of
-    `module` and is kept, with its pivots, so that `coords` is a single
-    reduction against it followed by `module.reduce`.
+    The generators and the relations are factored once, when the object
+    is built: the augmented Howell form [gens | I; rels | 0], with
+    unknowns for the generators only, yields the relations of `module`
+    and is kept, with its pivots, so that `coords` is a single reduction
+    against it followed by `module.reduce`.
     """
 
-    __slots__ = ("n", "dim", "gens", "dgens", "module", "_aug", "_aug_pivots")
+    __slots__ = ("ambient", "gens", "module", "_aug", "_aug_pivots")
 
-    def __init__(self, n: int, dim: int, wgens, dgens):
-        self.n = n
-        self.dim = dim
-        self.dgens = howell(dgens, dim, n)
-        dpivots = _pivots(self.dgens)
-        basis = [row for row in howell(list(wgens) + list(self.dgens), dim, n)
-                 if any(_reduce_pivoted(list(row), self.dgens, dpivots, n))]
+    def __init__(self, wgens, ambient: FpZnModule):
+        self.ambient = ambient
+        n, dim = ambient.n, ambient.ngens
+        basis = [row for row in howell(list(wgens) + list(ambient.rels),
+                                       dim, n)
+                 if any(ambient.reduce(row))]
         self.gens = tuple(basis)
-        k = len(self.gens)
-        stacked = self.gens + self.dgens
-        self._aug, self._aug_pivots = _augmented(stacked, dim, n)
-        # the gens part of the row kernel of [gens; dgens] is the preimage
-        # of span(dgens): the relations among the generators
-        ker = _kernel_of(self._aug, self._aug_pivots, dim)
-        self.module = FpZnModule(n, k, [row[:k] for row in ker])
+        self._aug, self._aug_pivots = _augmented(self.gens, ambient.rels,
+                                                 dim, n)
+        # the kernel part is the preimage of the relations: the relations
+        # among the generators
+        self.module = FpZnModule(n, len(self.gens),
+                                 _kernel_of(self._aug, self._aug_pivots, dim))
 
     def lift(self, coords) -> tuple[int, ...]:
         """An ambient representative of the element with the given coordinates."""
         if not self.gens:
-            return (0,) * self.dim
-        return vec_mat(coords, self.gens, self.n)
+            return self.ambient.zero()
+        return vec_mat(coords, self.gens, self.ambient.n)
 
     def coords(self, ambient_vec):
         """Coordinates of an ambient vector, or None if it is not represented.
 
-        Two solutions of x*[gens; dgens] == v differ by a row-kernel vector,
-        whose gens part is a relation of `module`; reducing the gens part
-        of any solution therefore gives the canonical coordinates.
+        Two solutions x of x*gens - v in span(rels) differ by a relation of
+        `module`; reducing any solution therefore gives the canonical
+        coordinates.
         """
-        if len(ambient_vec) != self.dim:
-            raise LinAlgError("vector length mismatch")
         sol = _solve_augmented(self._aug, self._aug_pivots, ambient_vec,
-                               self.dim, len(self.gens) + len(self.dgens),
-                               self.n)
+                               self.ambient.ngens, len(self.gens),
+                               self.ambient.n)
         if sol is None:
             return None
-        return self.module.reduce(sol[:len(self.gens)])
+        return self.module.reduce(sol)

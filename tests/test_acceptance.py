@@ -238,7 +238,7 @@ def test_criterion_9_linear_algebra():
                 images.add(b)
                 if not any(b):
                     kernel_count += 1
-                v = solve_row(mat, b, c, n)
+                v = solve_row(mat, (), b, c, n)
                 assert v is not None and vec_mat(v, mat, n) == b
             assert kernel_count * len(images) == n ** r
             ker = row_kernel(mat, c, n)
@@ -253,7 +253,8 @@ def test_criterion_9_linear_algebra():
             # off-image vectors are rejected
             for _ in range(10):
                 b = tuple(rng.randrange(n) for _ in range(c))
-                assert (solve_row(mat, b, c, n) is not None) == (b in images)
+                v = solve_row(mat, (), b, c, n)
+                assert (v is not None) == (b in images)
 
 
 @verdict(10, "CLI reports are byte-identical across repeated runs")

@@ -333,8 +333,8 @@ def test_mixed_tensor_matches_balance_over_every_basis_element(instances,
 
 def _hom_systems(witness):
     """Per Hom degree, the layout and the solved system: blocks,
-    relations, generators and the presented module."""
-    return {g: (deg.blocks, deg.dim, deg.rels, deg.sq.gens, deg.sq.dgens,
+    relations, the ambient module, generators and the presented module."""
+    return {g: (deg.blocks, deg.dim, deg.rels, deg.sq.ambient, deg.sq.gens,
                 deg.sq.module) for g, deg in witness.degrees.items()}
 
 

@@ -18,7 +18,7 @@ from gradedmod.znlinalg import (MAX_MODULUS, FpZnModule, LinAlgError,
                                 Subquotient, howell, identity_matrix,
                                 mat_mul, preimage_gens, prune,
                                 reduce_mod_span, row_kernel, solve_row,
-                                span_contains, vec_mat)
+                                solve_rows, span_contains, vec_mat)
 from util import reference_howell, reference_row_kernel
 
 MODULI = (2, 3, 4, 6, 8)
@@ -75,7 +75,7 @@ def test_exhaustive_kernel_image_and_solve(n):
                 if not any(b):
                     kernel_count += 1
                 # soundness and completeness on elements of the image
-                v = solve_row(mat, b, c, n)
+                v = solve_row(mat, (), b, c, n)
                 assert v is not None
                 assert vec_mat(v, mat, n) == b
             assert kernel_count * len(images) == n ** r
@@ -90,7 +90,7 @@ def test_exhaustive_kernel_image_and_solve(n):
             # completeness: solve_row answers None exactly off the image
             for _ in range(20):
                 b = tuple(rng.randrange(n) for _ in range(c))
-                v = solve_row(mat, b, c, n)
+                v = solve_row(mat, (), b, c, n)
                 assert (v is not None) == (b in images)
 
 
@@ -156,9 +156,9 @@ def test_howell_idempotent_and_membership():
 def test_solve_row_canonical_representative():
     # over Z/4 the equation x * (2) = (2) has solutions 1 and 3; the
     # returned representative is deterministic
-    first = solve_row(((2,),), (2,), 1, 4)
+    first = solve_row(((2,),), (), (2,), 1, 4)
     for _ in range(5):
-        assert solve_row(((2,),), (2,), 1, 4) == first
+        assert solve_row(((2,),), (), (2,), 1, 4) == first
 
 
 def test_module_reduce_and_cardinality():
@@ -169,6 +169,20 @@ def test_module_reduce_and_cardinality():
     for v in elems:
         assert m.reduce(v) == v
     assert m.reduce((3, 1)) == m.reduce((1, 1))
+
+
+def test_a_target_of_the_wrong_length_is_rejected():
+    # every solver checks b against the column count of A: neither a
+    # short nor a long target is padded, cut or solved
+    eye = ((1, 0), (0, 1))
+    sq = Subquotient(eye, FpZnModule(5, 2))
+    for b in ((1,), (1, 2, 3)):
+        with pytest.raises(LinAlgError):
+            solve_row(eye, (), b, 2, 5)
+        with pytest.raises(LinAlgError):
+            solve_rows(eye, ((1, 1),), [(1, 2), b], 2, 5)
+        with pytest.raises(LinAlgError):
+            sq.coords(b)
 
 
 def test_modulus_validation():
@@ -256,18 +270,18 @@ def _subquotient_and_vectors(draw):
 @given(_subquotient_and_vectors())
 def test_subquotient_coords_match_solve_row(data):
     n, dim, wgens, dgens, vecs = data
-    sq = Subquotient(n, dim, wgens, dgens)
-    k = len(sq.gens)
+    ambient = FpZnModule(n, dim, dgens)
+    sq = Subquotient(wgens, ambient)
     for v in vecs:
-        sol = solve_row(list(sq.gens) + list(sq.dgens), v, dim, n)
+        sol = solve_row(sq.gens, ambient.rels, v, dim, n)
         got = sq.coords(v)
         if sol is None:
             assert got is None
         else:
-            assert got == sq.module.reduce(sol[:k])
+            assert got == sq.module.reduce(sol)
             # and the coordinates name v modulo the trivial vectors
             assert span_contains([a - b for a, b in zip(sq.lift(got), v)],
-                                 sq.dgens, n)
+                                 ambient.rels, n)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +394,50 @@ def test_preimage_gens_matches_the_enumeration(data):
     expected = {x for x in _all_vectors(k, n)
                 if _times(x, rows, c, n) in allowed}
     assert _span_elements(gens, k, n) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_preimage_problem(), st.data())
+def test_solve_rows_with_relations_matches_the_enumeration(data, more):
+    # x*A == b modulo span(C): None exactly off span(A) + span(C), a
+    # solution otherwise, reduced modulo the preimage of span(C)
+    n, rows, rels, c = data
+    k = len(rows)
+    allowed = _span_elements(rels, c, n)
+    reached = {tuple((a + y) % n for a, y in zip(_times(x, rows, c, n), r))
+               for x in _all_vectors(k, n) for r in allowed}
+    targets = [tuple(more.draw(st.integers(0, n - 1)) for _ in range(c))
+               for _ in range(3)]
+    targets += more.draw(st.lists(st.sampled_from(sorted(reached)),
+                                  max_size=2))
+    pre = preimage_gens(rows, rels, c, n)
+    for b, x in zip(targets, solve_rows(rows, rels, targets, c, n)):
+        assert (x is not None) == (b in reached)
+        if x is not None:
+            diff = tuple((a - y) % n for a, y in zip(_times(x, rows, c, n), b))
+            assert diff in allowed
+            assert x == reduce_mod_span(x, pre, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_large_matrix(), st.data())
+def test_solve_rows_with_relations_at_large_moduli(data, more):
+    # against solving x*[A; C] == b with unknowns for the rows of C too,
+    # reduced modulo the kernel of [A; C] and cut to A's rows, from the
+    # references in tests/util
+    n, mat = data
+    c = len(mat[0])
+    rels = more.draw(_entries(n, more.draw(st.integers(0, 3)), c))
+    k = len(mat)
+    stacked = list(mat) + rels
+    coeffs = more.draw(_entries(n, 1, len(stacked)))[0]
+    reached = vec_mat(coeffs, stacked, n)
+    other = tuple(more.draw(_entries(n, 1, c))[0])
+    kernel = reference_row_kernel(stacked, c, n)
+    span = reference_howell(stacked, c, n)
+    x, y = solve_rows(mat, rels, [reached, other], c, n)
+    assert x == reduce_mod_span(coeffs, kernel, n)[:k]
+    assert (y is None) == any(reduce_mod_span(other, span, n))
 
 
 @settings(max_examples=100, deadline=None)
