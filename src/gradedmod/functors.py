@@ -426,7 +426,8 @@ def hom_degree(h: GradedRingHom, source: GradedModule, target: GradedModule,
     block's T, in that block's columns, are rows without unknowns.  The
     families meeting every condition are the preimage of those relations,
     `preimage_gens` of the unknowns' rows, and `Subquotient` takes them
-    modulo `deg.rels`.
+    modulo `deg.rels` as they are: the preimage is a Howell form, and it
+    holds `deg.rels`, whose families meet every condition.
     """
     ring_r = h.source
     grp = ring_r.group

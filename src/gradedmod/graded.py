@@ -191,15 +191,17 @@ def _algebra_generators(ring):
     assumes associativity, commutativity or a unit.
     """
     g, n, comps, mult = ring.group, ring.n, ring.components, ring.mult
-    spans = {d: c.rels for d, c in comps.items()}
+    # per degree, the component modulo the closure so far: its relations
+    # are the closure's Howell form, kept with their pivots
+    spans = dict(comps)
     found, gens = [], []
 
     def close(queue):
         while queue:
             d, v = queue.pop()
-            if d not in comps or span_contains(v, spans[d], n):
+            if d not in comps or _vanishes(spans[d], v):
                 continue
-            spans[d] = howell(spans[d] + (v,), comps[d].ngens, n)
+            spans[d] = FpZnModule(n, comps[d].ngens, spans[d].rels + (v,))
             found.append((d, v))
             queue += [_product(g, comps, mult, d, v, dg, gv)
                       for dg, gv in gens]
@@ -209,7 +211,7 @@ def _algebra_generators(ring):
         k = comps[d].ngens
         for j in range(k):
             e = _unit_vec(k, j)
-            if span_contains(e, spans[d], n):
+            if _vanishes(spans[d], e):
                 continue
             gens.append((d, e))
             close([(d, e)] + [_product(g, comps, mult, df, f, d, e)
@@ -444,33 +446,61 @@ def _minimal_generators(module, ideal):
     return tuple(picks)
 
 
-# The validation kernel.  Every check below multiplies at least one
-# generator, a unit vector e_i, so each product reads one row or one column
-# of a stored tensor: e_i times e_j is the entry t[i][j], which the
-# constructors store reduced, e_i times s combines the row t[i], and r
-# times e_j combines the column of entries t[.][j].  An absent tensor is
-# zero.
+# The validation kernel.  Each axiom instance is an equation lhs = rhs in
+# one output component.  The kernel adds up lhs - rhs unreduced and asks
+# that component once whether the difference vanishes (`_vanishes`).
+# That is exact: reduction against a Howell form is canonical, so
+# reduce(a) == reduce(b) iff reduce(a - b) == 0.  Every instance
+# multiplies at least one generator, a unit vector e_i, so each product
+# reads one row or one column of a stored tensor: e_i times e_j is the
+# entry t[i][j], e_i times s combines the row t[i], and r times e_j
+# combines the column of entries t[.][j].  An absent tensor is zero.
+#
+# A product that feeds a second product, such as y m in x(y m), is also
+# left unreduced, and taken once per algebra generator y.  Every
+# representative of an element has the same image under a tensor or a
+# matrix that is well defined, and well-definedness is checked before
+# associativity and linearity.
 
 
-def _column(t, r, j, out):
-    """r times the generator e_j through the tensor t, sum_i r_i t[i][j],
-    reduced in `out`."""
-    acc = [0] * out.ngens
-    for ri, block in zip(r, t):
-        if ri:
-            acc = [a + ri * v for a, v in zip(acc, block[j])]
-    return out.reduce(acc)
+def _terms(v):
+    """The nonzero coefficients of v, as (index, coefficient) pairs."""
+    return [(i, c) for i, c in enumerate(v) if c]
 
 
-def _combine(coeffs, rows, out):
-    """sum_b coeffs_b rows[b], reduced in `out`: e_i times s is
-    `_combine(s, t[i], out)`, and the image of v under a matrix is
-    `_combine(v, matrix, out)`."""
-    acc = [0] * out.ngens
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc = [a + c * v for a, v in zip(acc, row)]
-    return out.reduce(acc)
+def _sum(terms, rows, size):
+    """sum_b c_b rows[b] over the (b, c_b) of `terms`, unreduced, of length
+    `size`: e_i times s is `_sum(_terms(s), t[i], size)`, and the image of
+    v under a matrix is `_sum(_terms(v), matrix, size)`.  A lone term with
+    coefficient 1 is its row."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        return rows[terms[0][0]]
+    acc = [0] * size
+    for b, c in terms:
+        acc = [a + c * v for a, v in zip(acc, rows[b])]
+    return acc
+
+
+def _column(terms, t, j, size):
+    """r times the generator e_j through the tensor t, sum_i r_i t[i][j]
+    over the (i, r_i) of `terms`, unreduced, of length `size`.  A lone
+    term with coefficient 1 is its entry."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        return t[terms[0][0]][j]
+    acc = [0] * size
+    for i, c in terms:
+        acc = [a + c * v for a, v in zip(acc, t[i][j])]
+    return acc
+
+
+def _vanishes(out, lhs, rhs=None):
+    """Whether lhs - rhs, or lhs alone when rhs is None, is zero in the
+    component `out`, for unreduced vectors: one reduction, which two
+    vectors equal as they stand do not need."""
+    if rhs is None:
+        return not any(out.reduce(lhs))
+    return lhs == rhs or not any(out.reduce([a - b
+                                             for a, b in zip(lhs, rhs)]))
 
 
 def _check_module_axioms(ring, comps, tensors, words):
@@ -494,13 +524,17 @@ def _check_module_axioms(ring, comps, tensors, words):
     x(y1 y2) = (x y1)y2 is then the condition on y1 itself, with m = y2.
     `words` names the axioms in the error messages.
 
-    Every product has a generator as one argument, so it is one row or one
-    column of a stored tensor (`_column`, `_combine`), with no bilinear
-    evaluation.  An absent tensor is zero: well-definedness skips it, and
-    associativity skips a pair of degrees whose two sides are both absent.
-    Each degree sum is taken once per pair of degrees.  The loops run in
-    the order above, degree by degree and generator by generator, so the
-    first failing axiom and its message do not depend on these shortcuts.
+    Each instance sums lhs - rhs from one row or one column of a stored
+    tensor per side, with no bilinear evaluation, and reduces it once in
+    its output component.  The products x y and y m, whose images the
+    associativity instances take again, are summed unreduced once per
+    algebra generator y: well-definedness, checked before, makes every
+    representative of them give the same image.  An absent tensor is
+    zero: well-definedness skips it, and associativity skips a pair of
+    degrees whose two sides are both absent.  Each degree sum is taken
+    once per pair of degrees.  The loops run in the order above, degree
+    by degree and generator by generator, so the first failing axiom and
+    its message do not depend on these shortcuts.
     """
     what, unit, assoc = words
     g = ring.group
@@ -511,37 +545,46 @@ def _check_module_axioms(ring, comps, tensors, words):
         if target[(dg, dh)] is None:
             raise GradedError(f"{what} leaves the declared support")
     zero = g.zero()
+    one = _terms(ring.one)
     for dh, ch in comps.items():
         t = tensors.get((zero, dh))
         for j in range(ch.ngens):
-            got = ch.zero() if t is None else _column(t, ring.one, j, ch)
-            if got != ch.reduce(_unit_vec(ch.ngens, j)):
+            got = ch.zero() if t is None else _column(one, t, j, ch.ngens)
+            if not _vanishes(ch, got, _unit_vec(ch.ngens, j)):
                 raise GradedError(f"{unit} fails at degree {dh}")
+    # a pair of components without relations has nothing to check
+    with_rels = [(dh, ch) for dh, ch in comps.items() if ch.rels]
     for dg, cg in ring.components.items():
-        for dh, ch in comps.items():
+        for dh, ch in comps.items() if cg.rels else with_rels:
             t = tensors.get((dg, dh))
             if t is None:
                 continue
             out = target[(dg, dh)]
-            if (any(any(_column(t, r, j, out))
-                    for r in cg.rels for j in range(ch.ngens))
-                    or any(any(_combine(s, t[i], out))
-                           for s in ch.rels for i in range(cg.ngens))):
+            size = out.ngens
+            if (any(not _vanishes(out, _column(rt, t, j, size))
+                    for rt in map(_terms, cg.rels) for j in range(ch.ngens))
+                    or any(not _vanishes(out, _sum(st, t[i], size))
+                           for st in map(_terms, ch.rels)
+                           for i in range(cg.ngens))):
                 raise GradedError(f"{what} not well defined at {dg},{dh}")
     rcomps, rmult = ring.components, ring.mult
     for dy, y in ring.algebra_generators:
-        # y m for every generator m of every component (None: all zero),
-        # with its degree
+        ys = _terms(y)
+        # y m for every generator m of every component, unreduced, as
+        # terms (None: all zero), with its degree
         ym = {}
         for dh, ch in comps.items():
             t = tensors.get((dy, dh))
             ym[dh] = g.add(dy, dh), None if t is None else [
-                _column(t, y, k, target[(dy, dh)]) for k in range(ch.ngens)]
+                _terms(_column(ys, t, k, target[(dy, dh)].ngens))
+                for k in range(ch.ngens)]
         for dx, cx in rcomps.items():
-            # x y for every generator x of R_dx (None: all zero)
+            # x y for every generator x of R_dx, unreduced, as terms
+            # (None: all zero)
             dxy, t = g.add(dx, dy), rmult.get((dx, dy))
-            xys = None if t is None else [_combine(y, t[i], rcomps[dxy])
-                                          for i in range(cx.ngens)]
+            xys = None if t is None else [
+                _terms(_sum(ys, t[i], rcomps[dxy].ngens))
+                for i in range(cx.ngens)]
             # per module degree dh, the tensors of (xy)m and x(ym) where
             # either is present, and the component both land in
             pairs = []
@@ -558,12 +601,13 @@ def _check_module_axioms(ring, comps, tensors, words):
                 pairs.append((dh, ch.ngens, yms, left, right, out))
             for i in range(cx.ngens):
                 for dh, k, yms, left, right, out in pairs:
+                    size, zero_out = out.ngens, out.zero()
                     for m in range(k):
-                        lhs = (out.zero() if left is None
-                               else _column(left, xys[i], m, out))
-                        rhs = (out.zero() if right is None
-                               else _combine(yms[m], right[i], out))
-                        if lhs != rhs:
+                        lhs = (zero_out if left is None
+                               else _column(xys[i], left, m, size))
+                        rhs = (zero_out if right is None
+                               else _sum(yms[m], right[i], size))
+                        if not _vanishes(out, lhs, rhs):
                             raise GradedError(
                                 f"{assoc} fails at {dx},{dy},{dh}")
 
@@ -665,6 +709,7 @@ class GradedRing:
         """
         g, comps, mult = self.group, self.components, self.mult
         for dy, y in (self.one_element(),) + self.algebra_generators:
+            ys = _terms(y)
             for dx, cx in comps.items():
                 # x y is a row of the tensor at (dx, dy), y x a column of
                 # the one at (dy, dx); both absent means both zero
@@ -672,12 +717,13 @@ class GradedRing:
                 if right is None and left is None:
                     continue
                 out = comps[g.add(dx, dy)]
+                size, zero_out = out.ngens, out.zero()
                 for i in range(cx.ngens):
-                    xy = (out.zero() if right is None
-                          else _combine(y, right[i], out))
-                    yx = (out.zero() if left is None
-                          else _column(left, y, i, out))
-                    if xy != yx:
+                    xy = (zero_out if right is None
+                          else _sum(ys, right[i], size))
+                    yx = (zero_out if left is None
+                          else _column(ys, left, i, size))
+                    if not _vanishes(out, xy, yx):
                         lo, hi = sorted((dx, dy))
                         raise GradedError(
                             f"commutativity fails at degrees {lo},{hi}")
@@ -831,7 +877,7 @@ def _maps_well_defined(self):
     for deg, mat in self.maps.items():
         sc, tc = self.source.component(deg), self.target.component(deg)
         for r in sc.rels:
-            if any(tc.reduce(vec_mat(r, mat, tc.n))):
+            if not _vanishes(tc, _sum(_terms(r), mat, tc.ngens)):
                 raise GradedError(self._ILL_DEFINED.format(deg))
 
 
@@ -863,12 +909,16 @@ def _maps_linear(self, s_tensors, t_tensors, acting):
     in degree dr, acting on the target as r'.  With x = e_j in degree dh,
     u(x) is row j of the matrix, r x column j of the source tensor at
     (dr, dh), and r u(x) = sum_b u(x)_b (r' f_b) for the columns r' f_b of
-    the target's; absent tensors and matrices are zero.  The loops run
-    over r, dh and j; `_NOT_LINEAR` words the first failure.
+    the target's; absent tensors and matrices are zero.  Each instance
+    reduces u(r x) - r u(x) once.  The products r x and r' f_b are taken
+    unreduced, r' f_b once per r and dh: the matrices are well defined,
+    which the callers check first, and so are the target's tensors.  The
+    loops run over r, dh and j; `_NOT_LINEAR` words the first failure.
     """
     src, tgt, maps = self.source, self.target, self.maps
     g = _ring(src).group
     for dr, r, tr in acting:
+        rs, trs = _terms(r), _terms(tr)
         for dh, sc in src.components.items():
             drx = g.add(dr, dh)
             out = tgt.components.get(drx)
@@ -878,14 +928,16 @@ def _maps_linear(self, s_tensors, t_tensors, acting):
             rhs_zero = t_t is None or u_h is None
             if out is None or (lhs_zero and rhs_zero):
                 continue
+            size, zero_out = out.ngens, out.zero()
             if not rhs_zero:
-                rf = [_column(t_t, tr, b, out)
+                rf = [_column(trs, t_t, b, size)
                       for b in range(tgt.components[dh].ngens)]
             for j in range(sc.ngens):
-                urx = (out.zero() if lhs_zero else _combine(
-                    _column(s_t, r, j, src.components[drx]), u_rx, out))
-                rux = out.zero() if rhs_zero else _combine(u_h[j], rf, out)
-                if urx != rux:
+                urx = zero_out if lhs_zero else _sum(
+                    _terms(_column(rs, s_t, j, src.components[drx].ngens)),
+                    u_rx, size)
+                rux = zero_out if rhs_zero else _sum(_terms(u_h[j]), rf, size)
+                if not _vanishes(out, urx, rux):
                     raise GradedError(self._NOT_LINEAR.format(r=dr, x=dh))
 
 
@@ -1139,11 +1191,8 @@ def shift_morphism(u: GradedMorphism, g) -> GradedMorphism:
 
 def free_module(ring: GradedRing, shift_degrees) -> GradedModule:
     """The free module ⊕_i R(g_i) on the given shift degrees."""
-    summands = [shift(ring_as_module(ring), g) for g in shift_degrees]
-    if not summands:
-        return GradedModule(ring, {}, {}, validate=False)
-    total, _, _ = direct_sum(summands)
-    return total
+    return _sum_module(ring, [shift(ring_as_module(ring), g)
+                              for g in shift_degrees])[0]
 
 
 def _stack(n, parts):
@@ -1171,14 +1220,9 @@ def _place(tensor, t, o1, o2, o3):
                     tensor[o1 + i][o2 + j][o3 + k] = v
 
 
-def direct_sum(modules):
-    """Componentwise direct sum with injections and projections."""
-    modules = list(modules)
-    if not modules:
-        raise GradedError("direct sum of an empty family needs an explicit ring")
-    ring = modules[0].ring
-    if any(m.ring != ring for m in modules):
-        raise RingMismatch("direct sum over different rings")
+def _sum_module(ring, modules):
+    """The componentwise direct sum of `modules` over `ring`, its sorted
+    degrees and the offset of summand i at degree d, keyed (i, d)."""
     g = ring.group
     degs = sorted({d for m in modules for d in m.components})
     comps = {}
@@ -1202,7 +1246,19 @@ def direct_sum(modules):
                     _place(tensor, t, 0, offsets[(idx, deg)],
                            offsets[(idx, out_deg)])
                     action[(dc, deg)] = tensor
-    total_mod = GradedModule(ring, comps, action, validate=False)
+    return GradedModule(ring, comps, action, validate=False), degs, offsets
+
+
+def direct_sum(modules):
+    """Componentwise direct sum with injections and projections."""
+    modules = list(modules)
+    if not modules:
+        raise GradedError("direct sum of an empty family needs an explicit ring")
+    ring = modules[0].ring
+    if any(m.ring != ring for m in modules):
+        raise RingMismatch("direct sum over different rings")
+    total_mod, degs, offsets = _sum_module(ring, modules)
+    comps = total_mod.components
     injections, projections = [], []
     for idx, m in enumerate(modules):
         inj, proj = {}, {}
@@ -1228,9 +1284,10 @@ def graded_submodule(module: GradedModule, gens_by_degree):
     `gens_by_degree` maps a degree to ambient coordinate vectors; keys
     naming one degree pool their vectors, and the span must be stable
     under the ring action degreewise.  Each degree is the `Subquotient`
-    of its vectors modulo the ambient relations: its reduced generators
-    give the inclusion, and its coordinates the inherited action, with
-    the ambient system factored once per degree.
+    of its vectors modulo the ambient relations, handed the Howell form
+    of both as its contract asks: its reduced generators give the
+    inclusion, and its coordinates the inherited action, with the ambient
+    system factored once per degree.
     """
     g = module.ring.group
     gens = {}
@@ -1238,7 +1295,8 @@ def graded_submodule(module: GradedModule, gens_by_degree):
         gens.setdefault(g.canon(deg), []).extend(vecs)
     subs = {}
     for deg, vecs in gens.items():
-        sq = Subquotient(vecs, module.component(deg))
+        amb = module.component(deg)
+        sq = Subquotient(howell(vecs + list(amb.rels), amb.ngens, amb.n), amb)
         if sq.gens:
             subs[deg] = sq
     incl_mats = {deg: tuple(sq.ambient.reduce(row) for row in sq.gens)
@@ -1313,79 +1371,108 @@ def coarse_layout(components, psi):
     each generator of the coarse component c, and `offsets[d]` is the
     offset of the fine component d in its coarse one.
     """
+    return _fine_layout(components, psi)[1:]
+
+
+def _fine_layout(components, psi):
+    """(images, gens, offsets): the image under psi of every degree of
+    `components`, each taken once, and `coarse_layout` read off them.
+    Every step of one coarsening reads the images of its ends here."""
+    images = {deg: psi.apply(deg) for deg in components}
     gens, offsets = {}, {}
     for deg in sorted(components):
-        lst = gens.setdefault(psi.apply(deg), [])
+        lst = gens.setdefault(images[deg], [])
         offsets[deg] = len(lst)
         lst.extend((deg, i) for i in range(components[deg].ngens))
-    return gens, offsets
+    return images, gens, offsets
 
 
-def _coarse_components(components, psi, n):
+def _coarse_components(components, images, n):
     """The components summed over each fiber of psi, in the order of
-    `coarse_layout`."""
+    `coarse_layout`, given the image of every degree."""
     fibers = {}
     for deg in sorted(components):
-        fibers.setdefault(psi.apply(deg), []).append(components[deg])
+        fibers.setdefault(images[deg], []).append(components[deg])
     return {c: _stack(n, parts)[0] for c, parts in fibers.items()}
 
 
-def _coarse_tensors(tensors, left, comps, left_off, off, psi):
+def _coarse_tensors(tensors, left, comps, left_layout, layout, group):
     """Reassemble the structure tensors left_g x M_h -> M_{g+h} blockwise
-    along psi, given the coarse components and the offsets of both."""
+    along psi, given the coarse components and the fine layouts of both
+    (`_fine_layout`); `group` is the fine grading group.  A stored tensor
+    lands in the support, so g+h has an image too."""
+    (left_img, _, left_off), (img, _, off) = left_layout, layout
     coarse = {}
     for (d1, d2), t in tensors.items():
-        i1, i2 = psi.apply(d1), psi.apply(d2)
-        out = comps[psi.target.add(i1, i2)]
+        i1, i2, d3 = left_img[d1], img[d2], group.add(d1, d2)
+        out = comps[img[d3]]
         tensor = coarse.get((i1, i2))
         if tensor is None:
             tensor = coarse[(i1, i2)] = [
                 [[0] * out.ngens for _ in range(comps[i2].ngens)]
                 for _ in range(left[i1].ngens)]
-        _place(tensor, t, left_off[d1], off[d2], off[psi.source.add(d1, d2)])
+        _place(tensor, t, left_off[d1], off[d2], off[d3])
     return coarse
+
+
+def _coarsen_ring(ring, psi):
+    """`coarsen_ring`, and the fine layout of the ring (`_fine_layout`)."""
+    if psi.source != ring.group:
+        raise GroupMismatch("psi does not start at the grading group of the ring")
+    layout = images, _, offsets = _fine_layout(ring.components, psi)
+    comps = _coarse_components(ring.components, images, ring.n)
+    mult = _coarse_tensors(ring.mult, comps, comps, layout, layout, ring.group)
+    one = [0] * comps[psi.target.zero()].ngens
+    off = offsets[ring.group.zero()]
+    for i, v in enumerate(ring.one):
+        one[off + i] = v
+    return GradedRing(psi.target, ring.n, comps, mult, one,
+                      validate=False), layout
 
 
 def coarsen_ring(ring: GradedRing, psi: GroupEpi) -> GradedRing:
     """Regrade a ring along a group epimorphism by summing over fibers."""
+    return _coarsen_ring(ring, psi)[0]
+
+
+def _coarsen_module(module, psi, coarse_ring, ring_layout):
+    """`coarsen_module` over `coarse_ring`, given the fine layout of the
+    ring, and the fine layout of the module."""
+    layout = _fine_layout(module.components, psi)
+    mcomps = _coarse_components(module.components, layout[0], module.ring.n)
+    action = _coarse_tensors(module.action, coarse_ring.components, mcomps,
+                             ring_layout, layout, psi.source)
+    return GradedModule(coarse_ring, mcomps, action, validate=False), layout
+
+
+def _coarse_ring_and_layout(ring, psi, coarse_ring):
+    """`coarse_ring` (built here when None) and the fine layout of `ring`,
+    for a module over `ring`."""
+    if coarse_ring is None:
+        return _coarsen_ring(ring, psi)
     if psi.source != ring.group:
-        raise GroupMismatch("psi does not start at the grading group of the ring")
-    comps = _coarse_components(ring.components, psi, ring.n)
-    _, offsets = coarse_layout(ring.components, psi)
-    mult = _coarse_tensors(ring.mult, comps, comps, offsets, offsets, psi)
-    zero_img = psi.target.zero()
-    one = [0] * comps[zero_img].ngens
-    off = offsets[ring.group.zero()]
-    for i, v in enumerate(ring.one):
-        one[off + i] = v
-    return GradedRing(psi.target, ring.n, comps, mult, one, validate=False)
+        raise GroupMismatch("psi does not start at the grading group of the module")
+    return coarse_ring, _fine_layout(ring.components, psi)
 
 
 def coarsen_module(module: GradedModule, psi: GroupEpi,
                    coarse_ring: GradedRing | None = None) -> GradedModule:
     """Regrade a module along psi, over the coarsened ring."""
-    ring = module.ring
-    if psi.source != ring.group:
+    if psi.source != module.ring.group:
         raise GroupMismatch("psi does not start at the grading group of the module")
-    if coarse_ring is None:
-        coarse_ring = coarsen_ring(ring, psi)
-    _, roff = coarse_layout(ring.components, psi)
-    _, moff = coarse_layout(module.components, psi)
-    mcomps = _coarse_components(module.components, psi, ring.n)
-    action = _coarse_tensors(module.action, coarse_ring.components, mcomps,
-                             roff, moff, psi)
-    return GradedModule(coarse_ring, mcomps, action, validate=False)
+    return _coarsen_module(module, psi, *_coarse_ring_and_layout(
+        module.ring, psi, coarse_ring))[0]
 
 
-def _coarse_maps(fine, src, tgt, psi):
+def _coarse_maps(fine, src, tgt, src_layout, tgt_layout):
     """The matrices of a degreewise map `fine` (a morphism of modules or of
-    rings) between its coarsened ends `src` and `tgt`: each matrix of
-    `fine` is a block of the matrix at its degree's image under psi."""
-    _, soff = coarse_layout(fine.source.components, psi)
-    _, toff = coarse_layout(fine.target.components, psi)
+    rings) between its coarsened ends `src` and `tgt`, given the fine
+    layouts of both ends: each matrix of `fine` is a block of the matrix
+    at its degree's image under psi."""
+    (images, _, soff), (_, _, toff) = src_layout, tgt_layout
     maps = {}
     for deg, mat in fine.maps.items():
-        img = psi.apply(deg)
+        img = images[deg]
         smat = maps.get(img)
         if smat is None:
             smat = maps[img] = [[0] * tgt.component(img).ngens
@@ -1403,17 +1490,19 @@ def _coarse_maps(fine, src, tgt, psi):
 def coarsen_morphism(u: GradedMorphism, psi: GroupEpi,
                      coarse_ring: GradedRing | None = None) -> GradedMorphism:
     """Blockwise coarsening of a graded morphism."""
-    if coarse_ring is None:
-        coarse_ring = coarsen_ring(u.source.ring, psi)
-    src = coarsen_module(u.source, psi, coarse_ring)
-    tgt = coarsen_module(u.target, psi, coarse_ring)
-    return GradedMorphism(src, tgt, _coarse_maps(u, src, tgt, psi),
+    coarse_ring, ring_layout = _coarse_ring_and_layout(u.source.ring, psi,
+                                                       coarse_ring)
+    src, src_layout = _coarsen_module(u.source, psi, coarse_ring, ring_layout)
+    tgt, tgt_layout = _coarsen_module(u.target, psi, coarse_ring, ring_layout)
+    return GradedMorphism(src, tgt,
+                          _coarse_maps(u, src, tgt, src_layout, tgt_layout),
                           validate=False)
 
 
 def coarsen_ring_hom(h: GradedRingHom, psi: GroupEpi) -> GradedRingHom:
     """Coarsening of a graded ring morphism."""
-    src = coarsen_ring(h.source, psi)
-    tgt = coarsen_ring(h.target, psi)
-    return GradedRingHom(src, tgt, _coarse_maps(h, src, tgt, psi),
+    src, src_layout = _coarsen_ring(h.source, psi)
+    tgt, tgt_layout = _coarsen_ring(h.target, psi)
+    return GradedRingHom(src, tgt,
+                         _coarse_maps(h, src, tgt, src_layout, tgt_layout),
                          validate=False)

@@ -401,15 +401,21 @@ def prune(module: FpZnModule):
 
 
 class Subquotient:
-    """Presentation of (span(wgens) + R) / R inside the module `ambient`,
-    where R is the span of its relations.
+    """Presentation of span(wgens) / R inside the module `ambient`, where
+    R is the span of its relations.
 
     Used wherever a module arises as "solutions modulo trivial solutions",
     e.g. hom modules, and for every graded submodule: its generators
     modulo the ambient relations.  Exposes lifts of the presentation
     generators into the ambient space and a coordinate solver for
-    arbitrary ambient vectors.  The ambient `FpZnModule` brings its
-    relations in Howell form with their pivots, so none is taken here.
+    arbitrary ambient vectors.
+
+    The contract: `wgens` is a Howell form whose span holds R.  A
+    preimage of the relations (`preimage_gens`) is one; any other rows
+    are taken as `howell(rows + ambient.rels)` by the caller.  So no
+    Howell form is taken here: the generators are the rows of `wgens`
+    that are nonzero in the ambient module, and the ambient `FpZnModule`
+    brings R in Howell form with its pivots.
 
     The generators and the relations are factored once, when the object
     is built: the augmented Howell form [gens | I; rels | 0], with
@@ -423,10 +429,7 @@ class Subquotient:
     def __init__(self, wgens, ambient: FpZnModule):
         self.ambient = ambient
         n, dim = ambient.n, ambient.ngens
-        basis = [row for row in howell(list(wgens) + list(ambient.rels),
-                                       dim, n)
-                 if any(ambient.reduce(row))]
-        self.gens = tuple(basis)
+        self.gens = tuple(row for row in wgens if any(ambient.reduce(row)))
         self._aug, self._aug_pivots = _augmented(self.gens, ambient.rels,
                                                  dim, n)
         # the kernel part is the preimage of the relations: the relations

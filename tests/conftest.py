@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from gradedmod import analyze, corpus, functors, graded
+from gradedmod import analyze, corpus, functors, graded, znlinalg
 
 
 class _Validating:
@@ -34,6 +34,28 @@ VALIDATING = {(functors, "GradedModule"): _Validating(graded.GradedModule),
               (functors, "GradedMorphism"): _Validating(graded.GradedMorphism),
               (analyze, "GradedMorphism"): _Validating(graded.GradedMorphism)}
 for (_module, _name), _factory in VALIDATING.items():
+    setattr(_module, _name, _factory)
+
+
+class SubquotientContractBroken(AssertionError):
+    pass
+
+
+def _subquotient_checking_its_contract(wgens, ambient):
+    """`znlinalg.Subquotient`, once its contract is checked: `wgens` is a
+    Howell form whose span holds the ambient relations."""
+    rows = tuple(tuple(row) for row in wgens)
+    if znlinalg.howell(rows + ambient.rels, ambient.ngens, ambient.n) != rows:
+        raise SubquotientContractBroken(
+            f"Subquotient handed {rows} over {ambient}")
+    return znlinalg.Subquotient(wgens, ambient)
+
+
+# `Subquotient` takes no Howell form of its own: its callers hand it one.
+# The suite checks that contract on every call the program makes.
+CONTRACTS = {(functors, "Subquotient"): _subquotient_checking_its_contract,
+             (graded, "Subquotient"): _subquotient_checking_its_contract}
+for (_module, _name), _factory in CONTRACTS.items():
     setattr(_module, _name, _factory)
 
 

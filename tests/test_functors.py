@@ -445,3 +445,32 @@ def test_battery_validates_no_functor_output(instances, monkeypatch):
                                   for g in s_mod.support])
     assert rep.decisive and all(rep.verdicts.values())
     assert seen and not any(seen)
+
+
+def test_subquotient_callers_keep_its_contract(instances, monkeypatch):
+    # conftest.py stands in for `Subquotient` where the program builds
+    # one: rows that are not a Howell form, or whose span misses the
+    # ambient relations, are refused there
+    from conftest import (SubquotientContractBroken,
+                          _subquotient_checking_its_contract as stand_in)
+    assert functors.Subquotient is stand_in
+    assert graded.Subquotient is stand_in
+    with pytest.raises(SubquotientContractBroken):
+        stand_in([(1, 1), (0, 1)], FpZnModule(2, 2))
+    with pytest.raises(SubquotientContractBroken):
+        stand_in([(0, 1)], FpZnModule(2, 2, [(1, 0)]))
+    # a Hom degree and a kernel hand it one per degree, and pass
+    calls = []
+
+    def counting(wgens, ambient):
+        calls.append(len(wgens))
+        return stand_in(wgens, ambient)
+    for module in (functors, graded):
+        monkeypatch.setattr(module, "Subquotient", counting)
+    inst = instances["zgraded"]
+    h, r_mod = inst["h"], ring_as_module(inst["ring_r"])
+    hom = mixed_hom(h, ring_as_module(inst["ring_s"]), r_mod)
+    assert len(calls) == len(hom.degrees)
+    kernel, _ = graded.graded_kernel(GradedMorphism.identity(r_mod))
+    assert kernel.is_zero
+    assert len(calls) == len(hom.degrees) + len(r_mod.components)

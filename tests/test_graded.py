@@ -1,5 +1,6 @@
 """Graded rings, modules and morphisms: validation, constructions, coarsening."""
 
+import collections
 import itertools
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedmod import corpus
-from gradedmod.abelian import make_epi, make_group
+from gradedmod.abelian import GroupEpi, make_epi, make_group
 from gradedmod.analyze import is_mono, is_ring_epimorphism
 from gradedmod.graded import (GradedError, GradedModule, GradedMorphism,
                               GradedRing, GradedRingHom, RingMismatch,
@@ -292,6 +293,28 @@ def test_coarsening_basics():
     ch = coarsen_ring_hom(h, psi)
     assert ch.target == cs
     assert ch.source == coarsen_ring(r, psi)
+
+
+@pytest.mark.parametrize("name", ["zgraded", "d25e_z3", "frobenius"])
+def test_coarsen_ring_hom_maps_each_degree_through_psi_once(
+        instances, name, monkeypatch):
+    # every step of a coarsening reads the images of one layout per end,
+    # and the coarse ring morphism is the same
+    h, psi = instances[name]["h"], instances[name]["psi"]
+    want = coarsen_ring_hom(h, psi)
+    calls = collections.Counter()
+    apply = GroupEpi.apply
+
+    def counting(self, coords):
+        calls[tuple(coords)] += 1
+        return apply(self, coords)
+    monkeypatch.setattr(GroupEpi, "apply", counting)
+    assert coarsen_ring_hom(h, psi) == want
+    for deg, count in calls.items():
+        assert count <= ((deg in h.source.components)
+                         + (deg in h.target.components)), deg
+    assert sum(calls.values()) <= (len(h.source.components)
+                                   + len(h.target.components))
 
 
 def test_coarsen_preserves_composition(instances):
@@ -680,6 +703,33 @@ def test_module_check_names_the_first_failure_in_loop_order():
     assert _raised(m._validate) == (GradedError, expected)
     assert _raised(lambda: reference_validate_module(m)) == (GradedError,
                                                              expected)
+
+
+def _relation_module(x_e2):
+    """(Z/4)^2 modulo (2, 2) over R = (Z/4)[X]/(X^2), ungraded, with X e1
+    = e1 + e2 and X e2 = `x_e2`."""
+    ring = monomial_ring(G0, 4, [()], [(2,)])
+    identity = ((1, 0), (0, 1))
+    action = {(D0, D0): (identity, ((1, 1), x_e2))}
+    return GradedModule(ring, {D0: FpZnModule(4, 2, [(2, 2)])}, action,
+                        validate=False)
+
+
+def test_associativity_sides_may_differ_by_a_relation():
+    # with x = y = X and m = e1, (x y)m = 0 while x(y m) = X e1 + X e2
+    # sums to (2, 2) unreduced: a nonzero vector, and zero in M
+    m = _relation_module((1, 1))
+    assert m.ring.algebra_generators == ((D0, (0, 1)),)
+    assert _raised(m._validate) is None
+    assert _raised(lambda: reference_validate_module(m)) is None
+    assert reference_module_failure(m) is None
+    # with X e2 = e1 + 3 e2 the same sum is (2, 4) = (0, 2) in M: the
+    # relation is still respected, and associativity fails
+    m = _relation_module((1, 3))
+    expected = (GradedError, "associativity of the action fails at (),(),()")
+    assert _raised(m._validate) == expected
+    assert _raised(lambda: reference_validate_module(m)) == expected
+    assert reference_module_failure(m)[0] == "associativity"
 
 
 def test_light_test_catches_failures_off_the_generators():

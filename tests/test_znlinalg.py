@@ -271,7 +271,7 @@ def _subquotient_and_vectors(draw):
 def test_subquotient_coords_match_solve_row(data):
     n, dim, wgens, dgens, vecs = data
     ambient = FpZnModule(n, dim, dgens)
-    sq = Subquotient(wgens, ambient)
+    sq = Subquotient(howell(wgens + dgens, dim, n), ambient)
     for v in vecs:
         sol = solve_row(sq.gens, ambient.rels, v, dim, n)
         got = sq.coords(v)
